@@ -7,7 +7,7 @@ from .numerics import (RoundContext, ErrorWindow, erfi, trajectory, open_density
 from .graphcore import EvolvingGraph, edge_index, edge_endpoints, num_pairs
 from .process import (ProcessParams, RunTrace, run_exact, run_rounds,
                       exhaustive_oracle, aggregate_cutoff)
-from .patterns import PatternGraph, count_copies, automorphism_count, variance_margin
+from .patterns import PatternGraph, count_copies, variance_margin
 from .slots import SlotCounts, classify_pair, check_trajectories
 from .branching import (SurvivalModel, SurvivalCurve, exact_point, exact_curve,
                         limit_recursion, finite_recursion, simulate_tree)
@@ -20,7 +20,7 @@ __all__ = [
     "EvolvingGraph", "edge_index", "edge_endpoints", "num_pairs",
     "ProcessParams", "RunTrace", "run_exact", "run_rounds",
     "exhaustive_oracle", "aggregate_cutoff",
-    "PatternGraph", "count_copies", "automorphism_count", "variance_margin",
+    "PatternGraph", "count_copies", "variance_margin",
     "SlotCounts", "classify_pair", "check_trajectories",
     "SurvivalModel", "SurvivalCurve", "exact_point", "exact_curve",
     "limit_recursion", "finite_recursion", "simulate_tree",

@@ -50,6 +50,15 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+def positive_int(text: str) -> int:
+    """Count flags (trials, jobs, sample size, depth, grid): a zero or
+    negative value is a usage error, not a run."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text}")
+    return value
+
+
 class _Params:
     """Flag > config file > environment (seed) > default."""
 
@@ -118,9 +127,9 @@ def _cmd_simulate(args) -> int:
     p = _Params(args)
     n = p.get("n", 100, int)
     eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 1, int)
+    trials = p.get("trials", 1, positive_int)
     cutoff = p.get("cutoff", None, float)
-    jobs = p.get("jobs", 1, int)
+    jobs = p.get("jobs", 1, positive_int)
     seed = p.seed()
     ctx = RoundContext(n, eps)
     params = ProcessParams(ctx=ctx, seed=seed, mode="exact", cutoff=cutoff)
@@ -140,10 +149,10 @@ def _cmd_rounds(args) -> int:
     p = _Params(args)
     n = p.get("n", 100, int)
     eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 1, int)
+    trials = p.get("trials", 1, positive_int)
     snapshots = bool(p.get("rounds_snapshots", False, bool))
     seed = p.seed()
-    jobs = p.get("jobs", 1, int)
+    jobs = p.get("jobs", 1, positive_int)
     ctx = RoundContext(n, eps)
     params = ProcessParams(ctx=ctx, seed=seed, mode="rounds",
                            record_snapshots=snapshots)
@@ -187,7 +196,7 @@ def _cmd_lambda(args) -> int:
     p = _Params(args)
     n = p.get("n", 1000, int)
     eps = p.get("eps", 0.1, float)
-    sample = p.get("sample_size", 2000, int)
+    sample = p.get("sample_size", 2000, positive_int)
     seed = p.seed()
     csv_path = p.get("csv", None)
     ctx = RoundContext(n, eps)
@@ -208,9 +217,9 @@ def _cmd_branching(args) -> int:
     n = p.get("n", 10 ** 6, int)
     eps = p.get("eps", 0.1, float)
     scale = p.get("k", 8, int)
-    depth = p.get("depth", 40, int)
-    grid = p.get("grid", None, int)
-    trials = p.get("trials", 10_000, int)
+    depth = p.get("depth", 40, positive_int)
+    grid = p.get("grid", None, positive_int)
+    trials = p.get("trials", 10_000, positive_int)
     zeta = p.get("zeta", None, float)
     seed = p.seed()
     ctx = RoundContext(n, eps)
@@ -255,8 +264,8 @@ def _cmd_predict(args, with_gnm: bool = False) -> int:
     p = _Params(args)
     n = p.get("n", 1000, int)
     eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 10, int)
-    jobs = p.get("jobs", 1, int)
+    trials = p.get("trials", 10, positive_int)
+    jobs = p.get("jobs", 1, positive_int)
     seed = p.seed()
     pattern = load_pattern(p.get("pattern", "C4"))
     ctx = RoundContext(n, eps)
@@ -310,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
         if "eps" in names:
             sp.add_argument("--eps", type=float, help="pace exponent in (0, 1/2)")
         if "trials" in names:
-            sp.add_argument("--trials", type=int, help="independent trials")
+            sp.add_argument("--trials", type=positive_int, help="independent trials")
         if "seed" in names:
             sp.add_argument("--seed", type=int,
                             help="master seed (default: $GREEDYGRAPH_SEED or 0)")
         if "jobs" in names:
-            sp.add_argument("--jobs", type=int, help="trial-level workers")
+            sp.add_argument("--jobs", type=positive_int, help="trial-level workers")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--config", help="flat key=value config file; flags override")
 
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lambda", help="triangle-slot trajectory windows")
     common(sp, "n", "eps", "seed")
-    sp.add_argument("--sample-size", type=int, dest="sample_size",
+    sp.add_argument("--sample-size", type=positive_int, dest="sample_size",
                     help="pairs sampled per round (default 2000)")
     sp.add_argument("--csv", help="also dump per-pair rows to this CSV file")
     sp.set_defaults(func=_cmd_lambda)
@@ -346,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "n", "eps", "trials", "seed")
     sp.add_argument("--k", type=int, help="finite scale (default 8)")
     sp.add_argument("--zeta", type=float, help="thinning factor override")
-    sp.add_argument("--depth", type=int, help="recursion depth (default 40)")
-    sp.add_argument("--grid", type=int, help="quadrature grid points")
+    sp.add_argument("--depth", type=positive_int, help="recursion depth (default 40)")
+    sp.add_argument("--grid", type=positive_int, help="quadrature grid points")
     sp.add_argument("--round", type=int, help="round index (default: middle)")
     sp.add_argument("--csv", help="dump level curves to this CSV file")
     sp.set_defaults(func=_cmd_branching)

@@ -8,14 +8,17 @@ divided by the pattern's automorphism count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from functools import lru_cache, reduce
+from itertools import combinations, permutations, product
+from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import EvolvingGraph, bit_indices, iter_bits
+from .graphcore import EvolvingGraph, iter_bits
 
 MAX_PATTERN_VERTICES = 8
 
@@ -107,30 +110,34 @@ class PatternGraph:
         return _adjacency_masks(self.v, self.edges)
 
 
-def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut| by brute force over vertex permutations (v <= 8)."""
-    if pattern.v > MAX_PATTERN_VERTICES:
-        raise ValueError(f"automorphism brute force limited to {MAX_PATTERN_VERTICES} vertices")
-    return _brute_automorphisms(pattern.v, pattern.edges)
+def _isomorphic(a: list[int], b: list[int]) -> bool:
+    """Isomorphism of two small graphs given as adjacency bitmasks: a
+    vertex-by-vertex search that only maps equal-degree vertices and keeps
+    adjacency to the vertices already mapped."""
+    v = len(a)
+    da = [m.bit_count() for m in a]
+    db = [m.bit_count() for m in b]
+    if v != len(b) or sorted(da) != sorted(db):
+        return False
+    image = [0] * v
+
+    def extend(i: int, used: int) -> bool:
+        if i == v:
+            return True
+        for w in range(v):
+            if (used >> w) & 1 or db[w] != da[i]:
+                continue
+            if all((a[i] >> j) & 1 == (b[w] >> image[j]) & 1 for j in range(i)):
+                image[i] = w
+                if extend(i + 1, used | (1 << w)):
+                    return True
+        return False
+
+    return extend(0, 0)
 
 
 def is_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    if (p.v, p.e) != (q.v, q.e):
-        return False
-    degs = lambda pat: sorted(_adjacency_masks(pat.v, pat.edges), key=int.bit_count)
-    if [m.bit_count() for m in degs(p)] != [m.bit_count() for m in degs(q)]:
-        return False
-    eset = set(q.edges)
-    for perm in permutations(range(p.v)):
-        for a, b in p.edges:
-            pa, pb = perm[a], perm[b]
-            if pa > pb:
-                pa, pb = pb, pa
-            if (pa, pb) not in eset:
-                break
-        else:
-            return True
-    return False
+    return p.e == q.e and _isomorphic(p.adjacency(), q.adjacency())
 
 
 def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
@@ -149,6 +156,301 @@ def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # copy counting
+#
+# Copies are injective homomorphisms over |Aut|, and injective
+# homomorphisms are a signed sum of homomorphism counts (Curticapean, Dell &
+# Marx, "Homomorphisms are a good basis for counting small subgraphs",
+# STOC 2017):
+#
+#     inj(F, G) = sum over set partitions pi of V(F) with no pattern edge
+#                 inside a block of mu(pi) * hom(F/pi, G),
+#     mu(pi)    = prod over blocks B of (-1)**(|B| - 1) * (|B| - 1)!
+#
+# The quotients F/pi form the spasm.  hom is multiplicative over connected
+# components, so a spasm is kept as its distinct connected components plus
+# integer terms over them.  hom(Q, G) of a connected Q is a contraction of
+# the host adjacency A, walk algebra in the manner of Alon, Yuster & Zwick,
+# "Finding and counting given length cycles" (1997): the images of a
+# smallest vertex set R whose removal leaves Q a forest stay free, and each
+# tree is summed from its leaves to its root with one matrix product per
+# tree edge.  Triangle-containing quotients are kept, so counts stay exact
+# on hosts with triangles.
+
+# Entries of one row-blocked array: 4 MB in float32.  It also bounds
+# n**|R|, the size of a one-row block.
+_BLOCK_CELLS = 1 << 20
+
+
+class _Msg(NamedTuple):
+    """A subtree of a forest component hanging from its vertex u.  As an
+    array, entry (x_R, x_u) counts the maps of the subtree's other vertices
+    that keep its edges, and its edges to R, on host edges.  Equal
+    messages share one array within a quotient and across the quotients
+    of a spasm."""
+
+    axes: tuple[int, ...]          # positions in R of u's neighbours
+    children: tuple["_Msg", ...]   # subtrees hanging from u's children
+    deps: tuple[int, ...]          # positions in R the message varies with
+    size: int                      # vertices of the subtree
+
+
+def _msg(axes, children) -> _Msg:
+    children = tuple(sorted(children))
+    deps = set(axes).union(*(c.deps for c in children))
+    return _Msg(tuple(axes), children, tuple(sorted(deps)),
+                1 + sum(c.size for c in children))
+
+
+@dataclass(frozen=True)
+class _Component:
+    """A connected quotient Q with its contraction plan:
+    hom(Q, G) = sum over x_R of prod over trees T of (sum over the image of
+    T's top vertex of T's message) * prod over (i, j) in root_edges of
+    A[x_Ri, x_Rj]."""
+
+    v: int
+    roots: int                                  # |R|
+    trees: tuple[_Msg, ...]
+    root_edges: tuple[tuple[int, int], ...]     # positions in R
+
+
+@dataclass(frozen=True)
+class _Spasm:
+    components: tuple[_Component, ...]
+    # (sum of mu over the quotients with these components, component indices)
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _parts(adj: list[int], keep: int) -> list[int]:
+    """Vertex masks of the connected parts of the subgraph induced on keep."""
+    parts = []
+    while keep:
+        part = frontier = keep & -keep
+        while frontier:
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= adj[u]
+            frontier = reach & keep & ~part
+            part |= frontier
+        parts.append(part)
+        keep &= ~part
+    return parts
+
+
+def _subtree(adj: list[int], roots: tuple[int, ...], u: int, keep: int) -> _Msg:
+    keep &= ~(1 << u)
+    return _msg([i for i, r in enumerate(roots) if (adj[u] >> r) & 1],
+                [_subtree(adj, roots, c, keep) for c in iter_bits(adj[u] & keep)])
+
+
+def _push_cost(trees: tuple[_Msg, ...], k: int) -> tuple[int, ...]:
+    """Distinct matrix products, the widest (most free R axes) first."""
+    pushed: set[_Msg] = set()
+    stack = list(trees)
+    while stack:
+        for c in stack.pop().children:
+            pushed.add(c)
+            stack.append(c)
+    return tuple(sum(len(m.deps) == d for m in pushed) for d in range(k, -1, -1))
+
+
+def _plan(adj: list[int]) -> _Component:
+    """Smallest R leaving a forest, then the R and the tree tops that need
+    the fewest wide products."""
+    v = len(adj)
+    everything = (1 << v) - 1
+    for k in range(v):
+        best = None
+        for roots in combinations(range(v), k):
+            keep = everything & ~sum(1 << r for r in roots)
+            trees = _parts(adj, keep)
+            edges = sum((adj[u] & keep).bit_count() for u in iter_bits(keep)) // 2
+            if edges != keep.bit_count() - len(trees):
+                continue
+            for tops in product(*(list(iter_bits(t)) for t in trees)):
+                msgs = tuple(sorted(_subtree(adj, roots, top, tree)
+                                    for top, tree in zip(tops, trees)))
+                cand = (_push_cost(msgs, k), msgs, roots)
+                if best is None or cand < best:
+                    best = cand
+        if best is not None:
+            _, msgs, roots = best
+            edges = tuple((i, j) for i, j in combinations(range(k), 2)
+                          if (adj[roots[i]] >> roots[j]) & 1)
+            return _Component(v, k, msgs, edges)
+    raise AssertionError("a single vertex always leaves a forest")
+
+
+def _independent_partitions(adj: list[int]):
+    """Block label of each vertex, for every set partition of the vertices
+    with no edge inside a block."""
+    v = len(adj)
+    labels = [0] * v
+    blocks: list[int] = []
+
+    def place(i: int):
+        if i == v:
+            yield tuple(labels)
+            return
+        for b, mask in enumerate(blocks):
+            if not mask & adj[i]:
+                blocks[b] = mask | (1 << i)
+                labels[i] = b
+                yield from place(i + 1)
+                blocks[b] = mask
+        blocks.append(1 << i)
+        labels[i] = len(blocks) - 1
+        yield from place(i + 1)
+        blocks.pop()
+
+    return place(0)
+
+
+@lru_cache(maxsize=64)
+def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
+    """The pattern's spasm with isomorphic quotient components merged;
+    built on a pattern's first count, not at import."""
+    adj = _adjacency_masks(max(b for _, b in edges) + 1, edges)
+    comps: list[_Component] = []
+    seen: list[list[int]] = []                  # adjacency of comps[i]
+    terms: dict[tuple[int, ...], int] = {}
+    for labels in _independent_partitions(adj):
+        mu = prod((-1) ** (s - 1) * factorial(s - 1) for s in Counter(labels).values())
+        qadj = [0] * (max(labels) + 1)
+        for a, b in edges:
+            qadj[labels[a]] |= 1 << labels[b]
+            qadj[labels[b]] |= 1 << labels[a]
+        ids = []
+        for part in _parts(qadj, (1 << len(qadj)) - 1):
+            verts = list(iter_bits(part))
+            pos = {w: i for i, w in enumerate(verts)}
+            cadj = [sum(1 << pos[x] for x in iter_bits(qadj[w])) for w in verts]
+            for idx, other in enumerate(seen):
+                if _isomorphic(cadj, other):
+                    break
+            else:
+                idx = len(comps)
+                comps.append(_plan(cadj))
+                seen.append(cadj)
+            ids.append(idx)
+        key = tuple(sorted(ids))
+        terms[key] = terms.get(key, 0) + mu
+    return _Spasm(tuple(comps), tuple((mu, ids) for ids, mu in terms.items() if mu))
+
+
+def _dense_adjacency(host: EvolvingGraph, dtype) -> np.ndarray:
+    n = host.n
+    width = (n + 7) // 8
+    words = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in host.adj),
+                          dtype=np.uint8)
+    bits = np.unpackbits(words.reshape(n, width), axis=1, count=n, bitorder="little")
+    return bits.astype(dtype)
+
+
+class _Walks:
+    """Contractions of one host adjacency, with the image of the first of k
+    free vertices R restricted to a block of rows.  Arrays have k + 1 axes
+    (the images of R, then the image of a subtree's top vertex); an axis an
+    array does not vary with has length 1.  Arrays that do not vary with the
+    first axis are kept in ``shared``, which outlives the block."""
+
+    def __init__(self, a: np.ndarray, k: int, rows: slice, shared: dict):
+        self.a, self.k, self.rows = a, k, rows
+        self.shared = shared
+        self.local: dict = {}
+
+    def _adjacency(self, i: int, j: int, ndim: int) -> np.ndarray:
+        """A[x_i, x_j] for axes i < j, broadcast to ndim axes."""
+        src = self.a[self.rows] if i == 0 else self.a
+        shape = [1] * ndim
+        shape[i], shape[j] = src.shape
+        return src.reshape(shape)
+
+    def _cached(self, kind: str, m: _Msg, compute):
+        cache = self.local if 0 in m.deps else self.shared
+        key = (kind, m)
+        if key not in cache:
+            cache[key] = compute(m)
+        return cache[key]
+
+    def _message(self, m: _Msg) -> np.ndarray:
+        factors = [self._adjacency(i, self.k, self.k + 1) for i in m.axes]
+        factors += [self._cached("push", c, self._push) for c in m.children]
+        if not factors:
+            return np.ones((1,) * self.k + (self.a.shape[0],), dtype=self.a.dtype)
+        return reduce(np.multiply, factors)
+
+    def _push(self, m: _Msg) -> np.ndarray:
+        return self._message(m) @ self.a
+
+    def _sum(self, m: _Msg) -> np.ndarray:
+        return self._message(m).sum(axis=-1, dtype=np.int64)
+
+    def hom(self, c: _Component) -> int:
+        parts = [self._cached("sum", t, self._sum) for t in c.trees]
+        parts += [self._adjacency(i, j, self.k).astype(np.int64) for i, j in c.root_edges]
+        return int(reduce(np.multiply, parts).sum())
+
+
+def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
+    """hom(Q, host) for each component Q of the spasm."""
+    n = host.n
+    comps = spasm.components
+    delta = max(m.bit_count() for m in host.adj)
+    # Every float entry counts maps of a subtree's lower vertices, each
+    # within delta of an image already fixed, so it is at most
+    # delta**(tree size - 1); every int64 partial sum is at most
+    # hom(Q) <= n * delta**(v_Q - 1).  Checked before any work.
+    power = max(t.size - 1 for c in comps for t in c.trees)
+    if delta ** power < 2 ** 24:
+        dtype = np.float32
+    elif delta ** power < 2 ** 53:
+        dtype = np.float64
+    else:
+        raise ValueError(f"exact-count bound: products reach (max degree)**{power} = "
+                         f"{delta}**{power}, past 2**53")
+    for c in comps:
+        if n * delta ** (c.v - 1) >= 2 ** 63:
+            raise ValueError(f"exact-count bound: n * (max degree)**{c.v - 1} = "
+                             f"{n} * {delta}**{c.v - 1} reaches 2**63")
+        if n ** c.roots > _BLOCK_CELLS:
+            raise ValueError(f"memory bound: a quotient needs {c.roots} free vertices; "
+                             f"n**{c.roots} = {n ** c.roots} entries per row block "
+                             f"exceeds {_BLOCK_CELLS}")
+    a = _dense_adjacency(host, dtype)
+    counts = [0] * len(comps)
+    for k in sorted({c.roots for c in comps}):
+        group = [i for i, c in enumerate(comps) if c.roots == k]
+        rows = _BLOCK_CELLS // n ** k if k else n
+        shared: dict = {}
+        for start in range(0, n, rows):
+            walks = _Walks(a, k, slice(start, start + rows), shared)
+            for i in group:
+                counts[i] += walks.hom(comps[i])
+    return counts
+
+
+def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
+    """Unlabelled copies of the pattern in the host (exact), with or
+    without triangles in either.
+
+    One route for every pattern: injective maps are the signed sum of
+    homomorphism counts over the pattern's spasm (built on the pattern's
+    first count and cached), each a row-blocked product of the host
+    adjacency in float32, or float64 when the host's maximum degree could
+    push an entry past 2**24; copies are injective maps over |Aut|.
+    Raises ValueError, before any work, when the maximum degree puts an
+    exact count out of float64 or int64 range, or a quotient's block would
+    not fit the memory bound.
+    """
+    spasm = _spasm(pattern.edges)
+    homs = _hom_counts(spasm, host)
+    inj = sum(mu * prod(homs[i] for i in ids) for mu, ids in spasm.terms)
+    copies, rest = divmod(inj, pattern.aut)
+    if rest or copies < 0:
+        raise AssertionError(f"injective count {inj} is not a non-negative "
+                             f"multiple of aut={pattern.aut}")
+    return copies
 
 
 def _search_order(pattern: PatternGraph) -> list[int]:
@@ -169,7 +471,8 @@ def _search_order(pattern: PatternGraph) -> list[int]:
 
 
 def count_embeddings(host: EvolvingGraph, pattern: PatternGraph) -> int:
-    """Injective homomorphisms pattern -> host (labelled embeddings)."""
+    """Injective homomorphisms pattern -> host (labelled embeddings), by
+    pruned backtracking: the reference count_copies is tested against."""
     order = _search_order(pattern)
     padj = pattern.adjacency()
     hadj = host.adj
@@ -199,66 +502,6 @@ def count_embeddings(host: EvolvingGraph, pattern: PatternGraph) -> int:
         return total
 
     return rec(0, 0)
-
-
-def _count_p3(host: EvolvingGraph) -> int:
-    # one 2-edge path per centre vertex
-    return sum(comb(host.adj[v].bit_count(), 2) for v in range(host.n))
-
-
-def _count_c4(host: EvolvingGraph) -> int:
-    # each 4-cycle is seen once per diagonal pair, via C(codegree, 2)
-    n = host.n
-    codeg = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    row = np.asarray([u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)], dtype=np.int64)
-    for w in range(n):
-        nb = bit_indices(host.adj[w], n)
-        if len(nb) < 2:
-            continue
-        a, b = np.triu_indices(len(nb), 1)
-        np.add.at(codeg, row[nb[a]] + nb[b], 1)
-    c = codeg[codeg >= 2]
-    return int((c * (c - 1) // 2).sum() // 2)
-
-
-_P3_KEY = (3, 2, (1, 1, 2))
-_C4_KEY = (4, 4, (2, 2, 2, 2))
-
-
-def _shape_key(pattern: PatternGraph):
-    degs = tuple(sorted(m.bit_count() for m in pattern.adjacency()))
-    return (pattern.v, pattern.e, degs)
-
-
-def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
-    """Unlabelled copies of the pattern in the host (exact).
-
-    Specialized degree-based counters for the 2-edge path and the 4-cycle;
-    generic pruned backtracking otherwise.  Refuses patterns above 6
-    vertices on hosts with more than 64 vertices.
-    """
-    if pattern.v > 6 and host.n > 64:
-        raise ValueError(f"complexity guard: pattern with {pattern.v} > 6 vertices "
-                         f"on host with n={host.n} > 64")
-    key = _shape_key(pattern)
-    if key == _P3_KEY:
-        return _count_p3(host)
-    if key == _C4_KEY:
-        return _count_c4(host)
-    emb = count_embeddings(host, pattern)
-    if emb % pattern.aut:
-        raise AssertionError(f"embedding count {emb} not divisible by aut={pattern.aut}")
-    return emb // pattern.aut
-
-
-def count_triangles(host: EvolvingGraph) -> int:
-    total = 0
-    adj = host.adj
-    for u in range(host.n):
-        au = adj[u]
-        for off in iter_bits(au >> (u + 1)):
-            total += (au & adj[u + 1 + off]).bit_count()
-    return total // 3
 
 
 # ---------------------------------------------------------------------------

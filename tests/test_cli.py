@@ -129,6 +129,16 @@ class TestPredictCommands:
         code, _ = run_cli(["predict", "--pattern", "Q9", "--n", "100"], capsys)
         assert code == 2
 
+    def test_count_bound_is_usage_error(self, capsys, tmp_path):
+        # the 3-cube leaves a forest only after 3 vertices are fixed, and
+        # n**3 entries per row block at n=120 are past the memory bound
+        cube = tmp_path / "cube.txt"
+        cube.write_text("0 1\n1 3\n3 2\n2 0\n4 5\n5 7\n7 6\n6 4\n0 4\n1 5\n2 6\n3 7\n")
+        code = main(["predict", "--pattern", str(cube), "--n", "120", "--eps", "0.2",
+                     "--trials", "1"])
+        assert code == 2
+        assert "memory bound" in capsys.readouterr().err
+
 
 class TestLambdaCommand:
     def test_report_and_csv(self, capsys, tmp_path):
@@ -164,6 +174,44 @@ class TestAcceptCommand:
         with pytest.raises(SystemExit) as exc:
             main(["accept", "--profile", "weird"])
         assert exc.value.code == 2
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "0"],
+        ["simulate", "--trials", "-2"],
+        ["simulate", "--jobs", "0"],
+        ["rounds", "--jobs", "-1"],
+        ["predict", "--trials", "0"],
+        ["lambda", "--sample-size", "0"],
+        ["lambda", "--sample-size", "-5"],
+        ["branching", "--depth", "0"],
+        ["branching", "--grid", "-3"],
+    ])
+    def test_non_positive_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive_int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["trials = 0", "jobs = -4"])
+    def test_non_positive_config_value_is_usage_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
+def test_import_is_light():
+    # scipy would cost set-up time on every command, and the pattern spasm
+    # is built on a pattern's first count, not at import
+    code = ("import sys, greedygraph\n"
+            "from greedygraph.patterns import _spasm\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+            "assert _spasm.cache_info().currsize == 0, 'spasm built at import'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entrypoint_runs():

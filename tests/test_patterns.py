@@ -1,17 +1,23 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedygraph import rng
 from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
+from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
-                                  automorphism_count, canonical_form,
-                                  complete_bipartite, count_copies,
-                                  count_embeddings, count_triangles, cycle_graph,
+                                  canonical_form, complete_bipartite, count_copies,
+                                  count_embeddings, cycle_graph,
                                   is_isomorphic, load_pattern, parse_pattern_text,
                                   path_graph, star_graph, variance_margin)
+from greedygraph.predictor import gnm_edge_target, sample_gnm
+from greedygraph.process import ProcessParams, run_rounds
+
+K3 = PatternGraph.from_edges([(0, 1), (1, 2), (0, 2)], name="K3")
 
 
 def naive_embeddings(host: EvolvingGraph, pattern: PatternGraph) -> int:
@@ -46,7 +52,6 @@ class TestAutomorphisms:
     ])
     def test_catalog(self, pattern, expected):
         assert pattern.aut == expected
-        assert automorphism_count(pattern) == expected
 
     def test_two_disjoint_edges(self):
         p = PatternGraph.from_edges([(0, 1), (2, 3)], name="2K2")
@@ -114,8 +119,8 @@ class TestCountCopies:
         p = PatternGraph.from_edges([(0, 1), (2, 3)], name="2K2")
         assert count_copies(host, p) == naive_embeddings(host, p) // p.aut
 
-    def test_fast_paths_match_generic(self):
-        # larger sparse host: degree-based counters vs backtracking
+    def test_walk_route_matches_backtracking_n60(self):
+        # larger sparse host: homomorphism-basis route vs backtracking
         n = 60
         gen = rng.stream(3, purpose=rng.GNM)
         ids = gen.choice(num_pairs(n), size=240, replace=False)
@@ -139,11 +144,20 @@ class TestCountCopies:
 
     def test_triangle_count(self):
         host = EvolvingGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
-        assert count_triangles(host) == 4
+        assert count_copies(host, K3) == 4
 
-    def test_complexity_guard(self):
-        host = EvolvingGraph(100)
-        with pytest.raises(ValueError):
+    def test_s7_on_n100_matches_degree_formula(self):
+        # 8 vertices on n=100: products run in float64 (max degree**7 > 2**24)
+        host = random_host(100, 0.15, seed=31)
+        degs = [host.degree(v) for v in range(host.n)]
+        expected = sum(comb(d, 7) for d in degs)
+        assert expected > 0
+        assert count_copies(host, star_graph(7)) == expected
+
+    def test_exact_count_bound_raises(self):
+        # max degree 199: a star's centre entry reaches 199**7 > 2**53
+        host = EvolvingGraph.from_edges(200, [(0, v) for v in range(1, 200)])
+        with pytest.raises(ValueError, match="exact-count bound"):
             count_copies(host, star_graph(7))
 
 
@@ -247,3 +261,56 @@ def test_count_copies_n30_subset_enumeration():
     host = random_host(30, 0.12, seed=77)
     assert count_copies(host, CATALOG["C4"]) == subset_oracle_c4(host)
     assert count_copies(host, CATALOG["P3"]) == subset_oracle_p3(host)
+
+
+def random_pattern_and_host(data) -> tuple[PatternGraph, EvolvingGraph]:
+    """A pattern on at most 6 vertices (any edge set, so possibly
+    disconnected or with triangles) and a host on at most 12 vertices that
+    is either uniform or built by the triangle-free insertion rule."""
+    pv = data.draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(pv), 2))
+    pick = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    n = data.draw(st.integers(1, 12))
+    hpairs = list(itertools.combinations(range(n), 2))
+    order = data.draw(st.permutations(hpairs)) if hpairs else []
+    keep = data.draw(st.integers(0, len(hpairs)))
+    host = EvolvingGraph(n)
+    triangle_free = data.draw(st.booleans())
+    for u, v in order[:keep]:
+        if triangle_free:
+            host.add_edge_if_open(u, v)
+        else:
+            host.insert_edge(u, v)
+    return PatternGraph.from_edges(pick), host
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_count_copies_matches_backtracking_property(data):
+    pattern, host = random_pattern_and_host(data)
+    assert count_copies(host, pattern) == count_embeddings(host, pattern) // pattern.aut
+
+
+def closed_forms(host: EvolvingGraph) -> dict[str, int]:
+    a = np.zeros((host.n, host.n), dtype=np.int64)
+    for u, v in host.edges():
+        a[u, v] = a[v, u] = 1
+    d = a.sum(axis=1)
+    m = int(d.sum()) // 2
+    tr4 = int(((a @ a) ** 2).sum())
+    return {"P3": int((d * (d - 1) // 2).sum()),
+            "K13": int((d * (d - 1) * (d - 2) // 6).sum()),
+            "C4": (tr4 - 2 * int((d * d).sum()) + 2 * m) // 8}
+
+
+@pytest.mark.parametrize("kind", ["process", "gnm"])
+def test_count_copies_n200_closed_forms(kind):
+    ctx = RoundContext(200, 0.1)
+    if kind == "process":
+        host = run_rounds(ProcessParams(ctx=ctx, seed=12)).graph
+        assert host.audit_triangle_free()
+    else:
+        host = sample_gnm(200, gnm_edge_target(200, 0.1), rng.stream(12, purpose=rng.GNM))
+        assert not host.audit_triangle_free()
+    for name, expected in closed_forms(host).items():
+        assert count_copies(host, CATALOG[name]) == expected
