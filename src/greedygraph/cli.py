@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -119,8 +120,20 @@ def _simulate_trial(params: ProcessParams, trial: int) -> dict:
             "birthed": trace.graph.birthed_count}
 
 
-def _rounds_trial(params: ProcessParams, trial: int) -> dict:
-    return run_rounds(params, trial=trial).to_json_dict()
+def _rounds_trial(params: ProcessParams, trial: int) -> tuple[dict, list | None]:
+    """One round-form run; snapshots, when requested, are kept for trial 0
+    only, as sorted edge lines per round."""
+    if trial:
+        params = replace(params, record_snapshots=False)
+    trace = run_rounds(params, trial=trial)
+    exported = None
+    if trace.snapshots is not None:
+        exported = []
+        for snap in trace.snapshots:
+            buf = io.StringIO()
+            snap.export_edges(buf)
+            exported.append(buf.getvalue().splitlines())
+    return trace.to_json_dict(), exported
 
 
 def _cmd_simulate(args) -> int:
@@ -156,15 +169,9 @@ def _cmd_rounds(args) -> int:
     ctx = RoundContext(n, eps)
     params = ProcessParams(ctx=ctx, seed=seed, mode="rounds",
                            record_snapshots=snapshots)
-    runs = map_trials(_rounds_trial, (params,), trials, jobs)
-    exported = None
-    if snapshots:
-        trace = run_rounds(params, trial=0)
-        exported = []
-        for snap in trace.snapshots:
-            buf = io.StringIO()
-            snap.export_edges(buf)
-            exported.append(buf.getvalue().splitlines())
+    results = map_trials(_rounds_trial, (params,), trials, jobs)
+    runs = [run for run, _ in results]
+    exported = results[0][1]
     edges = [r["final_edges"] for r in runs]
     pred = predicted_final_edges(ctx)
     payload = {

@@ -119,11 +119,6 @@ class EvolvingGraph:
         u, v = self._check_pair(u, v)
         return bool((self.birthed_adj[u] >> v) & 1)
 
-    def would_close_triangle(self, u: int, v: int) -> bool:
-        """True iff u and v have a common neighbour in the current graph."""
-        u, v = self._check_pair(u, v)
-        return (self.adj[u] & self.adj[v]) != 0
-
     def add_edge_if_open(self, u: int, v: int) -> bool:
         """Insert {u, v} unless it closes a triangle; returns whether added.
 
@@ -160,26 +155,12 @@ class EvolvingGraph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, lexicographic."""
         for u in range(self.n):
             high = self.adj[u] >> (u + 1)
             for off in iter_bits(high):
                 yield u, u + 1 + off
-
-    def birthed_edges(self) -> Iterator[tuple[int, int]]:
-        """Traversed pairs as sorted (u, v) pairs with u < v."""
-        for u in range(self.n):
-            high = self.birthed_adj[u] >> (u + 1)
-            for off in iter_bits(high):
-                yield u, u + 1 + off
-
-    def birthed_ids(self) -> list[int]:
-        """Ledger as sorted pair indices."""
-        return [edge_index(u, v, self.n) for u, v in self.birthed_edges()]
 
     def audit_triangle_free(self) -> bool:
         """True iff no triangle exists; O(sum_u deg(u) * n / wordsize)."""
@@ -219,3 +200,30 @@ class EvolvingGraph:
     def __repr__(self):
         return (f"EvolvingGraph(n={self.n}, edges={self.edge_count}, "
                 f"birthed={self.birthed_count})")
+
+
+def greedy_insert(g: EvolvingGraph, us, vs) -> int:
+    """Traverse the pairs (us[j], vs[j]) in order; returns how many were added.
+
+    Each pair is recorded in the ledger and added unless its endpoints
+    already share a neighbour.  This is the process's inner loop, so the
+    pairs are not checked: they must be distinct, in range and not yet
+    traversed (``add_edge_if_open`` with ``mark_birthed`` is the checked
+    per-pair equivalent).
+    """
+    adj = g.adj
+    birthed = g.birthed_adj
+    added = 0
+    for u, v in zip(np.asarray(us).tolist(), np.asarray(vs).tolist()):
+        bu = 1 << u
+        bv = 1 << v
+        birthed[u] |= bv
+        birthed[v] |= bu
+        if adj[u] & adj[v]:
+            continue
+        adj[u] |= bv
+        adj[v] |= bu
+        added += 1
+    g.edge_count += added
+    g.birthed_count += len(us)
+    return added

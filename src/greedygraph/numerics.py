@@ -159,28 +159,6 @@ def trajectory_grid(xs) -> np.ndarray:
     return out
 
 
-class Trajectory:
-    """Memoizing evaluator for the trajectory pair.
-
-    Immutable once built; the cache is keyed on exact float arguments so
-    shared use across workers is race-free in CPython.
-    """
-
-    def __init__(self):
-        self._cache: dict[float, float] = {0.0: 0.0}
-
-    def value(self, x: float) -> float:
-        z = self._cache.get(x)
-        if z is None:
-            z = trajectory(x)
-            self._cache[x] = z
-        return z
-
-    def density(self, x: float) -> float:
-        z = self.value(x)
-        return math.exp(-z * z)
-
-
 def floor_power(n: int, eps: float) -> int:
     """floor(n**eps), re-checked in 60-digit decimal near integer boundaries.
 

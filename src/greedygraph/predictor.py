@@ -13,6 +13,7 @@ simulation scale the sharp form is substantially more accurate.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,10 +165,15 @@ def compare_with_gnm(pattern: PatternGraph, ctx: RoundContext, trials: int,
 
 def map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
     """Run fn(*args, trial) for trial in range(trials); reduction is in
-    trial order regardless of scheduling."""
-    if jobs <= 1:
+    trial order regardless of scheduling.
+
+    Workers are capped at the trial count and the CPU count, since the pool
+    starts every worker up front; with one worker the trials run in-process.
+    """
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(*args, t) for t in range(trials)]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args, t) for t in range(trials)]
         return [f.result() for f in futures]

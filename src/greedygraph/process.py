@@ -1,8 +1,13 @@
-"""The triangle-free random greedy process, two ways, plus exact oracles.
+"""The triangle-free random greedy process, plus exact oracles.
 
-``run_exact`` assigns every pair of K_n an i.i.d. uniform birth time and
-inserts pairs in increasing birth order, skipping any insertion that would
-close a triangle; an optional cutoff stops at a birth-time threshold.
+One routine, ``_traverse``, runs the process: each round draws a uniform
+time for every pair of K_n, takes the pairs not yet traversed whose time
+falls below a threshold, and traverses them in increasing time order,
+skipping any insertion that would close a triangle.  Two stream schedules
+drive it:
+
+``run_exact`` is the birth-order form: a single round whose times are the
+birth times, with threshold 1 (every pair) or an optional cutoff.
 
 ``run_rounds`` is the round form: k**2 rounds, each traversing every
 not-yet-traversed pair independently with probability step/sqrt(n), in
@@ -27,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import EvolvingGraph, decode_edge_ids, num_pairs
+from .graphcore import EvolvingGraph, decode_edge_ids, greedy_insert, num_pairs
 from .numerics import RoundContext
 from . import patterns as pat
 
@@ -82,78 +87,58 @@ class RunTrace:
         }
 
 
+def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingGraph]]
+              ) -> tuple[EvolvingGraph, list[RoundRecord]]:
+    """Run one round per generator in ``gens`` on an empty graph on n vertices.
+
+    A round draws a time in [0, 1) for every pair and traverses, in stable
+    time order (exact float ties fall back to pair-index order), the pairs
+    not yet traversed whose time is below ``threshold``.  ``snapshots``, if
+    given, receives a copy of the graph before the first round and after
+    every round.
+    """
+    m = num_pairs(n)
+    g = EvolvingGraph(n)
+    # vectorised mirror of the ledger, so a round filters in numpy
+    seen = np.zeros(m, dtype=bool)
+    per_round: list[RoundRecord] = []
+    if snapshots is not None:
+        snapshots.append(g.copy())
+    for i, gen in enumerate(gens, start=1):
+        t = gen.random(m)
+        fresh = (t < threshold) & ~seen
+        seen |= fresh
+        ids = np.nonzero(fresh)[0]
+        ids = ids[np.argsort(t[ids], kind="stable")]
+        del t, fresh  # free the C(n,2) arrays before the pair lists are built
+        us, vs = decode_edge_ids(ids, n)
+        added = greedy_insert(g, us, vs)
+        per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
+                                     total_edges=g.edge_count))
+        if snapshots is not None:
+            snapshots.append(g.copy())
+    return g, per_round
+
+
 def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Birth-order process: all pairs sorted by uniform birth times."""
     n = params.ctx.n
-    m = num_pairs(n)
-    gen = rng.stream(params.seed, trial, purpose=rng.EXACT)
-    times = gen.random(m)
-    if params.cutoff is not None:
-        ids = np.nonzero(times < params.cutoff)[0]
-        # stable sort: exact float ties fall back to pair-index order
-        order = ids[np.argsort(times[ids], kind="stable")]
-    else:
-        order = np.argsort(times, kind="stable")
-    us, vs = decode_edge_ids(order, n)
-    g = EvolvingGraph(n)
-    adj = g.adj
-    birthed = g.birthed_adj
-    added = 0
-    for u, v in zip(us.tolist(), vs.tolist()):
-        bu = 1 << u
-        bv = 1 << v
-        birthed[u] |= bv
-        birthed[v] |= bu
-        if adj[u] & adj[v]:
-            continue
-        adj[u] |= bv
-        adj[v] |= bu
-        added += 1
-    g.edge_count = added
-    g.birthed_count = len(order)
-    rec = [RoundRecord(i=1, birthed=len(order), added=added, total_edges=added)]
+    gens = [rng.stream(params.seed, trial, purpose=rng.EXACT)]
+    # draws lie in [0, 1), so threshold 1 traverses every pair
+    threshold = 1.0 if params.cutoff is None else params.cutoff
+    g, per_round = _traverse(n, gens, threshold, None)
     return RunTrace(n=n, mode="exact", seed=params.seed, trial=trial,
-                    per_round=rec, graph=g, cutoff=params.cutoff)
+                    per_round=per_round, graph=g, cutoff=params.cutoff)
 
 
 def run_rounds(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Round form of the process through all k**2 rounds."""
     ctx = params.ctx
-    n = ctx.n
-    m = num_pairs(n)
-    q = ctx.birth_prob
-    g = EvolvingGraph(n)
-    adj = g.adj
-    birthed_adj = g.birthed_adj
-    birthed_mask = np.zeros(m, dtype=bool)
-    snapshots = [g.copy()] if params.record_snapshots else None
-    per_round: list[RoundRecord] = []
-    for i in range(1, ctx.rounds_total + 1):
-        gen = rng.stream(params.seed, trial, round_=i, purpose=rng.ROUNDS)
-        t = gen.random(m)
-        fresh = (t < q) & ~birthed_mask
-        ids = np.nonzero(fresh)[0]
-        ids = ids[np.argsort(t[ids], kind="stable")]
-        birthed_mask[ids] = True
-        us, vs = decode_edge_ids(ids, n)
-        added = 0
-        for u, v in zip(us.tolist(), vs.tolist()):
-            bu = 1 << u
-            bv = 1 << v
-            birthed_adj[u] |= bv
-            birthed_adj[v] |= bu
-            if adj[u] & adj[v]:
-                continue
-            adj[u] |= bv
-            adj[v] |= bu
-            added += 1
-        g.edge_count += added
-        g.birthed_count += len(ids)
-        per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
-                                     total_edges=g.edge_count))
-        if snapshots is not None:
-            snapshots.append(g.copy())
-    return RunTrace(n=n, mode="rounds", seed=params.seed, trial=trial,
+    gens = (rng.stream(params.seed, trial, round_=i, purpose=rng.ROUNDS)
+            for i in range(1, ctx.rounds_total + 1))
+    snapshots = [] if params.record_snapshots else None
+    g, per_round = _traverse(ctx.n, gens, ctx.birth_prob, snapshots)
+    return RunTrace(n=ctx.n, mode="rounds", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots)
 
 

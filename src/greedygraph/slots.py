@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rng
-from .graphcore import (EvolvingGraph, decode_edge_ids, edge_endpoints,
-                        edge_index, iter_bits, num_pairs)
+from .graphcore import EvolvingGraph, decode_edge_ids, iter_bits, num_pairs
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -87,12 +86,6 @@ def classify_pair(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext) -> Sl
         fully_open_center=n * dens_i * dens_i,
         window=float(ctx.windows[i]),
     )
-
-
-def classify_pair_id(graph: EvolvingGraph, pair_id: int, ctx: RoundContext) -> SlotCounts:
-    """classify_pair addressed by the canonical pair index."""
-    u, v = edge_endpoints(pair_id, graph.n)
-    return classify_pair(graph, u, v, ctx)
 
 
 @dataclass
@@ -243,5 +236,4 @@ def write_rows_csv(report: TrajectoryReport, fileobj) -> None:
 
 
 __all__ = ["SlotCounts", "classify_pair", "check_trajectories",
-           "TrajectoryReport", "RoundWindowReport", "write_rows_csv",
-           "edge_index"]
+           "TrajectoryReport", "RoundWindowReport", "write_rows_csv"]

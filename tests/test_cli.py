@@ -57,6 +57,24 @@ class TestRounds:
         assert "snapshots_trial0" in payload
         assert payload["snapshots_trial0"][0] == []  # empty initial graph
 
+    def test_snapshots_simulate_trial0_once(self, capsys, monkeypatch):
+        import greedygraph.cli as cli
+        calls = []
+        real = cli.run_rounds
+
+        def counting(params, trial=0):
+            calls.append((trial, params.record_snapshots))
+            return real(params, trial=trial)
+
+        monkeypatch.setattr(cli, "run_rounds", counting)
+        code, out = run_cli(["rounds", "--n", "30", "--eps", "0.3", "--trials", "3",
+                             "--rounds-snapshots", "--seed", "1"], capsys)
+        assert code == 0
+        assert calls == [(0, True), (1, False), (2, False)]
+        payload = json.loads(out)
+        assert len(payload["snapshots_trial0"]) == payload["meta"]["config"]["rounds_total"] + 1
+        assert len(payload["snapshots_trial0"][-1]) == payload["runs"][0]["final_edges"]
+
 
 class TestSeedResolution:
     def test_env_fallback(self, capsys, monkeypatch):

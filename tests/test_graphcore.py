@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from greedygraph import rng
 from greedygraph.graphcore import (EvolvingGraph, bit_indices, decode_edge_ids,
-                                   edge_endpoints, edge_index, iter_bits, num_pairs)
+                                   edge_endpoints, edge_index, greedy_insert, iter_bits,
+                                   num_pairs)
 
 
 class TestEdgeIndex:
@@ -61,17 +62,26 @@ def brute_common_neighbor(g: EvolvingGraph, u: int, v: int) -> bool:
                for w in range(g.n) if w not in (u, v))
 
 
+def opens(g: EvolvingGraph, u: int, v: int) -> bool:
+    """Whether the insertion rule adds {u, v} to g, tried on a copy by both
+    the checked per-pair insert and the kernel."""
+    by_insert = g.copy().add_edge_if_open(u, v)
+    by_kernel = greedy_insert(g.copy(), np.array([u]), np.array([v])) == 1
+    assert by_insert == by_kernel
+    return by_insert
+
+
 class TestEvolvingGraph:
     def test_empty_graph_never_closes(self):
         g = EvolvingGraph(8)
         for u in range(8):
             for v in range(u + 1, 8):
-                assert not g.would_close_triangle(u, v)
+                assert opens(g, u, v)
 
     def test_path_closes(self):
         g = EvolvingGraph.from_edges(5, [(0, 1), (1, 2)])
-        assert g.would_close_triangle(0, 2)
-        assert not g.would_close_triangle(0, 3)
+        assert not opens(g, 0, 2)
+        assert opens(g, 0, 3)
 
     def test_close_matches_brute_force(self):
         gen = rng.stream(99)
@@ -83,7 +93,7 @@ class TestEvolvingGraph:
                     g.add_edge_if_open(u, v)
         for u, v in edges[::7]:
             if not g.has_edge(u, v):
-                assert g.would_close_triangle(u, v) == brute_common_neighbor(g, u, v)
+                assert opens(g, u, v) != brute_common_neighbor(g, u, v)
 
     def test_third_triangle_edge_rejected(self):
         g = EvolvingGraph(4)
@@ -153,9 +163,28 @@ class TestEvolvingGraph:
         assert buf.getvalue() == "0 1\n0 2\n3 4\n"
 
 
-def test_birthed_ledger_listing():
-    g = EvolvingGraph.from_edges(5, [(0, 1), (2, 4)], birthed=True)
-    g.mark_birthed(1, 3)
-    assert list(g.birthed_edges()) == [(0, 1), (1, 3), (2, 4)]
-    ids = g.birthed_ids()
-    assert ids == sorted(ids) and len(ids) == 3
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_greedy_insert_matches_checked_replay(n, data):
+    # the kernel against the checked per-pair insert and ledger, on a random
+    # prefix of a random pair order, applied in two calls to a graph that
+    # is not empty
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    order = data.draw(st.permutations(pairs))
+    cut = data.draw(st.integers(min_value=0, max_value=len(order)))
+    split = data.draw(st.integers(min_value=0, max_value=cut))
+    fast = EvolvingGraph(n)
+    slow = EvolvingGraph(n)
+    added = 0
+    for chunk in (order[:split], order[split:cut]):
+        us = np.array([u for u, _ in chunk], dtype=np.int64)
+        vs = np.array([v for _, v in chunk], dtype=np.int64)
+        added += greedy_insert(fast, us, vs)
+    expect = 0
+    for u, v in order[:cut]:
+        slow.mark_birthed(u, v)
+        expect += slow.add_edge_if_open(u, v)
+    assert added == expect
+    assert fast.adj == slow.adj
+    assert fast.birthed_adj == slow.birthed_adj
+    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)

@@ -237,16 +237,6 @@ class TestRoundSlope:
             round_slope(ctx, ctx.rounds_total)
 
 
-class TestTrajectoryEvaluator:
-    def test_memoized_values_match(self):
-        from greedygraph.numerics import Trajectory
-        ev = Trajectory()
-        for x in (0.0, 0.5, 2.0, 0.5):
-            assert ev.value(x) == trajectory(x)
-            assert ev.density(x) == pytest.approx(math.exp(-trajectory(x) ** 2))
-        assert 0.5 in ev._cache
-
-
 def test_density_at_unit_trajectory():
     # where the trajectory reaches 1 the density is exactly exp(-1)
     x = HALF_SQRT_PI * erfi(1.0)

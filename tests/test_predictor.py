@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from math import comb, sqrt
 
 import pytest
@@ -10,7 +12,7 @@ from greedygraph.patterns import CATALOG, PatternGraph
 from greedygraph.predictor import (PredictionReport, compare_with_gnm,
                                    gnm_edge_target, predict_copies,
                                    predict_copies_log_form,
-                                   run_prediction_campaign, sample_gnm)
+                                   map_trials, run_prediction_campaign, sample_gnm)
 
 
 class TestPredictCopies:
@@ -127,3 +129,41 @@ def test_log_form_consistency_ratio_is_far_from_one_here():
     ctx = RoundContext(10 ** 6, 0.1)
     ratio = float(ctx.traj[ctx.rounds_total]) ** 2 / (0.1 * math.log(10 ** 6))
     assert ratio == pytest.approx(1.347, abs=0.005)
+
+
+def _square(x, t):
+    return x * t * t
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, workers", [
+    (64, 3, 4, 3),       # capped by the trial count
+    (64, 100, 4, 4),     # capped by the CPU count
+    (3, 100, 4, 3),      # the requested count when it is the smallest
+    (2, 1, 4, None),     # one trial: in-process
+    (8, 50, 1, None),    # one CPU: in-process
+])
+def test_map_trials_caps_workers(monkeypatch, jobs, trials, cpus, workers):
+    created = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records the worker count and runs
+        each submission in-process, so no process is started."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert map_trials(_square, (2,), trials, jobs) == [2 * t * t for t in range(trials)]
+    assert created == ([] if workers is None else [workers])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -23,8 +25,7 @@ def literal_oracle_n4() -> dict[str, Fraction]:
         g = EvolvingGraph(4)
         for e in order:
             u, v = pairs[e]
-            if not g.would_close_triangle(u, v):
-                g.add_edge_if_open(u, v)
+            g.add_edge_if_open(u, v)
         out[classify_final_graph(g)] += 1
     return {k: Fraction(v, 720) for k, v in out.items()}
 
@@ -83,7 +84,7 @@ class TestRunExact:
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.has_edge(u, v):
-                    assert g.would_close_triangle(u, v)
+                    assert g.adj[u] & g.adj[v]
         assert g.birthed_count == g.n * (g.n - 1) // 2
 
     def test_cutoff_limits_traversal(self):
@@ -173,3 +174,50 @@ class TestDistributionHelpers:
         ctx = RoundContext(2000, 0.1)
         expect = 1999000 * float(ctx.traj[4]) / 2000 ** 0.5
         assert predicted_final_edges(ctx) == pytest.approx(expect)
+
+
+def _graph_state(g: EvolvingGraph) -> list:
+    return [g.n, [hex(w) for w in g.adj], [hex(w) for w in g.birthed_adj],
+            g.edge_count, g.birthed_count]
+
+
+def _trace_digest(trace: RunTrace) -> str:
+    state = {"graph": _graph_state(trace.graph), "report": trace.to_json_dict(),
+             "snapshots": ([_graph_state(s) for s in trace.snapshots]
+                           if trace.snapshots is not None else None)}
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+
+
+class TestGolden:
+    """Pinned outputs: the per-trial streams and the traversal must keep
+    reproducing these exact graphs, ledgers, round records and snapshots."""
+
+    CTX = RoundContext(60, 0.3)  # k = 3, 9 rounds
+
+    def test_run_exact(self):
+        trace = run_exact(ProcessParams(ctx=self.CTX, seed=11, mode="exact"), trial=3)
+        assert _trace_digest(trace) == \
+            "8c95df28b8df4b1a6775ab2a740f31c5f140ef746e124a316b5d0452871ca680"
+
+    def test_run_exact_cutoff(self):
+        params = ProcessParams(ctx=self.CTX, seed=11, mode="exact",
+                               cutoff=aggregate_cutoff(self.CTX))
+        assert _trace_digest(run_exact(params, trial=3)) == \
+            "125dd1e62bbc197da7e65d6a96caf07bdfc00a125055b918ca0826a6214c6bd5"
+
+    def test_run_rounds_snapshots(self):
+        params = ProcessParams(ctx=self.CTX, seed=11, record_snapshots=True)
+        assert _trace_digest(run_rounds(params, trial=3)) == \
+            "bfd18f013e81bacdb46a9177f16a40569a972eae18543e6cdcf3ae4617b9e773"
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("exact", "be6ee7f1ce0509d9613e478fa4eda0f35e766f07d29fcdbf3b6db63b169978de"),
+        ("rounds", "23a57942aae0008e2154b3731bb842bcebac2a2787632af73a59d93eca2c5247"),
+    ])
+    def test_final_distribution_sample(self, mode, digest):
+        ctx = RoundContext(6, 0.25)
+        cutoff = aggregate_cutoff(ctx) if mode == "exact" else None
+        edges, classes = final_distribution_sample(ctx, 300, seed=5, mode=mode,
+                                                   cutoff=cutoff, classify=True)
+        blob = json.dumps([sorted(edges.items()), sorted(classes.items())])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -160,13 +160,3 @@ class TestCheckTrajectories:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("round,u,v,closed")
         assert len(lines) == 1 + len(rep.rows)
-
-
-def test_classify_by_pair_id():
-    from greedygraph.graphcore import edge_index
-    from greedygraph.slots import classify_pair_id
-    g = EvolvingGraph.from_edges(6, [(0, 1), (1, 2)], birthed=True)
-    ctx = RoundContext(6, 0.2, round=1)
-    a = classify_pair(g, 0, 2, ctx)
-    b = classify_pair_id(g, edge_index(0, 2, 6), ctx)
-    assert a == b
