@@ -72,6 +72,14 @@ def iter_bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def bitset_words(rows, n: int) -> np.ndarray:
+    """n-bit masks as a read-only (len(rows), ceil(n/64)) array of
+    little-endian uint64 words: bit v of row r is bit v % 64 of word v // 64."""
+    width = 8 * ((n + 63) // 64)
+    buf = b"".join(r.to_bytes(width, "little") for r in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, width // 8)
+
+
 def bit_indices(x: int, n: int) -> np.ndarray:
     """Set-bit indices of an n-bit mask as an int64 array."""
     nbytes = (n + 7) // 8
@@ -202,6 +210,41 @@ class EvolvingGraph:
                 f"birthed={self.birthed_count})")
 
 
+# greedy_insert's bulk path: the batch size, in multiples of n, from which it
+# runs, and the number of pairs its pre-pass filters at a time
+_BULK_GATE = 16
+_CHUNK = 1024
+
+
+def _scan(adj: list[int], birthed: list[int] | None, us, vs) -> list[int]:
+    """The scalar insertion loop, the reference for both paths: traverse the
+    pairs (us[j], vs[j]) in order, mark each in the ledger rows ``birthed``
+    (unless None) and add it unless its endpoints share a neighbour.
+    Returns the added pairs flattened, u0, v0, u1, v1, ..."""
+    added: list[int] = []
+    push = added.append
+    for u, v in zip(us, vs):
+        bu = 1 << u
+        bv = 1 << v
+        if birthed is not None:
+            birthed[u] |= bv
+            birthed[v] |= bu
+        if adj[u] & adj[v]:
+            continue
+        adj[u] |= bv
+        adj[v] |= bu
+        push(u)
+        push(v)
+    return added
+
+
+def _set_pairs(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
+    """Set bits (us[j], vs[j]) and (vs[j], us[j]) in a bitset_words array."""
+    one = np.uint64(1)
+    for a, b in ((us, vs), (vs, us)):
+        np.bitwise_or.at(words, (a, b >> 6), one << (b & 63).astype(np.uint64))
+
+
 def greedy_insert(g: EvolvingGraph, us, vs) -> int:
     """Traverse the pairs (us[j], vs[j]) in order; returns how many were added.
 
@@ -210,20 +253,42 @@ def greedy_insert(g: EvolvingGraph, us, vs) -> int:
     pairs are not checked: they must be distinct, in range and not yet
     traversed (``add_edge_if_open`` with ``mark_birthed`` is the checked
     per-pair equivalent).
+
+    The scalar loop ``_scan`` is the reference, and a batch of fewer than
+    ``_BULK_GATE * n`` pairs (each batch of an n = 100 campaign) runs it
+    alone, since it would not repay the bulk path's fixed cost of O(n) row
+    conversions.  A larger batch takes the bulk path: it keeps a numpy word
+    mirror of the adjacency and, in chunks of ``_CHUNK`` pairs, drops every
+    pair whose endpoints already share a neighbour in the mirror, then runs
+    the scalar loop on the rest.  Dropping is exact because edges are never
+    removed, so a closed pair stays closed; the mirror lags the graph by at
+    most one chunk, which only lets a closed pair through to the scalar
+    loop.  The bulk path marks the whole batch in the ledger in one
+    vectorised pass.
     """
-    adj = g.adj
-    birthed = g.birthed_adj
-    added = 0
-    for u, v in zip(np.asarray(us).tolist(), np.asarray(vs).tolist()):
-        bu = 1 << u
-        bv = 1 << v
-        birthed[u] |= bv
-        birthed[v] |= bu
-        if adj[u] & adj[v]:
-            continue
-        adj[u] |= bv
-        adj[v] |= bu
-        added += 1
+    n = g.n
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if len(us) < _BULK_GATE * n:
+        added = len(_scan(g.adj, g.birthed_adj, us.tolist(), vs.tolist())) // 2
+    else:
+        added = 0
+        mirror = bitset_words(g.adj, n).copy()
+        for s in range(0, len(us), _CHUNK):
+            cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
+            common = mirror[cu]
+            common &= mirror[cv]
+            keep = np.bitwise_or.reduce(common, axis=1) == 0
+            new = _scan(g.adj, None, cu[keep].tolist(), cv[keep].tolist())
+            if new:
+                pairs = np.array(new, dtype=np.int64)
+                _set_pairs(mirror, pairs[0::2], pairs[1::2])
+                added += len(new) // 2
+        marks = np.zeros_like(mirror)
+        _set_pairs(marks, us, vs)
+        birthed = g.birthed_adj
+        for r, row in enumerate(marks):
+            birthed[r] |= int.from_bytes(row.tobytes(), "little")
     g.edge_count += added
     g.birthed_count += len(us)
     return added

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import EvolvingGraph, iter_bits
+from .graphcore import EvolvingGraph, bitset_words, iter_bits
 
 MAX_PATTERN_VERTICES = 8
 
@@ -339,11 +339,8 @@ def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
 
 
 def _dense_adjacency(host: EvolvingGraph, dtype) -> np.ndarray:
-    n = host.n
-    width = (n + 7) // 8
-    words = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in host.adj),
-                          dtype=np.uint8)
-    bits = np.unpackbits(words.reshape(n, width), axis=1, count=n, bitorder="little")
+    words = bitset_words(host.adj, host.n)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=host.n, bitorder="little")
     return bits.astype(dtype)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -169,11 +170,13 @@ def map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
 
     Workers are capped at the trial count and the CPU count, since the pool
     starts every worker up front; with one worker the trials run in-process.
+    Trials go to the workers in about four chunks per worker, so a campaign
+    of any size makes a handful of futures, not one per trial.
     """
     workers = min(jobs, trials, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*args, t) for t in range(trials)]
     from concurrent.futures import ProcessPoolExecutor
+    chunksize = -(-trials // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args, t) for t in range(trials)]
-        return [f.result() for f in futures]
+        return list(pool.map(partial(fn, *args), range(trials), chunksize=chunksize))

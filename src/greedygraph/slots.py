@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rng
-from .graphcore import EvolvingGraph, decode_edge_ids, iter_bits, num_pairs
+from .graphcore import EvolvingGraph, bit_indices, decode_edge_ids, num_pairs
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -54,7 +54,7 @@ def _blocked_mask(graph: EvolvingGraph, x: int) -> int:
     the neighbourhoods of x's neighbours."""
     adj = graph.adj
     out = 0
-    for z in iter_bits(adj[x]):
+    for z in bit_indices(adj[x], graph.n).tolist():
         out |= adj[z]
     return out
 

@@ -1,13 +1,14 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedygraph import rng
-from greedygraph.graphcore import (EvolvingGraph, bit_indices, decode_edge_ids,
-                                   edge_endpoints, edge_index, greedy_insert, iter_bits,
-                                   num_pairs)
+from greedygraph import graphcore, rng
+from greedygraph.graphcore import (EvolvingGraph, bit_indices, bitset_words,
+                                   decode_edge_ids, edge_endpoints, edge_index,
+                                   greedy_insert, iter_bits, num_pairs)
 
 
 class TestEdgeIndex:
@@ -55,6 +56,13 @@ class TestBits:
     def test_bit_indices_matches(self):
         x = (1 << 0) | (1 << 17) | (1 << 63) | (1 << 64) | (1 << 99)
         assert bit_indices(x, 100).tolist() == [0, 17, 63, 64, 99]
+
+    def test_bitset_words(self):
+        rows = [(1 << 0) | (1 << 63) | (1 << 64) | (1 << 129), 0, 1 << 5]
+        words = bitset_words(rows, 130)
+        assert words.shape == (3, 3)
+        assert words.tolist() == [[1 | 1 << 63, 1, 2], [0, 0, 0], [32, 0, 0]]
+        assert bitset_words([], 10).shape == (0, 1)
 
 
 def brute_common_neighbor(g: EvolvingGraph, u: int, v: int) -> bool:
@@ -185,6 +193,32 @@ def test_greedy_insert_matches_checked_replay(n, data):
         slow.mark_birthed(u, v)
         expect += slow.add_edge_if_open(u, v)
     assert added == expect
+    assert fast.adj == slow.adj
+    assert fast.birthed_adj == slow.birthed_adj
+    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_bulk_path_matches_checked_replay(chunk):
+    # the same property with every batch, even an empty one, sent through the
+    # bulk path's pre-pass, in chunks small enough that a batch spans several
+    with mock.patch.multiple(graphcore, _BULK_GATE=0, _CHUNK=chunk):
+        test_greedy_insert_matches_checked_replay()
+
+
+def test_bulk_path_matches_checked_replay_multiword():
+    # rows of four 64-bit words, a batch split in three calls, chunks of 100
+    n = 200
+    us, vs = decode_edge_ids(np.random.default_rng(3).permutation(num_pairs(n)), n)
+    fast = EvolvingGraph(n)
+    with mock.patch.multiple(graphcore, _BULK_GATE=0, _CHUNK=100):
+        added = sum(greedy_insert(fast, us[part], vs[part])
+                    for part in np.array_split(np.arange(len(us)), 3))
+    slow = EvolvingGraph(n)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        slow.mark_birthed(u, v)
+        slow.add_edge_if_open(u, v)
+    assert added == slow.edge_count
     assert fast.adj == slow.adj
     assert fast.birthed_adj == slow.birthed_adj
     assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)

@@ -141,13 +141,16 @@ def _square(x, t):
     (3, 100, 4, 3),      # the requested count when it is the smallest
     (2, 1, 4, None),     # one trial: in-process
     (8, 50, 1, None),    # one CPU: in-process
+    (2, 100_000, 4, 2),  # a large campaign: a few tasks per worker
 ])
 def test_map_trials_caps_workers(monkeypatch, jobs, trials, cpus, workers):
     created = []
+    tasks = []
 
     class RecordingPool:
-        """Stands in for the process pool: records the worker count and runs
-        each submission in-process, so no process is started."""
+        """Stands in for the process pool: records the worker count and the
+        number of tasks the trials are cut into, and runs them in-process,
+        so no process is started."""
 
         def __init__(self, max_workers):
             created.append(max_workers)
@@ -158,12 +161,17 @@ def test_map_trials_caps_workers(monkeypatch, jobs, trials, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            tasks.append(-(-len(items) // chunksize))
+            return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert map_trials(_square, (2,), trials, jobs) == [2 * t * t for t in range(trials)]
     assert created == ([] if workers is None else [workers])
+    if workers is None:
+        assert tasks == []
+    else:
+        # about four tasks per worker, whatever the trial count
+        assert len(tasks) == 1 and tasks[0] <= 4 * workers

@@ -11,7 +11,7 @@ import pytest
 from greedygraph.graphcore import EvolvingGraph
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
-                                 aggregate_cutoff, classify_final_graph,
+                                 _birth_order, aggregate_cutoff, classify_final_graph,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges,
                                  run_exact, run_rounds, tv_distance)
@@ -92,6 +92,14 @@ class TestRunExact:
         trace = run_exact(ProcessParams(ctx=ctx, seed=9, mode="exact", cutoff=0.05))
         assert trace.graph.birthed_count < 40 * 39 // 2
         assert trace.graph.audit_triangle_free()
+
+    @pytest.mark.parametrize("levels", [3, 2 ** 53])
+    def test_birth_order_is_stable(self, levels):
+        # times on a grid of `levels` values: exact ties everywhere (3), or
+        # almost none, as with real 53-bit draws; tied pairs keep index order
+        times = np.random.default_rng(0).integers(0, levels, size=5000) / levels
+        expect = sorted(range(len(times)), key=lambda j: (times[j], j))
+        assert _birth_order(times).tolist() == expect
 
     def test_trace_json_schema(self):
         ctx = RoundContext(10, 0.2)
