@@ -9,6 +9,7 @@ Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 
 from __future__ import annotations
 
+import os
 from typing import Iterator
 
 import numpy as np
@@ -16,6 +17,23 @@ import numpy as np
 
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed physical memory; callers
+    estimate ``need`` before they allocate anything."""
+    limit = physical_memory()
+    if limit is not None and need > limit:
+        raise ValueError(f"memory bound: {what} needs about {need / 2 ** 20:,.0f} MiB, "
+                         f"more than the {limit / 2 ** 20:,.0f} MiB of physical memory")
 
 
 def edge_index(u: int, v: int, n: int) -> int:
@@ -255,8 +273,8 @@ def greedy_insert(g: EvolvingGraph, us, vs) -> int:
     per-pair equivalent).
 
     The scalar loop ``_scan`` is the reference, and a batch of fewer than
-    ``_BULK_GATE * n`` pairs (each batch of an n = 100 campaign) runs it
-    alone, since it would not repay the bulk path's fixed cost of O(n) row
+    ``_BULK_GATE * n`` pairs (a round of a run at small n) runs it alone,
+    since it would not repay the bulk path's fixed cost of O(n) row
     conversions.  A larger batch takes the bulk path: it keeps a numpy word
     mirror of the adjacency and, in chunks of ``_CHUNK`` pairs, drops every
     pair whose endpoints already share a neighbour in the mirror, then runs

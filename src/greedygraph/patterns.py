@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import EvolvingGraph, bitset_words, iter_bits
+from .graphcore import EvolvingGraph, bitset_words, check_memory, iter_bits
 
 MAX_PATTERN_VERTICES = 8
 
@@ -414,6 +414,8 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
             raise ValueError(f"memory bound: a quotient needs {c.roots} free vertices; "
                              f"n**{c.roots} = {n ** c.roots} entries per row block "
                              f"exceeds {_BLOCK_CELLS}")
+    # the unpacked bits and the adjacency itself
+    check_memory(n * n * (1 + np.dtype(dtype).itemsize), f"the dense adjacency at n={n}")
     a = _dense_adjacency(host, dtype)
     counts = [0] * len(comps)
     for k in sorted({c.roots for c in comps}):
@@ -437,8 +439,9 @@ def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
     adjacency in float32, or float64 when the host's maximum degree could
     push an entry past 2**24; copies are injective maps over |Aut|.
     Raises ValueError, before any work, when the maximum degree puts an
-    exact count out of float64 or int64 range, or a quotient's block would
-    not fit the memory bound.
+    exact count out of float64 or int64 range, a quotient's block would
+    not fit the memory bound, or the dense adjacency would not fit in
+    physical memory.
     """
     spasm = _spasm(pattern.edges)
     homs = _hom_counts(spasm, host)

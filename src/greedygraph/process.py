@@ -17,6 +17,12 @@ fresh uniform birth order within the round.  The two produce identically
 distributed graphs when the cutoff matches the aggregate traversal
 probability 1 - (1 - step/sqrt(n))**rounds.
 
+``final_distribution_sample`` runs a campaign of many trials of either
+form: each trial draws its pair sequence through the same streams and
+round draws, then blocks of trials traverse their sequences in lockstep,
+one position of every trial per numpy step.  Trial t's final graph is the
+one ``run`` builds for it.
+
 ``exhaustive_oracle`` returns the exact outcome distribution over all
 C(n,2)! birth orders for n <= 5 by dynamic programming over
 (processed-set, graph) states, which regroups the literal enumeration
@@ -28,13 +34,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, sqrt
+from math import ceil, factorial, sqrt
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .graphcore import EvolvingGraph, decode_edge_ids, greedy_insert, num_pairs
+from .graphcore import (EvolvingGraph, check_memory, decode_edge_ids, greedy_insert,
+                        num_pairs)
 from .numerics import RoundContext
 from . import patterns as pat
 
@@ -104,6 +111,46 @@ def _birth_order(times: np.ndarray) -> np.ndarray:
     return order
 
 
+def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
+    """One round's pair ids in birth order, drawn as ``_traverse`` draws them.
+
+    Draws a time in [0, 1) for every pair and returns, in stable time order
+    (exact float ties fall back to pair-index order), the pairs not yet in
+    ``seen`` whose time is below ``threshold``; marks them in ``seen``.
+    ``_traverse`` keeps its own copy of these lines: calling this from there
+    frees the previous round's arrays later, which at n = 2000 raised the
+    peak RSS of a run followed by a dense count by 4 MB (glibc's heap
+    layout, not live memory).
+    """
+    t = gen.random(m)
+    fresh = (t < threshold) & ~seen
+    seen |= fresh
+    ids = np.nonzero(fresh)[0]
+    times = t[ids]
+    del t, fresh  # free the C(n,2) arrays before the round is sorted
+    return ids[_birth_order(times)]
+
+
+def _exact_schedule(params: ProcessParams, trial: int):
+    """The birth-order form's one round, as (generators, threshold): below
+    the cutoff, or below 1 (every pair, since draws lie in [0, 1))."""
+    threshold = 1.0 if params.cutoff is None else params.cutoff
+    return [rng.stream(params.seed, trial, purpose=rng.EXACT)], threshold
+
+
+def _rounds_schedule(params: ProcessParams, trial: int):
+    """The round form's k**2 rounds, as (generators, threshold)."""
+    ctx = params.ctx
+    gens = (rng.stream(params.seed, trial, round_=i, purpose=rng.ROUNDS)
+            for i in range(1, ctx.rounds_total + 1))
+    return gens, ctx.birth_prob
+
+
+# Bytes per pair of K_n that one round of a traversal holds at its peak, when
+# every pair is drawn: the times, the mask, the ids, the sort and the decode.
+_PAIR_BYTES = 48
+
+
 def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingGraph]]
               ) -> tuple[EvolvingGraph, list[RoundRecord]]:
     """Run one round per generator in ``gens`` on an empty graph on n vertices.
@@ -112,9 +159,11 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
     time order (exact float ties fall back to pair-index order), the pairs
     not yet traversed whose time is below ``threshold``.  ``snapshots``, if
     given, receives a copy of the graph before the first round and after
-    every round.
+    every round.  Raises ValueError, before any draw, when a round would
+    not fit in physical memory.
     """
     m = num_pairs(n)
+    check_memory(_PAIR_BYTES * m, f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
     seen = np.zeros(m, dtype=bool)
@@ -142,9 +191,7 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
 def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Birth-order process: all pairs sorted by uniform birth times."""
     n = params.ctx.n
-    gens = [rng.stream(params.seed, trial, purpose=rng.EXACT)]
-    # draws lie in [0, 1), so threshold 1 traverses every pair
-    threshold = 1.0 if params.cutoff is None else params.cutoff
+    gens, threshold = _exact_schedule(params, trial)
     g, per_round = _traverse(n, gens, threshold, None)
     return RunTrace(n=n, mode="exact", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, cutoff=params.cutoff)
@@ -153,10 +200,9 @@ def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
 def run_rounds(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Round form of the process through all k**2 rounds."""
     ctx = params.ctx
-    gens = (rng.stream(params.seed, trial, round_=i, purpose=rng.ROUNDS)
-            for i in range(1, ctx.rounds_total + 1))
+    gens, threshold = _rounds_schedule(params, trial)
     snapshots = [] if params.record_snapshots else None
-    g, per_round = _traverse(ctx.n, gens, ctx.birth_prob, snapshots)
+    g, per_round = _traverse(ctx.n, gens, threshold, snapshots)
     return RunTrace(n=ctx.n, mode="rounds", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots)
 
@@ -307,18 +353,137 @@ def classify_final_graph(graph: EvolvingGraph) -> str:
     return name
 
 
+# Byte budget of one block of trials in the campaign path: its adjacency
+# words and its padded pair sequences.
+_BLOCK_BYTES = 1 << 20
+# Bytes per pair of the campaign path's pair table.
+_TABLE_BYTES = 64
+# set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _pair_table(n: int):
+    """Per-pair lookup for ``_lockstep``, indexed by pair id: the endpoints
+    (u, v), u < v, as row offsets within a trial; the word offsets of bit v
+    in row u and of bit u in row v; and those two bits.  One extra entry,
+    the padding id C(n,2), has endpoints (0, 1) and no bits, so a step on
+    it changes nothing."""
+    m = num_pairs(n)
+    u, v = decode_edge_ids(np.arange(m), n)
+    u, v = np.append(u, 0), np.append(v, 1)
+    words = (n + 63) // 64
+    one = np.uint64(1)
+    bits = np.stack([one << (v & 63).astype(np.uint64), one << (u & 63).astype(np.uint64)],
+                    axis=1)
+    bits[m] = 0
+    return (np.stack([u, v], axis=1),
+            np.stack([u * words + (v >> 6), v * words + (u >> 6)], axis=1), bits)
+
+
+def _lockstep(n: int, table, seq: np.ndarray) -> np.ndarray:
+    """Final adjacency of the trials whose pair ids are the columns of ``seq``.
+
+    Trial t traverses seq[:, t] in order, as ``greedy_insert`` would; the
+    columns are padded with the id C(n,2).  All trials take step j together:
+    gather both endpoint rows, AND them, and set the pair's two bits in
+    every trial where the rows share no bit (a closed pair steps on the
+    padding id instead).  Returns the rows as one (trials * n, ceil(n/64))
+    uint64 word array, row t * n + u.
+    """
+    ends, offsets, bits = table
+    pad = len(ends) - 1
+    trials = seq.shape[1]
+    words = (n + 63) // 64
+    rows = np.zeros((trials * n, words), dtype=np.uint64)
+    flat = rows.reshape(-1)
+    base = np.repeat(np.arange(trials)[:, None] * n, 2, axis=1)
+    base_words = base * words
+    for p in seq:
+        p = p.astype(np.intp)
+        e = ends.take(p, axis=0)
+        e += base
+        g = rows.take(e, axis=0)
+        common = g[:, 0] & g[:, 1]
+        closed = common[:, 0]
+        for w in range(1, words):
+            closed = closed | common[:, w]
+        p = np.where(closed, pad, p)
+        at = offsets.take(p, axis=0)
+        at += base_words
+        flat[at] |= bits.take(p, axis=0)
+    return rows
+
+
+def _final_blocks(params: ProcessParams, trials: int):
+    """Final adjacency words of trials 0..trials-1, a block of trials at a time.
+
+    Each trial of a block draws its pair sequence through the same streams
+    and ``_draw_round`` as ``run`` (the round form's rounds in order, one
+    reused ``seen`` mask) into a column of one padded matrix, and
+    ``_lockstep`` traverses the columns together.  So trial t's rows are
+    ``run(params, t).graph.adj``.  The block size comes from
+    ``_BLOCK_BYTES`` and a column length six standard deviations above a
+    trial's mean sequence length; a longer sequence grows the matrix.
+    Raises ValueError, before any draw, when the work would not fit in
+    physical memory.
+    """
+    n = params.ctx.n
+    m = num_pairs(n)
+    if params.mode == "exact":
+        schedule, share = _exact_schedule, params.cutoff or 1.0
+    else:
+        schedule, share = _rounds_schedule, aggregate_cutoff(params.ctx)
+    # a trial's sequence length is binomial, with variance below its mean
+    cap = min(m, ceil(share * m + 6 * sqrt(share * m)))
+    dtype = np.int32 if m < 2 ** 31 else np.int64
+    per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
+    block = max(1, min(trials, _BLOCK_BYTES // per_trial))
+    check_memory((_PAIR_BYTES + _TABLE_BYTES) * m + block * per_trial,
+                 f"a campaign at n={n}")
+    table = _pair_table(n)
+    seen = np.zeros(m, dtype=bool)
+    # one matrix serves every block, so two are never alive at once
+    seq = np.empty((cap, block), dtype=dtype)
+    for start in range(0, trials, block):
+        cols = min(block, trials - start)
+        seq.fill(m)
+        longest = 0
+        for col in range(cols):
+            seen[:] = False
+            gens, threshold = schedule(params, start + col)
+            ids = np.concatenate([_draw_round(gen, m, threshold, seen) for gen in gens])
+            if len(ids) > len(seq):
+                seq = np.vstack([seq, np.full((len(ids) - len(seq), block), m, dtype=dtype)])
+            seq[:len(ids), col] = ids
+            longest = max(longest, len(ids))
+        yield _lockstep(n, table, seq[:longest, :cols])
+
+
+def _adjacency_lists(rows: np.ndarray, n: int) -> list[list[int]]:
+    """A block's word rows back as one list of n int bitmasks per trial."""
+    width = 8 * rows.shape[1]
+    buf = rows.astype("<u8", copy=False).tobytes()
+    masks = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return [masks[t:t + n] for t in range(0, len(masks), n)]
+
+
 def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
                               mode: str = "exact", cutoff: float | None = None,
                               classify: bool = False) -> tuple[Counter, Counter]:
-    """Edge-count (and optionally class) counters over independent trials."""
+    """Edge-count (and optionally class) counters over trials 0..trials-1;
+    trial t's final graph is ``run(ProcessParams(...), t).graph``."""
     params = ProcessParams(ctx=ctx, seed=seed, mode=mode, cutoff=cutoff)
+    n = ctx.n
     edge_counter: Counter = Counter()
     class_counter: Counter = Counter()
-    for t in range(trials):
-        trace = run(params, trial=t)
-        edge_counter[trace.final_edges] += 1
+    for rows in _final_blocks(params, trials):
+        degree_sums = _POPCOUNT[rows.view(np.uint8)].reshape(len(rows) // n, -1).sum(axis=1)
+        edge_counter.update((degree_sums // 2).tolist())
         if classify:
-            class_counter[classify_final_graph(trace.graph)] += 1
+            for adj in _adjacency_lists(rows, n):
+                g = EvolvingGraph(n)
+                g.adj = adj
+                class_counter[classify_final_graph(g)] += 1
     return edge_counter, class_counter
 
 

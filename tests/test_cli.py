@@ -157,6 +157,28 @@ class TestPredictCommands:
         assert code == 2
         assert "memory bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
+    def test_dense_adjacency_bound_is_usage_error(self, capsys, monkeypatch, command):
+        # hosts are built as usual; the count's n**2 adjacency is refused
+        from greedygraph import graphcore, process
+        monkeypatch.setattr(process, "check_memory", lambda need, what: None)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1000)
+        code = main([command, "--pattern", "C4", "--n", "60", "--eps", "0.2",
+                     "--trials", "1"])
+        assert code == 2
+        assert "memory bound: the dense adjacency at n=60" in capsys.readouterr().err
+
+
+class TestMemoryBound:
+    def test_simulate_past_physical_memory_is_usage_error(self, capsys, monkeypatch):
+        from greedygraph import graphcore
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
+        code = main(["simulate", "--n", "300", "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "memory bound: a run at n=300 needs about 2 MiB" in err
+        assert "Traceback" not in err
+
 
 class TestLambdaCommand:
     def test_report_and_csv(self, capsys, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedygraph import rng
+from greedygraph import graphcore, rng
 from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
@@ -159,6 +159,15 @@ class TestCountCopies:
         host = EvolvingGraph.from_edges(200, [(0, v) for v in range(1, 200)])
         with pytest.raises(ValueError, match="exact-count bound"):
             count_copies(host, star_graph(7))
+
+    def test_dense_adjacency_memory_bound_raises(self, monkeypatch):
+        # 200**2 bits unpacked plus 200**2 float32 entries: 200,000 bytes
+        host = random_host(200, 0.05, seed=2)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 199_999)
+        with pytest.raises(ValueError, match="memory bound: the dense adjacency at n=200"):
+            count_copies(host, CATALOG["C4"])
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 200_000)
+        assert count_copies(host, CATALOG["C4"]) >= 0
 
 
 def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:

@@ -4,16 +4,20 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from greedygraph import graphcore, process, rng
 from greedygraph.graphcore import EvolvingGraph
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
-                                 _birth_order, aggregate_cutoff, classify_final_graph,
+                                 _adjacency_lists, _birth_order, _final_blocks,
+                                 aggregate_cutoff, classify_final_graph,
                                  exhaustive_oracle, final_distribution_sample,
-                                 normalize_counter, predicted_final_edges,
+                                 normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
 
 
@@ -154,6 +158,38 @@ class TestRunRounds:
         assert run_rounds(p, trial=1).graph.adj == run_rounds(p, trial=1).graph.adj
 
 
+class TestMemoryBound:
+    """The traversal and the campaign path estimate their peak bytes from
+    C(n,2) and refuse, before any draw, a run past physical memory."""
+
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
+
+        class NoDraws:
+            def random(self, size):
+                raise AssertionError("drew before the memory check")
+
+        monkeypatch.setattr(rng, "stream", lambda *args, **kwargs: NoDraws())
+
+    @pytest.mark.parametrize("mode", ["exact", "rounds"])
+    def test_run_refused(self, tiny_memory, mode):
+        params = ProcessParams(ctx=RoundContext(300, 0.2), seed=1, mode=mode)
+        with pytest.raises(ValueError, match=r"memory bound: a run at n=300 needs about 2 MiB"):
+            run(params)
+
+    @pytest.mark.parametrize("mode", ["exact", "rounds"])
+    def test_campaign_refused(self, tiny_memory, mode):
+        with pytest.raises(ValueError, match="memory bound: a campaign at n=300"):
+            final_distribution_sample(RoundContext(300, 0.2), 10, seed=1, mode=mode)
+
+    def test_small_run_passes(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
+        assert run(ProcessParams(ctx=RoundContext(100, 0.2), seed=1)).final_edges > 0
+        edges, _ = final_distribution_sample(RoundContext(100, 0.2), 3, seed=1)
+        assert sum(edges.values()) == 3
+
+
 class TestDistributionHelpers:
     def test_tv_distance(self):
         assert tv_distance({1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.5}) == 0
@@ -182,6 +218,67 @@ class TestDistributionHelpers:
         ctx = RoundContext(2000, 0.1)
         expect = 1999000 * float(ctx.traj[4]) / 2000 ** 0.5
         assert predicted_final_edges(ctx) == pytest.approx(expect)
+
+
+class _GridStream:
+    """A stream whose times lie on {0, 1/3, 2/3}: exact ties everywhere."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        return self.gen.integers(0, 3, size=size) / 3
+
+
+def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
+                              classify: bool = False, ties: bool = False) -> None:
+    """The campaign path, in blocks of at most ``budget`` bytes, against
+    ``run`` trial by trial: adjacency rows, edge counter and class counter;
+    with ``ties``, both draw from ``_GridStream``s."""
+    n = params.ctx.n
+    real = rng.stream
+    stream = (lambda *a, **k: _GridStream(real(*a, **k))) if ties else real
+    with mock.patch.object(process, "_BLOCK_BYTES", budget), \
+            mock.patch.object(rng, "stream", stream):
+        rows = [adj for block in _final_blocks(params, trials)
+                for adj in _adjacency_lists(block, n)]
+        edges, classes = final_distribution_sample(
+            params.ctx, trials, params.seed, mode=params.mode, cutoff=params.cutoff,
+            classify=classify)
+        graphs = [run(params, trial=t).graph for t in range(trials)]
+    assert rows == [g.adj for g in graphs]
+    assert edges == Counter(g.edge_count for g in graphs)
+    if classify:
+        assert classes == Counter(classify_final_graph(g) for g in graphs)
+
+
+@given(n=st.integers(min_value=3, max_value=12),
+       eps=st.floats(min_value=0.05, max_value=0.49),
+       mode=st.sampled_from(["exact", "rounds"]),
+       cutoff=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1.0)),
+       trials=st.integers(min_value=1, max_value=40),
+       budget=st.integers(min_value=0, max_value=20_000),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       ties=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, ties):
+    # blocks of any size from 1 trial up, so the trial count need not divide
+    # it; with ``ties`` every round's times repeat, so the stable order rules
+    params = ProcessParams(ctx=RoundContext(n, eps), seed=seed, mode=mode, cutoff=cutoff)
+    _check_batch_against_runs(params, trials, budget, classify=n <= 6, ties=ties)
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 20])
+@pytest.mark.parametrize("mode, cutoff, ties", [
+    ("exact", None, False), ("exact", 0.3, False), ("rounds", None, False),
+    # about 2/3 of the pairs fall below 0.34, far past the expected share:
+    # the sequences outgrow the column length the block was sized for
+    ("exact", 0.34, True),
+])
+def test_campaign_path_matches_runs_multiword(mode, cutoff, ties, budget):
+    # rows of three 64-bit words, in blocks of one trial or one block of all
+    params = ProcessParams(ctx=RoundContext(130, 0.2), seed=8, mode=mode, cutoff=cutoff)
+    _check_batch_against_runs(params, 5, budget, ties=ties)
 
 
 def _graph_state(g: EvolvingGraph) -> list:
