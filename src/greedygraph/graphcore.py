@@ -98,6 +98,30 @@ def bitset_words(rows, n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(-1, width // 8)
 
 
+def bitset_ints(words: np.ndarray) -> Iterator[int]:
+    """Inverse of ``bitset_words``: each row of a word array as an int mask,
+    read in place, one row at a time."""
+    width = 8 * words.shape[1]
+    buf = memoryview(np.ascontiguousarray(words, dtype="<u8")).cast("B")
+    for i in range(0, len(buf), width):
+        yield int.from_bytes(buf[i:i + width], "little")
+
+
+def bit_slots(rows: np.ndarray, cols: np.ndarray, words: int):
+    """Where bit cols[j] of row rows[j] lies in a ``bitset_words`` array of
+    ``words`` words per row: the flat word index and the bit within it."""
+    return rows * words + (cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64)
+
+
+# set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def row_bit_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a ``bitset_words`` array."""
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
 def bit_indices(x: int, n: int) -> np.ndarray:
     """Set-bit indices of an n-bit mask as an int64 array."""
     nbytes = (n + 7) // 8
@@ -258,9 +282,9 @@ def _scan(adj: list[int], birthed: list[int] | None, us, vs) -> list[int]:
 
 def _set_pairs(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
     """Set bits (us[j], vs[j]) and (vs[j], us[j]) in a bitset_words array."""
-    one = np.uint64(1)
+    flat = words.reshape(-1)
     for a, b in ((us, vs), (vs, us)):
-        np.bitwise_or.at(words, (a, b >> 6), one << (b & 63).astype(np.uint64))
+        np.bitwise_or.at(flat, *bit_slots(a, b, words.shape[1]))
 
 
 def greedy_insert(g: EvolvingGraph, us, vs) -> int:
@@ -305,8 +329,8 @@ def greedy_insert(g: EvolvingGraph, us, vs) -> int:
         marks = np.zeros_like(mirror)
         _set_pairs(marks, us, vs)
         birthed = g.birthed_adj
-        for r, row in enumerate(marks):
-            birthed[r] |= int.from_bytes(row.tobytes(), "little")
+        for r, mask in enumerate(bitset_ints(marks)):
+            birthed[r] |= mask
     g.edge_count += added
     g.birthed_count += len(us)
     return added

@@ -40,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, check_memory, decode_edge_ids, greedy_insert,
-                        num_pairs)
+from .graphcore import (EvolvingGraph, bit_slots, bitset_ints, check_memory,
+                        decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from . import patterns as pat
 
@@ -117,10 +117,6 @@ def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
     Draws a time in [0, 1) for every pair and returns, in stable time order
     (exact float ties fall back to pair-index order), the pairs not yet in
     ``seen`` whose time is below ``threshold``; marks them in ``seen``.
-    ``_traverse`` keeps its own copy of these lines: calling this from there
-    frees the previous round's arrays later, which at n = 2000 raised the
-    peak RSS of a run followed by a dense count by 4 MB (glibc's heap
-    layout, not live memory).
     """
     t = gen.random(m)
     fresh = (t < threshold) & ~seen
@@ -146,9 +142,14 @@ def _rounds_schedule(params: ProcessParams, trial: int):
     return gens, ctx.birth_prob
 
 
-# Bytes per pair of K_n that one round of a traversal holds at its peak, when
-# every pair is drawn: the times, the mask, the ids, the sort and the decode.
-_PAIR_BYTES = 48
+def _round_bytes(m: int, threshold: float) -> int:
+    """Bytes one round over m pairs holds at its peak: about 12 per pair for
+    the draw (the times, the masks and their temporaries) and about 40 per
+    pair it keeps (the ids, their times, the sort, the decode and the
+    insertion), at most a ``threshold`` share of the pairs.  At n = 2000 the
+    traced numpy peak is 50 bytes per pair for an uncut birth-order run, 16
+    with cutoff 0.3 and 11.7 for the round form."""
+    return ceil((12 + 40 * threshold) * m)
 
 
 def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingGraph]]
@@ -163,7 +164,7 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
     not fit in physical memory.
     """
     m = num_pairs(n)
-    check_memory(_PAIR_BYTES * m, f"a run at n={n}")
+    check_memory(_round_bytes(m, threshold), f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
     seen = np.zeros(m, dtype=bool)
@@ -171,14 +172,7 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
     if snapshots is not None:
         snapshots.append(g.copy())
     for i, gen in enumerate(gens, start=1):
-        t = gen.random(m)
-        fresh = (t < threshold) & ~seen
-        seen |= fresh
-        ids = np.nonzero(fresh)[0]
-        times = t[ids]
-        del t, fresh  # free the C(n,2) arrays before the round is sorted
-        ids = ids[_birth_order(times)]
-        del times
+        ids = _draw_round(gen, m, threshold, seen)
         us, vs = decode_edge_ids(ids, n)
         added = greedy_insert(g, us, vs)
         per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
@@ -358,8 +352,6 @@ def classify_final_graph(graph: EvolvingGraph) -> str:
 _BLOCK_BYTES = 1 << 20
 # Bytes per pair of the campaign path's pair table.
 _TABLE_BYTES = 64
-# set bits of each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _pair_table(n: int):
@@ -372,12 +364,11 @@ def _pair_table(n: int):
     u, v = decode_edge_ids(np.arange(m), n)
     u, v = np.append(u, 0), np.append(v, 1)
     words = (n + 63) // 64
-    one = np.uint64(1)
-    bits = np.stack([one << (v & 63).astype(np.uint64), one << (u & 63).astype(np.uint64)],
-                    axis=1)
+    at_uv, bit_uv = bit_slots(u, v, words)
+    at_vu, bit_vu = bit_slots(v, u, words)
+    bits = np.stack([bit_uv, bit_vu], axis=1)
     bits[m] = 0
-    return (np.stack([u, v], axis=1),
-            np.stack([u * words + (v >> 6), v * words + (u >> 6)], axis=1), bits)
+    return np.stack([u, v], axis=1), np.stack([at_uv, at_vu], axis=1), bits
 
 
 def _lockstep(n: int, table, seq: np.ndarray) -> np.ndarray:
@@ -430,16 +421,20 @@ def _final_blocks(params: ProcessParams, trials: int):
     n = params.ctx.n
     m = num_pairs(n)
     if params.mode == "exact":
-        schedule, share = _exact_schedule, params.cutoff or 1.0
+        schedule, threshold = _exact_schedule, params.cutoff or 1.0
+        share = threshold
     else:
-        schedule, share = _rounds_schedule, aggregate_cutoff(params.ctx)
+        schedule, threshold = _rounds_schedule, params.ctx.birth_prob
+        share = aggregate_cutoff(params.ctx)
     # a trial's sequence length is binomial, with variance below its mean
     cap = min(m, ceil(share * m + 6 * sqrt(share * m)))
     dtype = np.int32 if m < 2 ** 31 else np.int64
     per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
     block = max(1, min(trials, _BLOCK_BYTES // per_trial))
-    check_memory((_PAIR_BYTES + _TABLE_BYTES) * m + block * per_trial,
-                 f"a campaign at n={n}")
+    # a trial's rounds, its round lists and their concatenation, the table
+    # and the block
+    check_memory(_round_bytes(m, threshold) + ceil((16 * share + _TABLE_BYTES) * m)
+                 + block * per_trial, f"a campaign at n={n}")
     table = _pair_table(n)
     seen = np.zeros(m, dtype=bool)
     # one matrix serves every block, so two are never alive at once
@@ -459,14 +454,6 @@ def _final_blocks(params: ProcessParams, trials: int):
         yield _lockstep(n, table, seq[:longest, :cols])
 
 
-def _adjacency_lists(rows: np.ndarray, n: int) -> list[list[int]]:
-    """A block's word rows back as one list of n int bitmasks per trial."""
-    width = 8 * rows.shape[1]
-    buf = rows.astype("<u8", copy=False).tobytes()
-    masks = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
-    return [masks[t:t + n] for t in range(0, len(masks), n)]
-
-
 def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
                               mode: str = "exact", cutoff: float | None = None,
                               classify: bool = False) -> tuple[Counter, Counter]:
@@ -477,12 +464,14 @@ def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
     edge_counter: Counter = Counter()
     class_counter: Counter = Counter()
     for rows in _final_blocks(params, trials):
-        degree_sums = _POPCOUNT[rows.view(np.uint8)].reshape(len(rows) // n, -1).sum(axis=1)
+        # a trial's n rows, read as one bitset row, hold its degree sum
+        degree_sums = row_bit_counts(rows.reshape(-1, n * rows.shape[1]))
         edge_counter.update((degree_sums // 2).tolist())
         if classify:
-            for adj in _adjacency_lists(rows, n):
+            masks = list(bitset_ints(rows))
+            for start in range(0, len(masks), n):
                 g = EvolvingGraph(n)
-                g.adj = adj
+                g.adj = masks[start:start + n]
                 class_counter[classify_final_graph(g)] += 1
     return edge_counter, class_counter
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, rng
-from greedygraph.graphcore import (EvolvingGraph, bit_indices, bitset_words,
-                                   decode_edge_ids, edge_endpoints, edge_index,
-                                   greedy_insert, iter_bits, num_pairs)
+from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset_ints,
+                                   bitset_words, decode_edge_ids, edge_endpoints,
+                                   edge_index, greedy_insert, iter_bits, num_pairs,
+                                   row_bit_counts)
 
 
 class TestEdgeIndex:
@@ -63,6 +64,16 @@ class TestBits:
         assert words.shape == (3, 3)
         assert words.tolist() == [[1 | 1 << 63, 1, 2], [0, 0, 0], [32, 0, 0]]
         assert bitset_words([], 10).shape == (0, 1)
+
+    def test_bitset_ints_and_bit_slots(self):
+        rows = [(1 << 0) | (1 << 63) | (1 << 64) | (1 << 129), 0, 1 << 5]
+        words = bitset_words(rows, 130)
+        assert list(bitset_ints(words)) == rows
+        assert row_bit_counts(words).tolist() == [4, 0, 1]
+        flat = np.zeros(9, dtype=np.uint64)
+        at, bit = bit_slots(np.array([0, 0, 0, 0, 2]), np.array([0, 63, 64, 129, 5]), 3)
+        np.bitwise_or.at(flat, at, bit)
+        assert flat.reshape(3, 3).tolist() == words.tolist()
 
 
 def brute_common_neighbor(g: EvolvingGraph, u: int, v: int) -> bool:

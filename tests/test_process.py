@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, process, rng
-from greedygraph.graphcore import EvolvingGraph
+from greedygraph.graphcore import EvolvingGraph, bitset_ints, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
-                                 _adjacency_lists, _birth_order, _final_blocks,
+                                 _birth_order, _final_blocks,
                                  aggregate_cutoff, classify_final_graph,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
@@ -172,11 +172,25 @@ class TestMemoryBound:
 
         monkeypatch.setattr(rng, "stream", lambda *args, **kwargs: NoDraws())
 
-    @pytest.mark.parametrize("mode", ["exact", "rounds"])
-    def test_run_refused(self, tiny_memory, mode):
-        params = ProcessParams(ctx=RoundContext(300, 0.2), seed=1, mode=mode)
-        with pytest.raises(ValueError, match=r"memory bound: a run at n=300 needs about 2 MiB"):
+    @pytest.mark.parametrize("mode, n", [("exact", 300), ("rounds", 600)])
+    def test_run_refused(self, tiny_memory, mode, n):
+        # an uncut birth-order run keeps every pair, 52 bytes each; a round
+        # of the round form keeps a share of about 1/(k sqrt(n)), 12-13 bytes
+        params = ProcessParams(ctx=RoundContext(n, 0.2), seed=1, mode=mode)
+        with pytest.raises(ValueError, match=fr"memory bound: a run at n={n} needs about 2 MiB"):
             run(params)
+
+    def test_rounds_run_below_full_draw_passes(self, monkeypatch):
+        # a round at n=300 keeps about 2% of the pairs: it fits where every
+        # pair's 52 bytes would not, and an uncut birth-order run is refused
+        m = num_pairs(300)
+        limit = 1 << 20
+        assert (12 + 40 * RoundContext(300, 0.2).birth_prob) * m < limit < 48 * m
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
+        params = ProcessParams(ctx=RoundContext(300, 0.2), seed=1)
+        assert run_rounds(params).final_edges > 0
+        with pytest.raises(ValueError, match="memory bound: a run at n=300"):
+            run_exact(params)
 
     @pytest.mark.parametrize("mode", ["exact", "rounds"])
     def test_campaign_refused(self, tiny_memory, mode):
@@ -240,13 +254,13 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
     stream = (lambda *a, **k: _GridStream(real(*a, **k))) if ties else real
     with mock.patch.object(process, "_BLOCK_BYTES", budget), \
             mock.patch.object(rng, "stream", stream):
-        rows = [adj for block in _final_blocks(params, trials)
-                for adj in _adjacency_lists(block, n)]
+        rows = [mask for block in _final_blocks(params, trials)
+                for mask in bitset_ints(block)]
         edges, classes = final_distribution_sample(
             params.ctx, trials, params.seed, mode=params.mode, cutoff=params.cutoff,
             classify=classify)
         graphs = [run(params, trial=t).graph for t in range(trials)]
-    assert rows == [g.adj for g in graphs]
+    assert rows == [mask for g in graphs for mask in g.adj]
     assert edges == Counter(g.edge_count for g in graphs)
     if classify:
         assert classes == Counter(classify_final_graph(g) for g in graphs)
