@@ -319,8 +319,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     ck = _Check()
     ctx = RoundContext(5000, 0.1)
     trace = run_rounds(ProcessParams(ctx=ctx, seed=seed, record_snapshots=True))
-    report = check_trajectories(trace, ctx, sample_size=2000, band_scales=(1, 5),
-                                seed=seed)
+    report = check_trajectories(trace, ctx, sample_size=2000, seed=seed)
     details = {}
     for r in report.rounds:
         if r.round == 0:
@@ -485,7 +484,11 @@ def run_acceptance(profile: str = "quick", seed: int = 0,
         stream = sys.stdout
     ids = list(QUICK_IDS) if profile == "quick" else sorted(QUICK_IDS + FULL_ONLY_IDS)
     if only:
-        ids = [i for i in sorted(set(only)) if i in CRITERIA]
+        unknown = sorted(set(only) - set(CRITERIA))
+        if unknown:
+            raise ValueError(f"unknown criterion ids {unknown}; "
+                             f"valid ids are {', '.join(map(str, CRITERIA))}")
+        ids = sorted(set(only))
     results = []
     for cid in ids:
         res = CRITERIA[cid](seed=seed)

@@ -396,6 +396,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except MemoryError as exc:
+        sys.stderr.write(f"error: memory bound: an allocation failed ({exc})\n")
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 from __future__ import annotations
 
 import os
+import resource
 from typing import Iterator
 
 import numpy as np
@@ -28,12 +29,18 @@ def physical_memory() -> int | None:
 
 
 def check_memory(need: int, what: str) -> None:
-    """Raise ValueError when ``need`` bytes exceed physical memory; callers
+    """Raise ValueError when ``need`` bytes exceed physical memory or the
+    soft address-space limit (RLIMIT_AS), whichever is smaller; callers
     estimate ``need`` before they allocate anything."""
-    limit = physical_memory()
-    if limit is not None and need > limit:
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    limits = [(physical_memory(), "of physical memory"),
+              (None if soft == resource.RLIM_INFINITY else soft,
+               "address-space limit (RLIMIT_AS)")]
+    known = [lim for lim in limits if lim[0] is not None]
+    if known and need > min(known)[0]:
+        limit, name = min(known)
         raise ValueError(f"memory bound: {what} needs about {need / 2 ** 20:,.0f} MiB, "
-                         f"more than the {limit / 2 ** 20:,.0f} MiB of physical memory")
+                         f"more than the {limit / 2 ** 20:,.0f} MiB {name}")
 
 
 def edge_index(u: int, v: int, n: int) -> int:

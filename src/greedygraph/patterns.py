@@ -1,9 +1,12 @@
 """Fixed-pattern machinery: automorphisms, balancedness, copy counting.
 
-Patterns are small graphs (up to 8 vertices) given by edge lists.  Copy
-counts in a host are unlabelled subgraph counts: injective embeddings
-that map pattern edges onto host edges (host may have extra edges),
-divided by the pattern's automorphism count.
+Patterns are small graphs (up to 8 vertices) given by edge lists.  One
+backtracking search, ``isomorphisms``, decides graph identity everywhere:
+it counts a pattern's automorphisms, merges isomorphic spasm components
+and names the outcome classes of final graphs.  Copy counts in a host
+are unlabelled subgraph counts: injective embeddings that map pattern
+edges onto host edges (host may have extra edges), divided by the
+pattern's automorphism count.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -39,35 +42,47 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-def _adjacency_masks(v: int, edges) -> list[int]:
-    adj = [0] * v
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
+def _induced_sizes(v: int, edges):
+    """(v_H, e_H) of the subgraph induced on each non-empty vertex subset."""
+    for smask in range(1, 1 << v):
+        yield smask.bit_count(), sum(1 for a, b in edges if (smask >> a) & 1 and (smask >> b) & 1)
 
 
-def _brute_automorphisms(v: int, edges) -> int:
-    eset = set(edges)
-    count = 0
-    for perm in permutations(range(v)):
-        for a, b in eset:
-            pa, pb = perm[a], perm[b]
-            if pa > pb:
-                pa, pb = pb, pa
-            if (pa, pb) not in eset:
-                break
-        else:
-            count += 1
-    return count
+def induced(adj: list[int], keep: int) -> list[int]:
+    """Adjacency masks of the subgraph induced on the vertex mask keep, its
+    vertices renumbered in increasing order."""
+    verts = list(iter_bits(keep))
+    pos = {w: i for i, w in enumerate(verts)}
+    return [sum(1 << pos[x] for x in iter_bits(adj[w] & keep)) for w in verts]
 
 
-def _has_triangle(v: int, adj: list[int]) -> bool:
-    for a in range(v):
-        for b in iter_bits(adj[a] >> (a + 1)):
-            if adj[a] & adj[a + 1 + b]:
-                return True
-    return False
+def isomorphisms(a: list[int], b: list[int], first: bool = False) -> int:
+    """Isomorphisms between two small graphs given as adjacency bitmasks, or
+    with ``first`` 1 at the first one found (0 if none): a vertex-by-vertex
+    search that only maps equal-degree vertices and keeps adjacency to the
+    vertices already mapped."""
+    v = len(a)
+    da = [m.bit_count() for m in a]
+    db = [m.bit_count() for m in b]
+    if v != len(b) or sorted(da) != sorted(db):
+        return 0
+    image = [0] * v
+
+    def extend(i: int, used: int) -> int:
+        if i == v:
+            return 1
+        found = 0
+        for w in range(v):
+            if (used >> w) & 1 or db[w] != da[i]:
+                continue
+            if all((a[i] >> j) & 1 == (b[w] >> image[j]) & 1 for j in range(i)):
+                image[i] = w
+                found += extend(i + 1, used | (1 << w))
+                if found and first:
+                    break
+        return found
+
+    return extend(0, 0)
 
 
 @dataclass(frozen=True)
@@ -92,66 +107,19 @@ class PatternGraph:
         if v > MAX_PATTERN_VERTICES:
             raise ValueError(f"pattern too large: {v} vertices, supported up to {MAX_PATTERN_VERTICES}")
         e = len(canon)
-        adj = _adjacency_masks(v, canon)
-        aut = _brute_automorphisms(v, canon)
+        g = EvolvingGraph.from_edges(v, canon)
         dens = Fraction(e, v)
-        balanced = True
-        for smask in range(1, 1 << v):
-            vh = smask.bit_count()
-            eh = sum(1 for a, b in canon if (smask >> a) & 1 and (smask >> b) & 1)
-            if eh and Fraction(eh, vh) > dens:
-                balanced = False
-                break
-        return cls(name=name or f"v{v}e{e}", v=v, e=e, edges=canon, aut=aut,
-                   density=float(dens), balanced=balanced,
-                   triangle_free=not _has_triangle(v, adj))
+        balanced = all(Fraction(eh, vh) <= dens for vh, eh in _induced_sizes(v, canon) if eh)
+        return cls(name=name or f"v{v}e{e}", v=v, e=e, edges=canon,
+                   aut=isomorphisms(g.adj, g.adj), density=float(dens),
+                   balanced=balanced, triangle_free=g.audit_triangle_free())
 
     def adjacency(self) -> list[int]:
-        return _adjacency_masks(self.v, self.edges)
-
-
-def _isomorphic(a: list[int], b: list[int]) -> bool:
-    """Isomorphism of two small graphs given as adjacency bitmasks: a
-    vertex-by-vertex search that only maps equal-degree vertices and keeps
-    adjacency to the vertices already mapped."""
-    v = len(a)
-    da = [m.bit_count() for m in a]
-    db = [m.bit_count() for m in b]
-    if v != len(b) or sorted(da) != sorted(db):
-        return False
-    image = [0] * v
-
-    def extend(i: int, used: int) -> bool:
-        if i == v:
-            return True
-        for w in range(v):
-            if (used >> w) & 1 or db[w] != da[i]:
-                continue
-            if all((a[i] >> j) & 1 == (b[w] >> image[j]) & 1 for j in range(i)):
-                image[i] = w
-                if extend(i + 1, used | (1 << w)):
-                    return True
-        return False
-
-    return extend(0, 0)
+        return EvolvingGraph.from_edges(self.v, self.edges).adj
 
 
 def is_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    return p.e == q.e and _isomorphic(p.adjacency(), q.adjacency())
-
-
-def canonical_form(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """Lexicographically minimal relabelling of an edge set (tiny n only)."""
-    if n > 8:
-        raise ValueError("canonical_form is brute force, n <= 8 only")
-    best = None
-    edges = list(edges)
-    for perm in permutations(range(n)):
-        relabeled = tuple(sorted((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-                                 for u, v in edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best if best is not None else ()
+    return p.e == q.e and isomorphisms(p.adjacency(), q.adjacency(), first=True) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +278,7 @@ def _independent_partitions(adj: list[int]):
 def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
     """The pattern's spasm with isomorphic quotient components merged;
     built on a pattern's first count, not at import."""
-    adj = _adjacency_masks(max(b for _, b in edges) + 1, edges)
+    adj = EvolvingGraph.from_edges(max(b for _, b in edges) + 1, edges).adj
     comps: list[_Component] = []
     seen: list[list[int]] = []                  # adjacency of comps[i]
     terms: dict[tuple[int, ...], int] = {}
@@ -322,11 +290,9 @@ def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
             qadj[labels[b]] |= 1 << labels[a]
         ids = []
         for part in _parts(qadj, (1 << len(qadj)) - 1):
-            verts = list(iter_bits(part))
-            pos = {w: i for i, w in enumerate(verts)}
-            cadj = [sum(1 << pos[x] for x in iter_bits(qadj[w])) for w in verts]
+            cadj = induced(qadj, part)
             for idx, other in enumerate(seen):
-                if _isomorphic(cadj, other):
+                if isomorphisms(cadj, other, first=True):
                     break
             else:
                 idx = len(comps)
@@ -441,7 +407,7 @@ def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
     Raises ValueError, before any work, when the maximum degree puts an
     exact count out of float64 or int64 range, a quotient's block would
     not fit the memory bound, or the dense adjacency would not fit in
-    physical memory.
+    memory (``check_memory``).
     """
     spasm = _spasm(pattern.edges)
     homs = _hom_counts(spasm, host)
@@ -529,17 +495,9 @@ def variance_margin(pattern: PatternGraph, eps: float) -> MarginReport:
     if not pattern.triangle_free:
         raise ValueError("margin certificate applies to triangle-free patterns")
     c = 0.5 - eps
-    edges = pattern.edges
-    best = float("inf")
-    dens = 0.0
-    for smask in range(1, 1 << pattern.v):
-        vh = smask.bit_count()
-        eh = sum(1 for a, b in edges if (smask >> a) & 1 and (smask >> b) & 1)
-        if eh == 0:
-            continue
-        best = min(best, vh - c * eh)
-        dens = max(dens, eh / vh)
-    return MarginReport(margin=best, max_density=dens)
+    sizes = [(vh, eh) for vh, eh in _induced_sizes(pattern.v, pattern.edges) if eh]
+    return MarginReport(margin=min(vh - c * eh for vh, eh in sizes),
+                        max_density=max(eh / vh for vh, eh in sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -120,13 +120,15 @@ def copy_count_trial(pattern: PatternGraph, ctx: RoundContext, seed: int,
 def run_prediction_campaign(pattern: PatternGraph, ctx: RoundContext, trials: int,
                             seed: int, jobs: int = 1) -> PredictionReport:
     """Simulate the round process ``trials`` times and compare the mean copy
-    count with the sharp prediction."""
+    count with the sharp prediction.  The predictions come first, so a
+    pattern they refuse (one with a triangle) costs no simulation."""
+    predicted = predict_copies(pattern, ctx)
+    log_form = predict_copies_log_form(pattern, ctx)
     counts = map_trials(copy_count_trial, (pattern, ctx, seed), trials, jobs)
     mean, sd = _mean_sd(counts)
-    predicted = predict_copies(pattern, ctx)
     return PredictionReport(
         pattern=pattern.name, n=ctx.n, eps=ctx.eps, trials=trials,
-        predicted=predicted, predicted_log_form=predict_copies_log_form(pattern, ctx),
+        predicted=predicted, predicted_log_form=log_form,
         empirical_mean=mean, empirical_sd=sd,
         ratio=mean / predicted,
         ratio_se=(sd / math.sqrt(trials) / predicted) if trials > 1 else 0.0,

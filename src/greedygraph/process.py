@@ -27,12 +27,17 @@ one ``run`` builds for it.
 C(n,2)! birth orders for n <= 5 by dynamic programming over
 (processed-set, graph) states, which regroups the literal enumeration
 without changing it.
+
+Outcome classes are named from the labelled adjacency of a final graph,
+for any n: its non-isolated part is matched against a few named shapes
+(K2, P3, P4, C4, C5, K13, K14, K23) by the pattern isomorphism search,
+and any other graph is named v<vertices>e<edges>.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, sqrt
 from typing import Optional
@@ -41,7 +46,8 @@ import numpy as np
 
 from . import rng
 from .graphcore import (EvolvingGraph, bit_slots, bitset_ints, check_memory,
-                        decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
+                        decode_edge_ids, greedy_insert, iter_bits, num_pairs,
+                        row_bit_counts)
 from .numerics import RoundContext
 from . import patterns as pat
 
@@ -161,7 +167,7 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
     not yet traversed whose time is below ``threshold``.  ``snapshots``, if
     given, receives a copy of the graph before the first round and after
     every round.  Raises ValueError, before any draw, when a round would
-    not fit in physical memory.
+    not fit in memory (``check_memory``).
     """
     m = num_pairs(n)
     check_memory(_round_bytes(m, threshold), f"a run at n={n}")
@@ -220,8 +226,6 @@ class OracleDistribution:
     total_orderings: int
     edge_count_probs: dict[int, Fraction]
     class_probs: dict[str, Fraction]
-    # canonical edge tuple per class name, for labelling simulated outcomes
-    class_forms: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -236,27 +240,25 @@ class OracleDistribution:
         }
 
 
-_NAMED_SHAPES = [
-    ("K2", lambda: pat.CATALOG["K2"]),
-    ("P3", lambda: pat.CATALOG["P3"]),
-    ("P4", lambda: pat.CATALOG["P4"]),
-    ("C4", lambda: pat.CATALOG["C4"]),
-    ("C5", lambda: pat.CATALOG["C5"]),
-    ("K13", lambda: pat.star_graph(3)),
-    ("K14", lambda: pat.star_graph(4)),
-    ("K23", lambda: pat.complete_bipartite(2, 3)),
-]
+# the outcome classes that have a name: (name, edges, adjacency masks)
+_SHAPES = [(name, shape.e, shape.adjacency()) for name, shape in (
+    ("K2", pat.CATALOG["K2"]), ("P3", pat.CATALOG["P3"]), ("P4", pat.CATALOG["P4"]),
+    ("C4", pat.CATALOG["C4"]), ("C5", pat.CATALOG["C5"]), ("K13", pat.CATALOG["K13"]),
+    ("K14", pat.star_graph(4)), ("K23", pat.complete_bipartite(2, 3)))]
 
 
-def _class_name(edges: tuple[tuple[int, int], ...]) -> str:
-    if not edges:
+def _class_name(adj: list[int]) -> str:
+    """Isomorphism-class name of a labelled graph given as adjacency masks,
+    isolated vertices ignored: a named shape, else v<vertices>e<edges>."""
+    keep = sum(1 << u for u, m in enumerate(adj) if m)
+    if not keep:
         return "empty"
-    candidate = pat.PatternGraph.from_edges(edges)
-    for name, maker in _NAMED_SHAPES:
-        ref = maker()
-        if (ref.v, ref.e) == (candidate.v, candidate.e) and pat.is_isomorphic(candidate, ref):
+    sub = pat.induced(adj, keep)
+    e = sum(m.bit_count() for m in sub) // 2
+    for name, shape_e, shape in _SHAPES:
+        if shape_e == e and pat.isomorphisms(sub, shape, first=True):
             return name
-    return f"v{candidate.v}e{candidate.e}"
+    return f"v{len(sub)}e{e}"
 
 
 def _closure_table(n: int):
@@ -310,23 +312,16 @@ def exhaustive_oracle(n: int) -> OracleDistribution:
     for (_, gmask), ways in states.items():
         finals[gmask] = finals.get(gmask, 0) + ways
     edge_probs: dict[int, Fraction] = {}
-    class_counts: dict[tuple, int] = {}
+    class_counts: dict[str, int] = {}
     for gmask, ways in finals.items():
         k = gmask.bit_count()
         edge_probs[k] = edge_probs.get(k, Fraction(0)) + Fraction(ways, total)
-        edges = tuple(pairs[e] for e in range(m) if (gmask >> e) & 1)
-        canon = pat.canonical_form(n, edges)
-        class_counts[canon] = class_counts.get(canon, 0) + ways
-    class_probs = {}
-    class_forms = {}
-    for canon, ways in class_counts.items():
-        name = _class_name(canon)
-        class_probs[name] = class_probs.get(name, Fraction(0)) + Fraction(ways, total)
-        class_forms[name] = canon
+        name = _class_name(EvolvingGraph.from_edges(n, [pairs[e] for e in iter_bits(gmask)]).adj)
+        class_counts[name] = class_counts.get(name, 0) + ways
     return OracleDistribution(n=n, total_orderings=total,
                               edge_count_probs=dict(sorted(edge_probs.items())),
-                              class_probs=dict(sorted(class_probs.items())),
-                              class_forms=class_forms)
+                              class_probs={name: Fraction(ways, total)
+                                           for name, ways in sorted(class_counts.items())})
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +332,12 @@ _CLASS_CACHE: dict[tuple, str] = {}
 
 
 def classify_final_graph(graph: EvolvingGraph) -> str:
-    """Isomorphism-class name of a tiny final graph (n <= 8, memoized)."""
+    """Isomorphism-class name of a final graph, named from its labelled
+    adjacency (memoized per labelled graph)."""
     key = (graph.n, tuple(graph.adj))
     name = _CLASS_CACHE.get(key)
     if name is None:
-        edges = tuple(graph.edges())
-        name = _class_name(pat.canonical_form(graph.n, edges))
-        _CLASS_CACHE[key] = name
+        name = _CLASS_CACHE[key] = _class_name(graph.adj)
     return name
 
 
@@ -416,7 +410,7 @@ def _final_blocks(params: ProcessParams, trials: int):
     ``_BLOCK_BYTES`` and a column length six standard deviations above a
     trial's mean sequence length; a longer sequence grows the matrix.
     Raises ValueError, before any draw, when the work would not fit in
-    physical memory.
+    memory (``check_memory``).
     """
     n = params.ctx.n
     m = num_pairs(n)

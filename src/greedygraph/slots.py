@@ -23,6 +23,10 @@ from .graphcore import EvolvingGraph, bit_indices, decode_edge_ids, num_pairs
 from .numerics import RoundContext
 from .process import RunTrace
 
+# band multiples c of the window reports: the fraction of sampled ratios
+# within 1 +/- c*window(i)
+BAND_SCALES = (1, 5)
+
 
 @dataclass(frozen=True)
 class SlotCounts:
@@ -118,7 +122,6 @@ class TrajectoryReport:
     eps: float
     seed: int
     sample_size: int
-    band_scales: tuple[int, ...]
     rounds: list[RoundWindowReport] = field(default_factory=list)
     rows: list[SlotCounts] = field(default_factory=list)
 
@@ -126,7 +129,7 @@ class TrajectoryReport:
         return {
             "n": self.n, "eps": self.eps, "seed": self.seed,
             "sample_size": self.sample_size,
-            "band_scales": list(self.band_scales),
+            "band_scales": list(BAND_SCALES),
             "rounds": [{
                 "i": r.round, "sampled": r.sampled, "non_birthed": r.non_birthed,
                 "half_within": {str(c): f for c, f in r.half_within.items()},
@@ -153,8 +156,7 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 
 
 def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 2000,
-                       band_scales: tuple[int, ...] = (1, 5), seed: int = 0,
-                       keep_rows: bool = False) -> TrajectoryReport:
+                       seed: int = 0, keep_rows: bool = False) -> TrajectoryReport:
     """Window report over a per-round uniform sample of pairs.
 
     For every recorded round, draws ``sample_size`` pairs uniformly from all
@@ -167,8 +169,7 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
         raise ValueError("trace has no snapshots; rerun with record_snapshots=True")
     n = ctx.n
     m = num_pairs(n)
-    report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed,
-                              sample_size=sample_size, band_scales=tuple(band_scales))
+    report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
     for i in range(0, ctx.rounds_total + 1):
         graph = trace.snapshots[i]
         cctx = ctx.with_round(i)
@@ -199,7 +200,7 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
         nb = len(half_ratios)
         half_within = {}
         fully_within = {}
-        for c in band_scales:
+        for c in BAND_SCALES:
             band = c * window
             half_within[c] = (sum(1 for r in half_ratios if abs(r - 1.0) <= band) / nb
                               if nb else 1.0)

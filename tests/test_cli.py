@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -168,6 +169,21 @@ class TestPredictCommands:
         assert code == 2
         assert "memory bound: the dense adjacency at n=60" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
+    def test_triangle_pattern_refused_before_simulating(self, capsys, monkeypatch,
+                                                        tmp_path, command):
+        from greedygraph import predictor
+
+        def no_trials(*args):
+            raise AssertionError("trials simulated before the pattern was checked")
+
+        monkeypatch.setattr(predictor, "map_trials", no_trials)
+        k3 = tmp_path / "k3.txt"
+        k3.write_text("0 1\n1 2\n0 2\n")
+        code = main([command, "--pattern", str(k3), "--n", "1500", "--trials", "3"])
+        assert code == 2
+        assert "contains a triangle" in capsys.readouterr().err
+
 
 class TestMemoryBound:
     def test_simulate_past_physical_memory_is_usage_error(self, capsys, monkeypatch):
@@ -178,6 +194,35 @@ class TestMemoryBound:
         err = capsys.readouterr().err
         assert "memory bound: a run at n=300 needs about 2 MiB" in err
         assert "Traceback" not in err
+
+    def test_simulate_past_address_space_limit_is_usage_error(self):
+        # a run at n=12000 needs about 3.5 GiB; the soft limit is lowered
+        # in the child process only
+        limit = 1_000_000 * 1024
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
+                               "--n", "12000", "--trials", "1"],
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=lower_limit)
+        assert proc.returncode == 2
+        assert "memory bound" in proc.stderr
+        assert "address-space limit (RLIMIT_AS)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_allocation_failure_is_usage_error(self, capsys, monkeypatch):
+        import greedygraph.cli as cli
+
+        def fail(*args):
+            raise MemoryError("Unable to allocate 549. MiB")
+
+        monkeypatch.setattr(cli, "map_trials", fail)
+        assert main(["simulate", "--n", "30"]) == 2
+        err = capsys.readouterr().err
+        assert "memory bound" in err and "Unable to allocate" in err
 
 
 class TestLambdaCommand:
@@ -214,6 +259,14 @@ class TestAcceptCommand:
         with pytest.raises(SystemExit) as exc:
             main(["accept", "--profile", "weird"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("only", ["99", "9,99", "0"])
+    def test_unknown_criterion_id_is_usage_error(self, capsys, only):
+        assert main(["accept", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert "criteria passed" not in out
+        assert "unknown criterion ids" in err
+        assert "valid ids are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14" in err
 
 
 class TestCountFlags:

@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,29 @@ def opens(g: EvolvingGraph, u: int, v: int) -> bool:
     by_kernel = greedy_insert(g.copy(), np.array([u]), np.array([v])) == 1
     assert by_insert == by_kernel
     return by_insert
+
+
+class TestCheckMemory:
+    @pytest.mark.parametrize("physical, soft, applies", [
+        (1 << 30, 1 << 20, "address-space limit (RLIMIT_AS)"),
+        (1 << 20, 1 << 30, "of physical memory"),
+        (1 << 20, None, "of physical memory"),
+        (None, 1 << 20, "address-space limit (RLIMIT_AS)"),
+    ])
+    def test_smaller_limit_applies(self, monkeypatch, physical, soft, applies):
+        soft = graphcore.resource.RLIM_INFINITY if soft is None else soft
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: physical)
+        monkeypatch.setattr(graphcore.resource, "getrlimit", lambda which: (soft, soft))
+        graphcore.check_memory(1 << 20, "a test array")
+        with pytest.raises(ValueError,
+                           match=rf"memory bound: a test array .* MiB {re.escape(applies)}"):
+            graphcore.check_memory((1 << 20) + 1, "a test array")
+
+    def test_no_known_limit(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: None)
+        monkeypatch.setattr(graphcore.resource, "getrlimit",
+                            lambda which: (graphcore.resource.RLIM_INFINITY,) * 2)
+        graphcore.check_memory(1 << 60, "a test array")
 
 
 class TestEvolvingGraph:

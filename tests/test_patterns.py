@@ -10,7 +10,7 @@ from greedygraph import graphcore, rng
 from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
-                                  canonical_form, complete_bipartite, count_copies,
+                                  complete_bipartite, count_copies,
                                   count_embeddings, cycle_graph,
                                   is_isomorphic, load_pattern, parse_pattern_text,
                                   path_graph, star_graph, variance_margin)
@@ -65,6 +65,27 @@ class TestAutomorphisms:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             PatternGraph.from_edges([(0, i) for i in range(1, 9)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(list(itertools.combinations(range(7), 2))),
+                min_size=1, unique=True))
+def test_metadata_matches_literal_enumeration(edges):
+    p = PatternGraph.from_edges(edges)
+    verts = sorted({w for e in edges for w in e})
+    eset = {frozenset(e) for e in edges}
+    aut = 0
+    for perm in itertools.permutations(verts):
+        image = dict(zip(verts, perm))
+        aut += {frozenset((image[a], image[b])) for a, b in edges} == eset
+    dens = Fraction(len(edges), len(verts))
+    balanced = all(Fraction(sum(1 for e in eset if e <= set(sub)), r) <= dens
+                   for r in range(1, len(verts) + 1)
+                   for sub in itertools.combinations(verts, r))
+    triangle_free = not any({frozenset((a, b)), frozenset((b, c)), frozenset((a, c))} <= eset
+                            for a, b, c in itertools.combinations(verts, 3))
+    assert (p.v, p.e, p.aut, p.balanced, p.triangle_free) == \
+        (len(verts), len(edges), aut, balanced, triangle_free)
 
 
 class TestMetadata:
@@ -237,11 +258,6 @@ class TestParsing:
     def test_unknown(self):
         with pytest.raises(ValueError):
             load_pattern("Q7")
-
-    def test_canonical_form_invariance(self):
-        e1 = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        e2 = [(2, 0), (0, 3), (3, 1), (1, 2)]  # relabelled 4-cycle
-        assert canonical_form(4, e1) == canonical_form(4, e2)
 
 
 def subset_oracle_c4(host: EvolvingGraph) -> int:

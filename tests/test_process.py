@@ -34,6 +34,16 @@ def literal_oracle_n4() -> dict[str, Fraction]:
     return {k: Fraction(v, 720) for k, v in out.items()}
 
 
+def test_class_names_from_labelled_edges_any_n():
+    # a 5-cycle on scattered labels of 12 vertices, and K_{3,3}, which has
+    # no named shape; isolated vertices are ignored
+    c5 = EvolvingGraph.from_edges(12, [(11, 3), (3, 7), (7, 0), (0, 9), (9, 11)])
+    assert classify_final_graph(c5) == "C5"
+    k33 = EvolvingGraph.from_edges(10, [(u, v) for u in (1, 4, 8) for v in (0, 5, 9)])
+    assert classify_final_graph(k33) == "v6e9"
+    assert classify_final_graph(EvolvingGraph(9)) == "empty"
+
+
 class TestExhaustiveOracle:
     def test_n3(self):
         o = exhaustive_oracle(3)

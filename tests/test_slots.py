@@ -142,6 +142,7 @@ class TestCheckTrajectories:
         rep2 = check_trajectories(trace, ctx, sample_size=60, seed=5)
         assert len(rep1.rounds) == ctx.rounds_total + 1
         assert rep1.to_json_dict() == rep2.to_json_dict()
+        assert rep1.to_json_dict()["band_scales"] == [1, 5]
         for r in rep1.rounds:
             for c, frac in r.fully_within.items():
                 assert 0.0 <= frac <= 1.0
