@@ -28,14 +28,26 @@ def physical_memory() -> int | None:
         return None
 
 
+def _mapped_bytes() -> int:
+    """Bytes of address space the process has mapped already (the first
+    field of /proc/self/statm), or 0 where the system does not say."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def check_memory(need: int, what: str) -> None:
     """Raise ValueError when ``need`` bytes exceed physical memory or the
-    soft address-space limit (RLIMIT_AS), whichever is smaller; callers
-    estimate ``need`` before they allocate anything."""
+    address space left under the soft limit (RLIMIT_AS, less what the
+    process has mapped already), whichever is smaller; callers estimate
+    ``need`` before they allocate anything."""
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    limits = [(physical_memory(), "of physical memory"),
-              (None if soft == resource.RLIM_INFINITY else soft,
-               "address-space limit (RLIMIT_AS)")]
+    limits = [(physical_memory(), "of physical memory")]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((max(0, soft - _mapped_bytes()),
+                       f"left of the {soft / 2 ** 20:,.0f} MiB address-space limit (RLIMIT_AS)"))
     known = [lim for lim in limits if lim[0] is not None]
     if known and need > min(known)[0]:
         limit, name = min(known)

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bit_slots, bitset_ints, check_memory,
+from .graphcore import (_BULK_GATE, EvolvingGraph, bit_slots, bitset_ints, check_memory,
                         decode_edge_ids, greedy_insert, iter_bits, num_pairs,
                         row_bit_counts)
 from .numerics import RoundContext
@@ -102,18 +102,28 @@ class RunTrace:
         }
 
 
+# Pairs a round draws, filters and checks for ties at a time
+_CHUNK = 1 << 16
+# The fewest pairs a round decodes and inserts at a time, so that the fixed
+# cost of a slice in greedy_insert's bulk path, O(n) row conversions, stays
+# small per pair
+_SLICE = 1 << 18
+
+
 def _birth_order(times: np.ndarray) -> np.ndarray:
     """The permutation that sorts ``times`` stably.
 
     The default (unstable) argsort is several times faster than the stable
     mergesort, and with distinct times every sort gives the same order; an
     exact tie, rare among 53-bit draws, falls back to the stable sort, so
-    tied pairs keep their pair-index order on every machine.
+    tied pairs keep their pair-index order on every machine.  The sorted
+    times are checked for ties ``_CHUNK`` at a time.
     """
     order = np.argsort(times)
-    ranked = times[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(times, kind="stable")
+    for s in range(0, len(order), _CHUNK):
+        ranked = times[order[s:s + _CHUNK + 1]]
+        if (ranked[1:] == ranked[:-1]).any():
+            return np.argsort(times, kind="stable")
     return order
 
 
@@ -122,15 +132,26 @@ def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
 
     Draws a time in [0, 1) for every pair and returns, in stable time order
     (exact float ties fall back to pair-index order), the pairs not yet in
-    ``seen`` whose time is below ``threshold``; marks them in ``seen``.
+    ``seen`` whose time is below ``threshold``; marks them in ``seen``.  The
+    times are drawn and filtered ``_CHUNK`` pairs at a time (successive draws
+    from a generator reproduce one long draw bit for bit), so only the kept
+    pairs' ids and times span the round.
     """
-    t = gen.random(m)
-    fresh = (t < threshold) & ~seen
-    seen |= fresh
-    ids = np.nonzero(fresh)[0]
-    times = t[ids]
-    del t, fresh  # free the C(n,2) arrays before the round is sorted
-    return ids[_birth_order(times)]
+    ids, times = [], []
+    for s in range(0, max(m, 1), _CHUNK):
+        t = gen.random(min(_CHUNK, m - s))
+        part = seen[s:s + _CHUNK]
+        fresh = (t < threshold) & ~part
+        part |= fresh
+        kept = np.nonzero(fresh)[0]
+        ids.append(kept + s if s else kept)
+        times.append(t[kept])
+    # one chunk needs no join; several are joined one list at a time
+    ids = ids[0] if len(ids) == 1 else np.concatenate(ids)
+    times = times[0] if len(times) == 1 else np.concatenate(times)
+    order = _birth_order(times)
+    del times
+    return ids[order]
 
 
 def _exact_schedule(params: ProcessParams, trial: int):
@@ -148,14 +169,27 @@ def _rounds_schedule(params: ProcessParams, trial: int):
     return gens, ctx.birth_prob
 
 
-def _round_bytes(m: int, threshold: float) -> int:
-    """Bytes one round over m pairs holds at its peak: about 12 per pair for
-    the draw (the times, the masks and their temporaries) and about 40 per
-    pair it keeps (the ids, their times, the sort, the decode and the
-    insertion), at most a ``threshold`` share of the pairs.  At n = 2000 the
-    traced numpy peak is 50 bytes per pair for an uncut birth-order run, 16
-    with cutoff 0.3 and 11.7 for the round form."""
-    return ceil((12 + 40 * threshold) * m)
+def _round_bytes(n: int, threshold: float) -> int:
+    """Bytes a run on n vertices holds at its peak, where a round keeps at
+    most a ``threshold`` share of the m = C(n,2) pairs:
+
+    - 2.5 per pair of K_n: 1 for ``seen``, and a quarter each (n**2/8
+      bytes) for the graph's adjacency and ledger rows and for the
+      insertion's word mirror, its build buffer and its marks;
+    - 16 per pair of one draw chunk (the times, the masks, the kept ids);
+    - per pair the round keeps, the larger of its join and sort (28: three
+      of the ids, the times, their chunk lists, the order and the sorted
+      ids, 8 bytes each, are alive at a time) and its insertion (8 for the
+      ids, 48 per pair of the slice being decoded and inserted).
+
+    At n = 1500-5000 the traced numpy and int peak per pair of K_n is 25-26
+    bytes for an uncut birth-order run, 8-17 with cutoff 0.3 (the larger
+    where one slice holds the whole round) and 2.4-3.0 for the round form,
+    64-83% of this figure."""
+    m = num_pairs(n)
+    kept = threshold * m
+    slice_ = min(kept, 2 * max(_SLICE, _BULK_GATE * n))
+    return ceil(2.5 * m + 16 * min(m, _CHUNK) + max(28 * kept, 8 * kept + 48 * slice_))
 
 
 def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingGraph]]
@@ -170,17 +204,21 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
     not fit in memory (``check_memory``).
     """
     m = num_pairs(n)
-    check_memory(_round_bytes(m, threshold), f"a run at n={n}")
+    check_memory(_round_bytes(n, threshold), f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
     seen = np.zeros(m, dtype=bool)
     per_round: list[RoundRecord] = []
     if snapshots is not None:
         snapshots.append(g.copy())
+    # a round is decoded and inserted in slices of at least this many pairs,
+    # so a slice takes greedy_insert's bulk path whenever the round would
+    step = max(_SLICE, _BULK_GATE * n)
     for i, gen in enumerate(gens, start=1):
         ids = _draw_round(gen, m, threshold, seen)
-        us, vs = decode_edge_ids(ids, n)
-        added = greedy_insert(g, us, vs)
+        added = 0
+        for part in np.array_split(ids, max(1, len(ids) // step)):
+            added += greedy_insert(g, *decode_edge_ids(part, n))
         per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
                                      total_edges=g.edge_count))
         if snapshots is not None:
@@ -328,17 +366,10 @@ def exhaustive_oracle(n: int) -> OracleDistribution:
 # campaign helpers
 
 
-_CLASS_CACHE: dict[tuple, str] = {}
-
-
 def classify_final_graph(graph: EvolvingGraph) -> str:
     """Isomorphism-class name of a final graph, named from its labelled
-    adjacency (memoized per labelled graph)."""
-    key = (graph.n, tuple(graph.adj))
-    name = _CLASS_CACHE.get(key)
-    if name is None:
-        name = _CLASS_CACHE[key] = _class_name(graph.adj)
-    return name
+    adjacency."""
+    return _class_name(graph.adj)
 
 
 # Byte budget of one block of trials in the campaign path: its adjacency
@@ -425,9 +456,10 @@ def _final_blocks(params: ProcessParams, trials: int):
     dtype = np.int32 if m < 2 ** 31 else np.int64
     per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
     block = max(1, min(trials, _BLOCK_BYTES // per_trial))
-    # a trial's rounds, its round lists and their concatenation, the table
-    # and the block
-    check_memory(_round_bytes(m, threshold) + ceil((16 * share + _TABLE_BYTES) * m)
+    # a trial's rounds (``_round_bytes``, which also covers a run's graph and
+    # insertion), its round lists and their concatenation, the table and the
+    # block
+    check_memory(_round_bytes(n, threshold) + ceil((16 * share + _TABLE_BYTES) * m)
                  + block * per_trial, f"a campaign at n={n}")
     table = _pair_table(n)
     seen = np.zeros(m, dtype=bool)
@@ -457,6 +489,9 @@ def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
     n = ctx.n
     edge_counter: Counter = Counter()
     class_counter: Counter = Counter()
+    # class names by labelled adjacency, for this campaign only: they repeat
+    # at the few vertices where the classes are few
+    names: dict[tuple, str] = {}
     for rows in _final_blocks(params, trials):
         # a trial's n rows, read as one bitset row, hold its degree sum
         degree_sums = row_bit_counts(rows.reshape(-1, n * rows.shape[1]))
@@ -464,9 +499,11 @@ def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
         if classify:
             masks = list(bitset_ints(rows))
             for start in range(0, len(masks), n):
-                g = EvolvingGraph(n)
-                g.adj = masks[start:start + n]
-                class_counter[classify_final_graph(g)] += 1
+                adj = tuple(masks[start:start + n])
+                name = names.get(adj)
+                if name is None:
+                    name = names[adj] = _class_name(adj)
+                class_counter[name] += 1
     return edge_counter, class_counter
 
 

@@ -192,7 +192,7 @@ class TestMemoryBound:
         code = main(["simulate", "--n", "300", "--trials", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "memory bound: a run at n=300 needs about 2 MiB" in err
+        assert "memory bound: a run at n=300 needs about 3 MiB" in err
         assert "Traceback" not in err
 
     def test_simulate_past_address_space_limit_is_usage_error(self):
@@ -212,6 +212,26 @@ class TestMemoryBound:
         assert "memory bound" in proc.stderr
         assert "address-space limit (RLIMIT_AS)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.full
+    def test_rounds_at_n20000_runs_in_one_gib(self):
+        # the round form streams each round, so a run at n=20000 keeps about
+        # 2.5 bytes per pair of K_n: on a 2-core x86_64 host it took 29 s,
+        # peaked at 578 MiB of address space and 466 MiB resident.  Under a
+        # 1 GiB soft limit it must pass the memory check and finish, which
+        # also bounds its resident peak by 1 GiB
+        limit = 1 << 30
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "greedygraph", "rounds",
+                               "--n", "20000", "--trials", "1"],
+                              capture_output=True, text=True, timeout=600,
+                              preexec_fn=lower_limit)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["runs"][0]["final_edges"] > 0
 
     def test_allocation_failure_is_usage_error(self, capsys, monkeypatch):
         import greedygraph.cli as cli

@@ -102,10 +102,27 @@ class TestCheckMemory:
         soft = graphcore.resource.RLIM_INFINITY if soft is None else soft
         monkeypatch.setattr(graphcore, "physical_memory", lambda: physical)
         monkeypatch.setattr(graphcore.resource, "getrlimit", lambda which: (soft, soft))
+        monkeypatch.setattr(graphcore, "_mapped_bytes", lambda: 0)
         graphcore.check_memory(1 << 20, "a test array")
         with pytest.raises(ValueError,
                            match=rf"memory bound: a test array .* MiB {re.escape(applies)}"):
             graphcore.check_memory((1 << 20) + 1, "a test array")
+
+    def test_mapped_address_space_is_not_free(self, monkeypatch):
+        # of a 1 GiB soft limit the process has mapped 768 MiB already, so
+        # 256 MiB are left, though 1 GiB is far below physical memory
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 40)
+        monkeypatch.setattr(graphcore.resource, "getrlimit", lambda which: (1 << 30,) * 2)
+        monkeypatch.setattr(graphcore, "_mapped_bytes", lambda: 3 << 28)
+        graphcore.check_memory(1 << 28, "a test array")
+        with pytest.raises(ValueError, match=r"more than the 256 MiB left of the 1,024 MiB "
+                                             r"address-space limit \(RLIMIT_AS\)"):
+            graphcore.check_memory((1 << 28) + 1, "a test array")
+
+    def test_mapped_bytes_reads_this_process(self):
+        # where /proc/self/statm exists, the interpreter and numpy are mapped
+        mapped = graphcore._mapped_bytes()
+        assert mapped == 0 or mapped > 1 << 20
 
     def test_no_known_limit(self, monkeypatch):
         monkeypatch.setattr(graphcore, "physical_memory", lambda: None)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, process, rng
-from greedygraph.graphcore import EvolvingGraph, bitset_ints, num_pairs
+from greedygraph.graphcore import EvolvingGraph, bitset_ints
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
                                  _birth_order, _final_blocks,
@@ -168,6 +169,83 @@ class TestRunRounds:
         assert run_rounds(p, trial=1).graph.adj == run_rounds(p, trial=1).graph.adj
 
 
+def one_shot_draw(gen, m, threshold, seen):
+    """The reference for ``_draw_round``: every pair's time in one array,
+    filtered with full-length masks."""
+    t = gen.random(m)
+    fresh = (t < threshold) & ~seen
+    seen |= fresh
+    ids = np.nonzero(fresh)[0]
+    return ids[_birth_order(t[ids])]
+
+
+class _TiedStream:
+    """A stream whose times lie on {0, 1/3, 2/3}, drawn from uniform doubles,
+    so successive draws still reproduce one long draw."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        return np.floor(self.gen.random(size) * 3) / 3
+
+
+class TestStreamedRound:
+    """A round is drawn, filtered, decoded and inserted in fixed-size pieces
+    and must give what one pass over all C(n,2) pairs gives."""
+
+    @pytest.mark.parametrize("m", [process._CHUNK - 1, process._CHUNK,
+                                   3 * process._CHUNK, 3 * process._CHUNK + 77])
+    @pytest.mark.parametrize("threshold", [1.0, 0.3, RoundContext(2000, 0.1).birth_prob])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_chunked_draw_matches_one_shot(self, m, threshold, ties):
+        # three rounds over one reused seen mask, as the round form draws them
+        wrap = _TiedStream if ties else (lambda gen: gen)
+        seen = np.zeros(m, dtype=bool)
+        ref_seen = np.zeros(m, dtype=bool)
+        for i in range(1, 4):
+            got = process._draw_round(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
+                                      m, threshold, seen)
+            want = one_shot_draw(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
+                                 m, threshold, ref_seen)
+            assert np.array_equal(got, want)
+            assert np.array_equal(seen, ref_seen)
+
+    def test_sliced_rounds_match_one_slice(self, monkeypatch):
+        # slices of the least size the bulk gate allows, against whole rounds
+        n = 150
+        params = ProcessParams(ctx=RoundContext(n, 0.2), seed=3, mode="exact", cutoff=0.6)
+        whole = run(params)
+        sizes = []
+
+        def insert(g, us, vs):
+            sizes.append(len(us))
+            return graphcore.greedy_insert(g, us, vs)
+
+        monkeypatch.setattr(process, "_SLICE", 1000)
+        monkeypatch.setattr(process, "greedy_insert", insert)
+        sliced = run(params)
+        assert _graph_state(sliced.graph) == _graph_state(whole.graph)
+        assert sliced.per_round == whole.per_round
+        # every slice still takes the bulk path, as the whole round would
+        assert len(sizes) > 1 and min(sizes) >= graphcore._BULK_GATE * n
+
+    @pytest.mark.parametrize("mode, cutoff", [("rounds", None), ("exact", 0.3),
+                                              ("exact", None)])
+    def test_estimate_bounds_traced_peak(self, mode, cutoff):
+        n = 1500
+        params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff)
+        threshold = params.ctx.birth_prob if mode == "rounds" else cutoff or 1.0
+        run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
+        tracemalloc.start()
+        try:
+            run(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= process._round_bytes(n, threshold)
+
+
 class TestMemoryBound:
     """The traversal and the campaign path estimate their peak bytes from
     C(n,2) and refuse, before any draw, a run past physical memory."""
@@ -182,20 +260,25 @@ class TestMemoryBound:
 
         monkeypatch.setattr(rng, "stream", lambda *args, **kwargs: NoDraws())
 
-    @pytest.mark.parametrize("mode, n", [("exact", 300), ("rounds", 600)])
-    def test_run_refused(self, tiny_memory, mode, n):
-        # an uncut birth-order run keeps every pair, 52 bytes each; a round
-        # of the round form keeps a share of about 1/(k sqrt(n)), 12-13 bytes
+    @pytest.mark.parametrize("mode, n, mib", [pytest.param("exact", 300, 3, id="exact-300"),
+                                              pytest.param("rounds", 600, 2, id="rounds-600")])
+    def test_run_refused(self, tiny_memory, mode, n, mib):
+        # an uncut birth-order run keeps every pair, about 75 bytes each at
+        # n=300, where the whole round is one slice; a round of the round
+        # form keeps a share of about 1/(k sqrt(n)), about 11 bytes per pair
+        # of K_n at n=600
         params = ProcessParams(ctx=RoundContext(n, 0.2), seed=1, mode=mode)
-        with pytest.raises(ValueError, match=fr"memory bound: a run at n={n} needs about 2 MiB"):
+        with pytest.raises(ValueError,
+                           match=fr"memory bound: a run at n={n} needs about {mib} MiB"):
             run(params)
 
     def test_rounds_run_below_full_draw_passes(self, monkeypatch):
-        # a round at n=300 keeps about 2% of the pairs: it fits where every
-        # pair's 52 bytes would not, and an uncut birth-order run is refused
-        m = num_pairs(300)
+        # a round at n=300 keeps about 2% of the pairs: it fits where
+        # keeping every pair would not, and an uncut birth-order run is
+        # refused
         limit = 1 << 20
-        assert (12 + 40 * RoundContext(300, 0.2).birth_prob) * m < limit < 48 * m
+        assert (process._round_bytes(300, RoundContext(300, 0.2).birth_prob) < limit
+                < process._round_bytes(300, 1.0))
         monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
         params = ProcessParams(ctx=RoundContext(300, 0.2), seed=1)
         assert run_rounds(params).final_edges > 0
@@ -212,6 +295,19 @@ class TestMemoryBound:
         assert run(ProcessParams(ctx=RoundContext(100, 0.2), seed=1)).final_edges > 0
         edges, _ = final_distribution_sample(RoundContext(100, 0.2), 3, seed=1)
         assert sum(edges.values()) == 3
+
+
+def test_campaign_keeps_no_class_names():
+    # class names are memoized for one campaign only, never in the module
+    def sizes():
+        return {k: len(v) for k, v in vars(process).items()
+                if isinstance(v, (dict, list, set))}
+
+    before = sizes()
+    _, classes = final_distribution_sample(RoundContext(30, 0.2), 200, 1, mode="rounds",
+                                           classify=True)
+    assert sum(classes.values()) == 200
+    assert sizes() == before
 
 
 class TestDistributionHelpers:

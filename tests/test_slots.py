@@ -1,5 +1,7 @@
+import hashlib
 import io
 import itertools
+import json
 
 import pytest
 
@@ -161,3 +163,20 @@ class TestCheckTrajectories:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].startswith("round,u,v,closed")
         assert len(lines) == 1 + len(rep.rows)
+
+    def test_rows_match_classify_pair(self):
+        # the report computes each endpoint's blocked mask once per round;
+        # classify_pair, which derives both per call, is the reference
+        trace, ctx = self._trace(n=90, eps=0.25, seed=6)
+        rep = check_trajectories(trace, ctx, sample_size=400, seed=4, keep_rows=True)
+        assert len(rep.rows) == 400 * (ctx.rounds_total + 1)
+        for sc in rep.rows:
+            snap = trace.snapshots[sc.round]
+            assert sc == classify_pair(snap, sc.u, sc.v, ctx.with_round(sc.round))
+
+    def test_report_golden(self):
+        # pinned report: the sampled pairs, their counts and every statistic
+        trace, ctx = self._trace(n=200, eps=0.25, seed=7)
+        rep = check_trajectories(trace, ctx, sample_size=300, seed=7)
+        assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == \
+            "486ba33d27f12053fe5abafa296ced3337dafffe476eb8ed53c2ab108564218c"
