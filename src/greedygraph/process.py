@@ -138,7 +138,7 @@ def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
     pairs' ids and times span the round.
     """
     ids, times = [], []
-    for s in range(0, max(m, 1), _CHUNK):
+    for s in range(0, m, _CHUNK):
         t = gen.random(min(_CHUNK, m - s))
         part = seen[s:s + _CHUNK]
         fresh = (t < threshold) & ~part
