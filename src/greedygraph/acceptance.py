@@ -1,9 +1,12 @@
 """Acceptance suite: every shipping criterion as one callable check.
 
-Each criterion returns a CriterionResult with pass/fail, measured values,
-and wall time; the runner prints one line per criterion and aggregates an
-exit code.  The quick profile covers everything that runs in seconds to a
-couple of minutes; the full profile adds the long simulation campaigns.
+A criterion is one function decorated with ``_criterion``, which states its
+id, title, profile and budget and registers it in ``CRITERIA``; the function
+records its sub-checks on a ``_Check`` and returns its measured values, and
+the registered wrapper times it and returns a CriterionResult.  The runner
+prints one line per criterion and aggregates an exit code.  The quick
+profile covers everything that runs in seconds to a couple of minutes; the
+full profile adds the long simulation campaigns.
 
 Stated runtime budgets are recorded as informational: pass/fail is decided
 by the numeric tolerances only.
@@ -30,6 +33,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations
 from math import sqrt
 
@@ -66,6 +70,12 @@ class CriterionResult:
                 "budget_s": self.budget_s, "details": self.details,
                 "failures": self.failures}
 
+    def verdict(self) -> str:
+        """The report's line for this criterion, then one line per failure."""
+        status = "PASS" if self.passed else "FAIL"
+        return "\n".join([f"[{status}] C{self.cid:02d} {self.title} ({self.elapsed_s:.1f}s)"]
+                         + [f"       - {f}" for f in self.failures])
+
 
 class _Check:
     """Collects named sub-checks so a criterion reports every failure."""
@@ -79,10 +89,32 @@ class _Check:
         return ok
 
 
-def criterion_01(seed: int = 0) -> CriterionResult:
+CRITERIA: dict = {}
+
+
+def _criterion(cid: int, title: str, profile: str, budget_s: float):
+    """Register the decorated ``check(ck, seed) -> details`` as CRITERIA[cid].
+
+    Calling ``CRITERIA[cid](seed=...)`` runs the check with a fresh
+    ``_Check``, times it and returns its CriterionResult; the registered
+    function's ``profile`` attribute is the criterion's profile."""
+    def register(check):
+        @wraps(check)
+        def run(seed: int = 0) -> CriterionResult:
+            ck = _Check()
+            t0 = time.perf_counter()
+            details = check(ck, seed)
+            return CriterionResult(cid, title, profile, not ck.failures,
+                                   time.perf_counter() - t0, budget_s, details, ck.failures)
+        run.profile = profile
+        CRITERIA[cid] = run
+        return run
+    return register
+
+
+@_criterion(1, "trajectory inversion identity and asymptotic band", "quick", 1.0)
+def criterion_01(ck: _Check, seed: int) -> dict:
     """Inversion identity on a log grid plus the sqrt-log asymptotic band."""
-    t0 = time.time()
-    ck = _Check()
     xs = np.logspace(-6, math.log10(50.0), 1000)
     worst = 0.0
     for x in xs:
@@ -96,16 +128,12 @@ def criterion_01(seed: int = 0) -> CriterionResult:
               f"trajectory(1e6)/sqrt(ln 1e6) = {ratio:.4f} outside [0.95, 1.05]; "
               "the inversion itself is correct to 1e-12, the sqrt-log form is "
               "still 7% away at x=1e6")
-    return CriterionResult(1, "trajectory inversion identity and asymptotic band",
-                           "quick", not ck.failures, time.time() - t0, 1.0,
-                           {"worst_residual": worst, "asymptotic_ratio": ratio},
-                           ck.failures)
+    return {"worst_residual": worst, "asymptotic_ratio": ratio}
 
 
-def criterion_02(seed: int = 0) -> CriterionResult:
+@_criterion(2, "exhaustive oracle n=4 vs simulation", "quick", 30.0)
+def criterion_02(ck: _Check, seed: int) -> dict:
     """n=4 exhaustive distribution vs 1e5 birth-order simulations."""
-    t0 = time.time()
-    ck = _Check()
     oracle = exhaustive_oracle(4)
     trials = 100_000
     ctx = RoundContext(4, 0.2)
@@ -122,37 +150,29 @@ def criterion_02(seed: int = 0) -> CriterionResult:
                   f"class {name}: |{got:.5f} - {p:.5f}| > 3 sigma ({3 * sigma:.5f})")
     ck.expect(set(emp) <= set(oracle.class_probs),
               f"unexpected outcome classes: {sorted(emp)}")
-    return CriterionResult(2, "exhaustive oracle n=4 vs simulation",
-                           "quick", not ck.failures, time.time() - t0, 30.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_03(seed: int = 0) -> CriterionResult:
+@_criterion(3, "exhaustive oracle n=5 vs simulation", "full", 600.0)
+def criterion_03(ck: _Check, seed: int) -> dict:
     """n=5 exact edge-count distribution vs 1e6 simulations, TV <= 0.01."""
-    t0 = time.time()
-    ck = _Check()
     oracle = exhaustive_oracle(5)
     trials = 1_000_000
     ctx = RoundContext(5, 0.2)
     counts, _ = final_distribution_sample(ctx, trials, seed=seed, mode="exact")
     tv = tv_distance(normalize_counter(counts), oracle.edge_count_probs)
     ck.expect(tv <= 0.01, f"TV distance {tv:.5f} > 0.01")
-    return CriterionResult(3, "exhaustive oracle n=5 vs simulation",
-                           "full", not ck.failures, time.time() - t0, 600.0,
-                           {"tv": tv, "trials": trials,
-                            "oracle": {str(k): float(v)
-                                       for k, v in oracle.edge_count_probs.items()},
-                            "empirical": {str(k): v for k, v in
-                                          sorted(normalize_counter(counts).items())}},
-                           ck.failures)
+    return {"tv": tv, "trials": trials,
+            "oracle": {str(k): float(v) for k, v in oracle.edge_count_probs.items()},
+            "empirical": {str(k): v for k, v in sorted(normalize_counter(counts).items())}}
 
 
-def criterion_04(seed: int = 0) -> CriterionResult:
+@_criterion(4, "round/birth-order distributional equivalence", "quick", 120.0)
+def criterion_04(ck: _Check, seed: int) -> dict:
     """Round form vs birth-order form with the matching cutoff (n=100, k=2)."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(100, 0.2)
-    assert ctx.k == 2
+    ck.expect(ctx.k == 2,
+              f"RoundContext(100, 0.2) has k={ctx.k}; the criterion is stated for k=2")
     trials = 100_000
     cutoff = aggregate_cutoff(ctx)
     exact_counts, _ = final_distribution_sample(ctx, trials, seed=seed,
@@ -162,10 +182,7 @@ def criterion_04(seed: int = 0) -> CriterionResult:
     tv = tv_distance(normalize_counter(exact_counts),
                      normalize_counter(round_counts))
     ck.expect(tv <= 0.02, f"TV distance {tv:.5f} > 0.02")
-    return CriterionResult(4, "round/birth-order distributional equivalence",
-                           "quick", not ck.failures, time.time() - t0, 120.0,
-                           {"tv": tv, "cutoff": cutoff, "trials": trials},
-                           ck.failures)
+    return {"tv": tv, "cutoff": cutoff, "trials": trials}
 
 
 def _simpson(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -180,11 +197,10 @@ def _surrogate_rounds(ctx: RoundContext) -> list[int]:
     return [0, ctx.rounds_total // 2, ctx.rounds_total]
 
 
-def criterion_05(seed: int = 0) -> CriterionResult:
+@_criterion(5, "closed-form fixed point and endpoint identities", "quick", 5.0)
+def criterion_05(ck: _Check, seed: int) -> dict:
     """Closed form satisfies the depth-free equation; endpoints re-checked
     by independent quadrature."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(SURROGATE_N, SURROGATE_EPS)
     details = {}
     for i in _surrogate_rounds(ctx):
@@ -207,15 +223,12 @@ def criterion_05(seed: int = 0) -> CriterionResult:
         ck.expect(abs(p_end - math.exp(t_i * t_i - t_next * t_next)) <= 1e-12,
                   f"i={i}: pointwise endpoint mismatch")
         details[f"i={i}"] = {"residual": resid, "quad_gap": abs(quad - P_end)}
-    return CriterionResult(5, "closed-form fixed point and endpoint identities",
-                           "quick", not ck.failures, time.time() - t0, 5.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_06(seed: int = 0) -> CriterionResult:
+@_criterion(6, "depth recursion convergence and sandwich", "quick", 10.0)
+def criterion_06(ck: _Check, seed: int) -> dict:
     """Depth-40 convergence to the closed form and the odd/even sandwich."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(SURROGATE_N, SURROGATE_EPS)
     details = {}
     for i in _surrogate_rounds(ctx):
@@ -239,15 +252,12 @@ def criterion_06(seed: int = 0) -> CriterionResult:
                   f"i={i}: structural sandwich violated ({s_odd:.1e}, {s_even:.1e})")
         details[f"i={i}"] = {"gap40": gap, "odd_excess": worst_odd,
                              "even_excess": worst_even}
-    return CriterionResult(6, "depth recursion convergence and sandwich",
-                           "quick", not ck.failures, time.time() - t0, 10.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_07(seed: int = 0) -> CriterionResult:
+@_criterion(7, "Monte Carlo vs finite-scale recursion", "quick", 180.0)
+def criterion_07(ck: _Check, seed: int) -> dict:
     """Monte Carlo tree survival vs the finite-scale recursion, 3x3 grid."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(SURROGATE_N, SURROGATE_EPS)
     c = ctx.with_round(ctx.rounds_total // 2)
     trials = 100_000
@@ -264,15 +274,12 @@ def criterion_07(seed: int = 0) -> CriterionResult:
             ck.expect(abs(est.mean - expect) <= 4 * est.se,
                       f"k={scale}, depth={depth}: |{est.mean:.5f} - {expect:.5f}|"
                       f" > 4 se ({4 * est.se:.5f})")
-    return CriterionResult(7, "Monte Carlo vs finite-scale recursion",
-                           "quick", not ck.failures, time.time() - t0, 180.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_08(seed: int = 0) -> CriterionResult:
+@_criterion(8, "finite-scale to limit convergence", "quick", 10.0)
+def criterion_08(ck: _Check, seed: int) -> dict:
     """Finite-scale to limit convergence: monotone gap, <= 2/k at k=256."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(SURROGATE_N, SURROGATE_EPS)
     c = ctx.with_round(ctx.rounds_total // 2)
     limit_end = limit_recursion(c, depth=40)[40].p[-1]
@@ -283,16 +290,12 @@ def criterion_08(seed: int = 0) -> CriterionResult:
     ck.expect(all(gaps[j] > gaps[j + 1] for j in range(len(gaps) - 1)),
               f"gaps not strictly decreasing: {gaps}")
     ck.expect(gaps[-1] <= 2 / 256, f"gap at k=256 is {gaps[-1]:.2e} > {2 / 256:.2e}")
-    return CriterionResult(8, "finite-scale to limit convergence",
-                           "quick", not ck.failures, time.time() - t0, 10.0,
-                           {"gaps": dict(zip(["k=4", "k=16", "k=64", "k=256"], gaps))},
-                           ck.failures)
+    return {"gaps": dict(zip(["k=4", "k=16", "k=64", "k=256"], gaps))}
 
 
-def criterion_09(seed: int = 0) -> CriterionResult:
+@_criterion(9, "telescoping identities over rounds", "quick", 1.0)
+def criterion_09(ck: _Check, seed: int) -> dict:
     """Telescoping sums and products across rounds; slopes in [0, 1]."""
-    t0 = time.time()
-    ck = _Check()
     details = {}
     for n, eps in ((SURROGATE_N, SURROGATE_EPS), (SURROGATE_N, 0.25)):
         ctx = RoundContext(n, eps)
@@ -308,15 +311,12 @@ def criterion_09(seed: int = 0) -> CriterionResult:
         ck.expect(prod_gap <= 1e-8, f"eps={eps}: survival product off by {prod_gap:.2e}")
         details[f"eps={eps}"] = {"rounds": ctx.rounds_total, "sum_gap": sum_gap,
                                  "prod_gap": prod_gap}
-    return CriterionResult(9, "telescoping identities over rounds",
-                           "quick", not ck.failures, time.time() - t0, 1.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_10(seed: int = 0) -> CriterionResult:
+@_criterion(10, "slot trajectory windows at n=5000", "full", 600.0)
+def criterion_10(ck: _Check, seed: int) -> dict:
     """Slot-count windows and absolute caps at n=5000."""
-    t0 = time.time()
-    ck = _Check()
     ctx = RoundContext(5000, 0.1)
     trace = run_rounds(ProcessParams(ctx=ctx, seed=seed, record_snapshots=True))
     report = check_trajectories(trace, ctx, sample_size=2000, seed=seed)
@@ -345,15 +345,12 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         ck.expect(r.half_cap_violations == 0,
                   f"i={r.round}: {r.half_cap_violations} of {r.sampled} sampled pairs "
                   f"exceed the half-open cap {r.half_cap:.1f} (max seen {r.max_half})")
-    return CriterionResult(10, "slot trajectory windows at n=5000",
-                           "full", not ck.failures, time.time() - t0, 600.0,
-                           details, ck.failures)
+    return details
 
 
-def criterion_11(seed: int = 0) -> CriterionResult:
+@_criterion(11, "edge-count trend over n", "full", 900.0)
+def criterion_11(ck: _Check, seed: int) -> dict:
     """Edge-count ratio within 10% and its deviation trend over n."""
-    t0 = time.time()
-    ck = _Check()
     deviations = []
     details = {}
     for n in (500, 1000, 2000, 4000):
@@ -369,9 +366,7 @@ def criterion_11(seed: int = 0) -> CriterionResult:
               "deviation |ratio - 1| not nonincreasing in n: "
               + ", ".join(f"{d:.4f}" for d in deviations)
               + " (floor(n**eps) jumps from 1 to 2 at n=2000, resetting the bias)")
-    return CriterionResult(11, "edge-count trend over n",
-                           "full", not ck.failures, time.time() - t0, 900.0,
-                           details, ck.failures)
+    return details
 
 
 _C12_CACHE: dict = {}
@@ -384,25 +379,19 @@ def _c12_campaign(seed: int):
     return _C12_CACHE[seed]
 
 
-def criterion_12(seed: int = 0) -> CriterionResult:
+@_criterion(12, "4-cycle count vs prediction at n=2000", "full", 900.0)
+def criterion_12(ck: _Check, seed: int) -> dict:
     """Mean 4-cycle count vs the sharp prediction at n=2000."""
-    t0 = time.time()
-    ck = _Check()
     rep = _c12_campaign(seed)
     ck.expect(0.8 <= rep.ratio <= 1.2,
               f"4-cycle ratio {rep.ratio:.4f} outside [0.8, 1.2]")
-    return CriterionResult(12, "4-cycle count vs prediction at n=2000",
-                           "full", not ck.failures, time.time() - t0, 900.0,
-                           {"ratio": rep.ratio, "ratio_se": rep.ratio_se,
-                            "predicted": rep.predicted,
-                            "empirical_mean": rep.empirical_mean},
-                           ck.failures)
+    return {"ratio": rep.ratio, "ratio_se": rep.ratio_se, "predicted": rep.predicted,
+            "empirical_mean": rep.empirical_mean}
 
 
-def criterion_13(seed: int = 0) -> CriterionResult:
+@_criterion(13, "uniform random graph comparison", "full", 60.0)
+def criterion_13(ck: _Check, seed: int) -> dict:
     """Uniform-graph comparison: 4-cycle means and triangle presence."""
-    t0 = time.time()
-    ck = _Check()
     rep = _c12_campaign(seed)
     gnm = rep.gnm
     ratio = gnm["ratio_vs_process"]
@@ -418,12 +407,8 @@ def criterion_13(seed: int = 0) -> CriterionResult:
     for t in range(3):
         g = run_rounds(ProcessParams(ctx=ctx, seed=seed), trial=t).graph
         ck.expect(g.audit_triangle_free(), f"process trial {t} contains a triangle")
-    return CriterionResult(13, "uniform random graph comparison",
-                           "full", not ck.failures, time.time() - t0, 60.0,
-                           {"gnm_mean": gnm["mean"], "process_mean": rep.empirical_mean,
-                            "ratio": ratio, "m": gnm["m"],
-                            "samples_with_triangle": gnm["samples_with_triangle"]},
-                           ck.failures)
+    return {"gnm_mean": gnm["mean"], "process_mean": rep.empirical_mean, "ratio": ratio,
+            "m": gnm["m"], "samples_with_triangle": gnm["samples_with_triangle"]}
 
 
 def _margin_oracle(pattern, eps: float) -> tuple[float, float]:
@@ -441,10 +426,9 @@ def _margin_oracle(pattern, eps: float) -> tuple[float, float]:
     return best, dens
 
 
-def criterion_14(seed: int = 0) -> CriterionResult:
+@_criterion(14, "variance-exponent margins and catalog flags", "quick", 1.0)
+def criterion_14(ck: _Check, seed: int) -> dict:
     """Second-moment exponent margins and catalog metadata."""
-    t0 = time.time()
-    ck = _Check()
     details = {}
     for name in ("C4", "C5", "C6", "P3", "P4"):
         pattern = CATALOG[name]
@@ -460,20 +444,7 @@ def criterion_14(seed: int = 0) -> CriterionResult:
         ck.expect(pattern.balanced, f"{name} should be flagged balanced")
         ck.expect(pattern.density < 2, f"{name} density {pattern.density} >= 2")
     ck.expect(CATALOG["C4"].density == 1.0, "C4 density should be exactly 1")
-    return CriterionResult(14, "variance-exponent margins and catalog flags",
-                           "quick", not ck.failures, time.time() - t0, 1.0,
-                           details, ck.failures)
-
-
-CRITERIA = {
-    1: criterion_01, 2: criterion_02, 3: criterion_03, 4: criterion_04,
-    5: criterion_05, 6: criterion_06, 7: criterion_07, 8: criterion_08,
-    9: criterion_09, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13, 14: criterion_14,
-}
-
-QUICK_IDS = (1, 2, 4, 5, 6, 7, 8, 9, 14)
-FULL_ONLY_IDS = (3, 10, 11, 12, 13)
+    return details
 
 
 def run_acceptance(profile: str = "quick", seed: int = 0,
@@ -482,7 +453,8 @@ def run_acceptance(profile: str = "quick", seed: int = 0,
         raise ValueError(f"profile must be 'quick' or 'full', got {profile!r}")
     if stream is None:
         stream = sys.stdout
-    ids = list(QUICK_IDS) if profile == "quick" else sorted(QUICK_IDS + FULL_ONLY_IDS)
+    ids = sorted(cid for cid, run in CRITERIA.items()
+                 if profile == "full" or run.profile == "quick")
     if only:
         unknown = sorted(set(only) - set(CRITERIA))
         if unknown:
@@ -493,10 +465,7 @@ def run_acceptance(profile: str = "quick", seed: int = 0,
     for cid in ids:
         res = CRITERIA[cid](seed=seed)
         results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        stream.write(f"[{status}] C{cid:02d} {res.title} ({res.elapsed_s:.1f}s)\n")
-        for f in res.failures:
-            stream.write(f"       - {f}\n")
+        stream.write(res.verdict() + "\n")
         stream.flush()
     npass = sum(r.passed for r in results)
     label = f"only={','.join(str(i) for i in ids)}" if only else f"profile={profile}"

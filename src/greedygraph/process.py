@@ -169,9 +169,10 @@ def _rounds_schedule(params: ProcessParams, trial: int):
     return gens, ctx.birth_prob
 
 
-def _round_bytes(n: int, threshold: float) -> int:
+def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
     """Bytes a run on n vertices holds at its peak, where a round keeps at
-    most a ``threshold`` share of the m = C(n,2) pairs:
+    most a ``threshold`` share of the m = C(n,2) pairs and the run keeps
+    ``snapshots`` copies of the graph:
 
     - 2.5 per pair of K_n: 1 for ``seen``, and a quarter each (n**2/8
       bytes) for the graph's adjacency and ledger rows and for the
@@ -180,37 +181,41 @@ def _round_bytes(n: int, threshold: float) -> int:
     - per pair the round keeps, the larger of its join and sort (28: three
       of the ids, the times, their chunk lists, the order and the sorted
       ids, 8 bytes each, are alive at a time) and its insertion (8 for the
-      ids, 48 per pair of the slice being decoded and inserted).
+      ids, 48 per pair of the slice being decoded and inserted);
+    - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
+      each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
     At n = 1500-5000 the traced numpy and int peak per pair of K_n is 25-26
     bytes for an uncut birth-order run, 8-17 with cutoff 0.3 (the larger
     where one slice holds the whole round) and 2.4-3.0 for the round form,
-    64-83% of this figure."""
+    64-83% of this figure; a snapshot at n = 60-1500 takes 52-72% of its
+    term."""
     m = num_pairs(n)
     kept = threshold * m
     slice_ = min(kept, 2 * max(_SLICE, _BULK_GATE * n))
-    return ceil(2.5 * m + 16 * min(m, _CHUNK) + max(28 * kept, 8 * kept + 48 * slice_))
+    return ceil(2.5 * m + 16 * min(m, _CHUNK) + max(28 * kept, 8 * kept + 48 * slice_)
+                + snapshots * n * (n / 4 + 80))
 
 
-def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingGraph]]
-              ) -> tuple[EvolvingGraph, list[RoundRecord]]:
+def _traverse(n: int, gens, threshold: float, snapshots: int
+              ) -> tuple[EvolvingGraph, list[RoundRecord], Optional[list[EvolvingGraph]]]:
     """Run one round per generator in ``gens`` on an empty graph on n vertices.
 
     A round draws a time in [0, 1) for every pair and traverses, in stable
     time order (exact float ties fall back to pair-index order), the pairs
-    not yet traversed whose time is below ``threshold``.  ``snapshots``, if
-    given, receives a copy of the graph before the first round and after
-    every round.  Raises ValueError, before any draw, when a round would
-    not fit in memory (``check_memory``).
+    not yet traversed whose time is below ``threshold``.  ``snapshots`` > 0,
+    one more than the rounds in ``gens``, asks for a copy of the graph
+    before the first round and after every round, returned as the third
+    item (else None).  Raises ValueError, before any draw, when the run
+    would not fit in memory (``check_memory``).
     """
     m = num_pairs(n)
-    check_memory(_round_bytes(n, threshold), f"a run at n={n}")
+    check_memory(_round_bytes(n, threshold, snapshots), f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
     seen = np.zeros(m, dtype=bool)
     per_round: list[RoundRecord] = []
-    if snapshots is not None:
-        snapshots.append(g.copy())
+    copies = [g.copy()] if snapshots else None
     # a round is decoded and inserted in slices of at least this many pairs,
     # so a slice takes greedy_insert's bulk path whenever the round would
     step = max(_SLICE, _BULK_GATE * n)
@@ -221,26 +226,28 @@ def _traverse(n: int, gens, threshold: float, snapshots: Optional[list[EvolvingG
             added += greedy_insert(g, *decode_edge_ids(part, n))
         per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
                                      total_edges=g.edge_count))
-        if snapshots is not None:
-            snapshots.append(g.copy())
-    return g, per_round
+        if copies is not None:
+            copies.append(g.copy())
+    return g, per_round, copies
 
 
 def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
-    """Birth-order process: all pairs sorted by uniform birth times."""
+    """Birth-order process: all pairs sorted by uniform birth times, in one
+    round (two snapshots, when recorded: the empty graph and the final one)."""
     n = params.ctx.n
     gens, threshold = _exact_schedule(params, trial)
-    g, per_round = _traverse(n, gens, threshold, None)
+    g, per_round, snapshots = _traverse(n, gens, threshold, 2 * params.record_snapshots)
     return RunTrace(n=n, mode="exact", seed=params.seed, trial=trial,
-                    per_round=per_round, graph=g, cutoff=params.cutoff)
+                    per_round=per_round, graph=g, snapshots=snapshots,
+                    cutoff=params.cutoff)
 
 
 def run_rounds(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Round form of the process through all k**2 rounds."""
     ctx = params.ctx
     gens, threshold = _rounds_schedule(params, trial)
-    snapshots = [] if params.record_snapshots else None
-    g, per_round = _traverse(ctx.n, gens, threshold, snapshots)
+    g, per_round, snapshots = _traverse(
+        ctx.n, gens, threshold, (ctx.rounds_total + 1) * params.record_snapshots)
     return RunTrace(n=ctx.n, mode="rounds", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots)
 

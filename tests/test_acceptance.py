@@ -15,6 +15,8 @@ criterion 13 (the log-form uniform-graph budget vs the sharp process
 trajectory).
 """
 
+import re
+
 import pytest
 
 from greedygraph import acceptance
@@ -22,10 +24,7 @@ from greedygraph import acceptance
 
 def _run(cid: int) -> acceptance.CriterionResult:
     res = acceptance.CRITERIA[cid](seed=0)
-    status = "PASS" if res.passed else "FAIL"
-    print(f"[{status}] C{cid:02d} {res.title} ({res.elapsed_s:.1f}s)")
-    for f in res.failures:
-        print(f"       - {f}")
+    print(res.verdict())
     return res
 
 
@@ -94,3 +93,18 @@ def test_criterion_13_gnm_comparison():
 
 def test_criterion_14_variance_margins():
     _assert_passed(_run(14))
+
+
+def test_each_criterion_has_one_test_marked_by_profile():
+    # the ``full`` marker must follow the registered profile, so the default
+    # session runs exactly the quick criteria
+    tests = {}
+    for name in list(globals()):
+        m = re.fullmatch(r"test_criterion_(\d+)_\w+", name)
+        if m:
+            tests.setdefault(int(m.group(1)), []).append(name)
+    assert sorted(tests) == sorted(acceptance.CRITERIA)
+    for cid, names in tests.items():
+        assert len(names) == 1, f"C{cid} has tests {names}"
+        marks = [mark.name for mark in getattr(globals()[names[0]], "pytestmark", [])]
+        assert ("full" in marks) == (acceptance.CRITERIA[cid].profile == "full"), names[0]

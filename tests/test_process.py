@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from unittest import mock
@@ -115,6 +116,18 @@ class TestRunExact:
         times = np.random.default_rng(0).integers(0, levels, size=5000) / levels
         expect = sorted(range(len(times)), key=lambda j: (times[j], j))
         assert _birth_order(times).tolist() == expect
+
+    @pytest.mark.parametrize("cutoff", [None, 0.3])
+    def test_snapshots(self, cutoff):
+        # one round: the empty graph, then the final graph and ledger
+        params = ProcessParams(ctx=RoundContext(60, 0.2), seed=4, mode="exact", cutoff=cutoff)
+        trace = run_exact(replace(params, record_snapshots=True), trial=2)
+        empty, final = trace.snapshots
+        assert empty.edge_count == empty.birthed_count == 0
+        assert _graph_state(final) == _graph_state(trace.graph)
+        plain = run_exact(params, trial=2)
+        assert plain.snapshots is None
+        assert _graph_state(plain.graph) == _graph_state(trace.graph)
 
     def test_trace_json_schema(self):
         ctx = RoundContext(10, 0.2)
@@ -230,11 +243,15 @@ class TestStreamedRound:
         # every slice still takes the bulk path, as the whole round would
         assert len(sizes) > 1 and min(sizes) >= graphcore._BULK_GATE * n
 
-    @pytest.mark.parametrize("mode, cutoff", [("rounds", None), ("exact", 0.3),
-                                              ("exact", None)])
-    def test_estimate_bounds_traced_peak(self, mode, cutoff):
+    @pytest.mark.parametrize("mode, cutoff, snapshots", [
+        ("rounds", None, 0), ("exact", 0.3, 0), ("exact", None, 0),
+        # k = 2: the empty graph and one copy per round, 5 in all
+        ("rounds", None, 5)],
+        ids=["rounds-None", "exact-0.3", "exact-None", "rounds-None-snapshots"])
+    def test_estimate_bounds_traced_peak(self, mode, cutoff, snapshots):
         n = 1500
-        params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff)
+        params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff,
+                               record_snapshots=bool(snapshots))
         threshold = params.ctx.birth_prob if mode == "rounds" else cutoff or 1.0
         run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
         tracemalloc.start()
@@ -243,7 +260,7 @@ class TestStreamedRound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= process._round_bytes(n, threshold)
+        assert peak <= process._round_bytes(n, threshold, snapshots)
 
 
 class TestMemoryBound:
@@ -284,6 +301,18 @@ class TestMemoryBound:
         assert run_rounds(params).final_edges > 0
         with pytest.raises(ValueError, match="memory bound: a run at n=300"):
             run_exact(params)
+
+    def test_snapshots_counted(self, monkeypatch):
+        # 26 snapshots of the n=300 graph (k = 5) take the run past a limit
+        # the run without them fits in
+        ctx = RoundContext(300, 0.3)
+        limit = process._round_bytes(300, ctx.birth_prob) + 100_000
+        assert limit < process._round_bytes(300, ctx.birth_prob, ctx.rounds_total + 1)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
+        assert run_rounds(ProcessParams(ctx=ctx, seed=1)).final_edges > 0
+        monkeypatch.setattr(rng, "stream", mock.Mock(side_effect=AssertionError("drew")))
+        with pytest.raises(ValueError, match="memory bound: a run at n=300"):
+            run_rounds(ProcessParams(ctx=ctx, seed=1, record_snapshots=True))
 
     @pytest.mark.parametrize("mode", ["exact", "rounds"])
     def test_campaign_refused(self, tiny_memory, mode):
