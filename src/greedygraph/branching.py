@@ -231,10 +231,10 @@ def simulate_tree(model: SurvivalModel, x: float, trials: int, seed: int,
                 return False
         return True
 
+    streams = rng.Streams()
     alive = 0
     for t in range(trials):
-        gen = rng.stream(seed, t, purpose=rng.TREE)
-        if survives(xm, depth, gen):
+        if survives(xm, depth, streams.rekey(seed, t, purpose=rng.TREE)):
             alive += 1
     mean = alive / trials
     se = math.sqrt(mean * (1.0 - mean) / trials)

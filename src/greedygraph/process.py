@@ -155,18 +155,18 @@ def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
 
 
 def _exact_schedule(params: ProcessParams, trial: int):
-    """The birth-order form's one round, as (generators, threshold): below
-    the cutoff, or below 1 (every pair, since draws lie in [0, 1))."""
+    """The birth-order form's one round, as (stream cells, threshold): below
+    the cutoff, or below 1 (every pair, since draws lie in [0, 1)).  A cell
+    is the (seed, trial, round, purpose) of ``rng.stream``."""
     threshold = 1.0 if params.cutoff is None else params.cutoff
-    return [rng.stream(params.seed, trial, purpose=rng.EXACT)], threshold
+    return [(params.seed, trial, 0, rng.EXACT)], threshold
 
 
 def _rounds_schedule(params: ProcessParams, trial: int):
-    """The round form's k**2 rounds, as (generators, threshold)."""
+    """The round form's k**2 rounds, as (stream cells, threshold)."""
     ctx = params.ctx
-    gens = (rng.stream(params.seed, trial, round_=i, purpose=rng.ROUNDS)
-            for i in range(1, ctx.rounds_total + 1))
-    return gens, ctx.birth_prob
+    cells = [(params.seed, trial, i, rng.ROUNDS) for i in range(1, ctx.rounds_total + 1)]
+    return cells, ctx.birth_prob
 
 
 def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
@@ -197,14 +197,14 @@ def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
                 + snapshots * n * (n / 4 + 80))
 
 
-def _traverse(n: int, gens, threshold: float, snapshots: int
+def _traverse(n: int, cells, threshold: float, snapshots: int
               ) -> tuple[EvolvingGraph, list[RoundRecord], Optional[list[EvolvingGraph]]]:
-    """Run one round per generator in ``gens`` on an empty graph on n vertices.
+    """Run one round per stream cell in ``cells`` on an empty graph on n vertices.
 
     A round draws a time in [0, 1) for every pair and traverses, in stable
     time order (exact float ties fall back to pair-index order), the pairs
     not yet traversed whose time is below ``threshold``.  ``snapshots`` > 0,
-    one more than the rounds in ``gens``, asks for a copy of the graph
+    one more than the rounds in ``cells``, asks for a copy of the graph
     before the first round and after every round, returned as the third
     item (else None).  Raises ValueError, before any draw, when the run
     would not fit in memory (``check_memory``).
@@ -219,8 +219,9 @@ def _traverse(n: int, gens, threshold: float, snapshots: int
     # a round is decoded and inserted in slices of at least this many pairs,
     # so a slice takes greedy_insert's bulk path whenever the round would
     step = max(_SLICE, _BULK_GATE * n)
-    for i, gen in enumerate(gens, start=1):
-        ids = _draw_round(gen, m, threshold, seen)
+    streams = rng.Streams()
+    for i, cell in enumerate(cells, start=1):
+        ids = _draw_round(streams.rekey(*cell), m, threshold, seen)
         added = 0
         for part in np.array_split(ids, max(1, len(ids) // step)):
             added += greedy_insert(g, *decode_edge_ids(part, n))
@@ -235,8 +236,8 @@ def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Birth-order process: all pairs sorted by uniform birth times, in one
     round (two snapshots, when recorded: the empty graph and the final one)."""
     n = params.ctx.n
-    gens, threshold = _exact_schedule(params, trial)
-    g, per_round, snapshots = _traverse(n, gens, threshold, 2 * params.record_snapshots)
+    cells, threshold = _exact_schedule(params, trial)
+    g, per_round, snapshots = _traverse(n, cells, threshold, 2 * params.record_snapshots)
     return RunTrace(n=n, mode="exact", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots,
                     cutoff=params.cutoff)
@@ -245,9 +246,9 @@ def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
 def run_rounds(params: ProcessParams, trial: int = 0) -> RunTrace:
     """Round form of the process through all k**2 rounds."""
     ctx = params.ctx
-    gens, threshold = _rounds_schedule(params, trial)
+    cells, threshold = _rounds_schedule(params, trial)
     g, per_round, snapshots = _traverse(
-        ctx.n, gens, threshold, (ctx.rounds_total + 1) * params.record_snapshots)
+        ctx.n, cells, threshold, (ctx.rounds_total + 1) * params.record_snapshots)
     return RunTrace(n=ctx.n, mode="rounds", seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots)
 
@@ -472,14 +473,16 @@ def _final_blocks(params: ProcessParams, trials: int):
     seen = np.zeros(m, dtype=bool)
     # one matrix serves every block, so two are never alive at once
     seq = np.empty((cap, block), dtype=dtype)
+    streams = rng.Streams()
     for start in range(0, trials, block):
         cols = min(block, trials - start)
         seq.fill(m)
         longest = 0
         for col in range(cols):
             seen[:] = False
-            gens, threshold = schedule(params, start + col)
-            ids = np.concatenate([_draw_round(gen, m, threshold, seen) for gen in gens])
+            cells, threshold = schedule(params, start + col)
+            ids = np.concatenate([_draw_round(streams.rekey(*cell), m, threshold, seen)
+                                  for cell in cells])
             if len(ids) > len(seq):
                 seq = np.vstack([seq, np.full((len(ids) - len(seq), block), m, dtype=dtype)])
             seq[:len(ids), col] = ids

@@ -177,10 +177,11 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
     n = ctx.n
     m = num_pairs(n)
     report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
+    streams = rng.Streams()
     for i in range(0, ctx.rounds_total + 1):
         graph = trace.snapshots[i]
         cctx = ctx.with_round(i)
-        gen = rng.stream(seed, 0, round_=i, purpose=rng.SAMPLE)
+        gen = streams.rekey(seed, 0, round_=i, purpose=rng.SAMPLE)
         size = min(sample_size, m)
         ids = gen.choice(m, size=size, replace=False)
         us, vs = (ends.tolist() for ends in decode_edge_ids(ids, n))

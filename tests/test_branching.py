@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from greedygraph import rng
 from greedygraph.branching import (DEFAULT_GRID, McEstimate, SurvivalCurve,
                                    SurvivalModel, choose_thinning, exact_curve,
                                    exact_point, finite_recursion, limit_recursion,
@@ -172,6 +173,48 @@ class TestSimulateTree:
         lo = simulate_tree(model, 0.2 * c.delta, trials=20_000, seed=5)
         hi = simulate_tree(model, c.delta, trials=20_000, seed=5)
         assert lo.mean >= hi.mean - 4 * (lo.se + hi.se)
+
+    @pytest.mark.parametrize("scale, depth, survivors", [
+        (4, 2, 1544), (4, 6, 1540), (8, 2, 1560), (8, 6, 1559)])
+    def test_golden_survivors(self, ctx, scale, depth, survivors):
+        # pinned: the per-tree streams and the lazy expansion must keep
+        # reproducing these counts
+        c = ctx.with_round(4)
+        model = SurvivalModel.make(c, scale=scale, depth=depth)
+        assert simulate_tree(model, c.delta, trials=2000, seed=29).survivors == survivors
+
+    @pytest.mark.parametrize("scale, depth, x_frac, seed", [
+        (4, 3, 1.0, 2), (8, 6, 0.6, -7), (8, 1, 1.0, 2 ** 64 + 3)])
+    def test_matches_reference_loop(self, ctx, scale, depth, x_frac, seed):
+        c = ctx.with_round(4)
+        model = SurvivalModel.make(c, scale=scale, depth=depth)
+        x = x_frac * c.delta
+        est = simulate_tree(model, x, trials=1500, seed=seed)
+        assert est.survivors == _reference_survivors(model, x, 1500, seed)
+
+
+def _reference_survivors(model, x, trials, seed):
+    """simulate_tree's count, by the same lazy expansion written out with one
+    fresh rng.stream per tree."""
+    xm = min(x, model.ctx.delta)
+    zeta_m = model.thinning * model.horizon
+    m = model.horizon
+
+    def survives(xb, levels, gen):
+        if levels == 0:
+            return True
+        if model.singles:
+            for _ in range(int(gen.binomial(model.singles, xb / zeta_m))):
+                if survives(xb * gen.random(), levels - 1, gen):
+                    return False
+        for _ in range(int(gen.binomial(model.pairs, (xb / m) ** 2))):
+            if survives(xb * gen.random(), levels - 1, gen) and \
+               survives(xb * gen.random(), levels - 1, gen):
+                return False
+        return True
+
+    return sum(survives(xm, model.depth, rng.stream(seed, t, purpose=rng.TREE))
+               for t in range(trials))
 
 
 class TestTelescoping:

@@ -180,3 +180,11 @@ class TestCheckTrajectories:
         rep = check_trajectories(trace, ctx, sample_size=300, seed=7)
         assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == \
             "486ba33d27f12053fe5abafa296ced3337dafffe476eb8ed53c2ab108564218c"
+
+    def test_report_golden_negative_seed(self):
+        # pinned report over 17 sample rounds, keyed by a negative seed
+        trace, ctx = self._trace(n=150, eps=0.3, seed=13)
+        rep = check_trajectories(trace, ctx, sample_size=250, seed=-5)
+        assert len(rep.rounds) == 17
+        assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == \
+            "6f7cc4b4828f9445d7c205f174120ad48641da0d15862e0cc9913e80e19d2c7a"
