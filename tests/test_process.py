@@ -263,6 +263,15 @@ class TestStreamedRound:
         assert peak <= process._round_bytes(n, threshold, snapshots)
 
 
+def _forbid_streams(monkeypatch):
+    """Make keying a stream by either route, fresh or re-keyed, fail."""
+    def made(*args, **kwargs):
+        raise AssertionError("made a stream before the memory check")
+
+    monkeypatch.setattr(rng, "stream", made)
+    monkeypatch.setattr(rng.Streams, "rekey", made)
+
+
 class TestMemoryBound:
     """The traversal and the campaign path estimate their peak bytes from
     C(n,2) and refuse, before any draw, a run past physical memory."""
@@ -270,12 +279,7 @@ class TestMemoryBound:
     @pytest.fixture
     def tiny_memory(self, monkeypatch):
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
-
-        class NoDraws:
-            def random(self, size):
-                raise AssertionError("drew before the memory check")
-
-        monkeypatch.setattr(rng, "stream", lambda *args, **kwargs: NoDraws())
+        _forbid_streams(monkeypatch)
 
     @pytest.mark.parametrize("mode, n, mib", [pytest.param("exact", 300, 3, id="exact-300"),
                                               pytest.param("rounds", 600, 2, id="rounds-600")])
@@ -310,7 +314,7 @@ class TestMemoryBound:
         assert limit < process._round_bytes(300, ctx.birth_prob, ctx.rounds_total + 1)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
         assert run_rounds(ProcessParams(ctx=ctx, seed=1)).final_edges > 0
-        monkeypatch.setattr(rng, "stream", mock.Mock(side_effect=AssertionError("drew")))
+        _forbid_streams(monkeypatch)
         with pytest.raises(ValueError, match="memory bound: a run at n=300"):
             run_rounds(ProcessParams(ctx=ctx, seed=1, record_snapshots=True))
 
@@ -385,16 +389,25 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
     ``run`` trial by trial: adjacency rows, edge counter and class counter;
     with ``ties``, both draw from ``_GridStream``s."""
     n = params.ctx.n
-    real = rng.stream
-    stream = (lambda *a, **k: _GridStream(real(*a, **k))) if ties else real
+    real = rng.Streams.rekey
+    cells = []
+
+    def rekey(self, *args, **kwargs):
+        cells.append(args)
+        gen = real(self, *args, **kwargs)
+        return _GridStream(gen) if ties else gen
+
     with mock.patch.object(process, "_BLOCK_BYTES", budget), \
-            mock.patch.object(rng, "stream", stream):
+            mock.patch.object(rng.Streams, "rekey", rekey):
         rows = [mask for block in _final_blocks(params, trials)
                 for mask in bitset_ints(block)]
         edges, classes = final_distribution_sample(
             params.ctx, trials, params.seed, mode=params.mode, cutoff=params.cutoff,
             classify=classify)
         graphs = [run(params, trial=t).graph for t in range(trials)]
+    # all three passes drew each trial's rounds through the patched route
+    rounds = 1 if params.mode == "exact" else params.ctx.rounds_total
+    assert len(cells) == 3 * trials * rounds
     assert rows == [mask for g in graphs for mask in g.adj]
     assert edges == Counter(g.edge_count for g in graphs)
     if classify:
