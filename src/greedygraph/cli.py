@@ -1,9 +1,9 @@
 """Command-line front end: campaigns, reports, and the acceptance driver.
 
-Every subcommand resolves its parameters from, in priority order, explicit
-flags, a flat key=value --config file, the GREEDYGRAPH_SEED environment
-variable (seed only), and built-in defaults.  The resolved configuration
-is embedded in every emitted report, so any output file reproduces its run
+Each option is declared once, in ``OPTIONS``; the parser, the resolution of
+a value (flag, else the flat key=value --config file, else $GREEDYGRAPH_SEED
+for the seed, else the default) and the configuration embedded in every
+report come from that declaration, so any output file reproduces its run
 bit-exactly; timing is recorded only in acceptance reports, keeping the
 stochastic reports byte-identical across reruns.
 
@@ -13,12 +13,12 @@ Exit codes: 0 ok, 1 acceptance failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -60,40 +60,77 @@ def positive_int(text: str) -> int:
     return value
 
 
-class _Params:
-    """Flag > config file > environment (seed) > default."""
+@dataclass(frozen=True)
+class Option:
+    """One option: how its text is read (``bool`` makes a bare flag), its
+    help, and the default of each command that takes it."""
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            self.config = _load_config(args.config)
+    type: Callable
+    help: str
+    defaults: dict
+    choices: tuple | None = None
 
-    def get(self, name: str, default, typ=None):
-        val = getattr(self.args, name, None)
-        if val is not None:
-            return val
-        if name in self.config:
-            raw = self.config[name]
-            if typ is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return typ(raw) if typ else raw
-        return default
 
-    def seed(self) -> int:
-        val = self.get("seed", None, int)
-        if val is not None:
-            return val
-        env = os.environ.get("GREEDYGRAPH_SEED")
-        return int(env) if env else 0
+_RUNS = ("simulate", "rounds", "lambda", "branching", "predict", "compare-gnm")
+_CAMPAIGNS = ("simulate", "rounds", "predict", "compare-gnm")
+_ALL = _RUNS + ("oracle", "accept")
 
-    def resolved(self, **extra) -> dict:
-        # output destinations are not part of the run configuration
-        skip = ("func", "config", "out", "csv")
-        out = {k: v for k, v in vars(self.args).items()
-               if k not in skip and v is not None}
-        out.update(extra)
-        return out
+# In this order the options appear in --help and in meta.config.
+OPTIONS = {
+    "n": Option(int, "vertex count",
+                {"simulate": 100, "rounds": 100, "oracle": 4, "lambda": 1000,
+                 "branching": 10 ** 6, "predict": 1000, "compare-gnm": 1000}),
+    "eps": Option(float, "pace exponent in (0, 1/2)", dict.fromkeys(_RUNS, 0.1)),
+    "trials": Option(positive_int, "independent trials",
+                     {"simulate": 1, "rounds": 1, "branching": 10_000, "predict": 10,
+                      "compare-gnm": 10}),
+    "seed": Option(int, "master seed (default: $GREEDYGRAPH_SEED or 0)",
+                   dict.fromkeys(_RUNS + ("accept",))),
+    "jobs": Option(positive_int, "trial-level workers", dict.fromkeys(_CAMPAIGNS, 1)),
+    "out": Option(str, "write the JSON report here instead of stdout", dict.fromkeys(_ALL)),
+    "config": Option(str, "flat key=value config file; flags override", dict.fromkeys(_ALL)),
+    "cutoff": Option(float, "birth-time cutoff in (0, 1]", {"simulate": None}),
+    "rounds_snapshots": Option(bool, "record per-round snapshots", {"rounds": False}),
+    "sample_size": Option(positive_int, "pairs sampled per round", {"lambda": 2000}),
+    "k": Option(int, "finite scale", {"branching": 8}),
+    "zeta": Option(float, "thinning factor override", {"branching": None}),
+    "depth": Option(positive_int, "recursion depth", {"branching": 40}),
+    "grid": Option(positive_int, "quadrature grid points", {"branching": None}),
+    "round": Option(int, "round index (default: middle)", {"branching": None}),
+    "csv": Option(str, "also write the per-pair rows (lambda) or the level curves "
+                  "(branching) to this CSV file", dict.fromkeys(("lambda", "branching"))),
+    "pattern": Option(str, "catalog name, Sk shorthand, or edge-list file",
+                      {"predict": "C4", "compare-gnm": "C4"}),
+    "profile": Option(str, "criteria set", {"accept": "quick"}, choices=("quick", "full")),
+    "only": Option(str, "comma-separated criterion ids to run", {"accept": None}),
+}
+# Options that change no output, so meta.config leaves them out.
+_UNRECORDED = ("jobs", "out", "csv", "config")
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option of ``args.command``: the flag, else the --config file's
+    value, else ($GREEDYGRAPH_SEED first, for the seed) the command's default.
+    A config key that no command declares is a ValueError."""
+    config = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - set(OPTIONS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                         f"valid keys are {', '.join(OPTIONS)}")
+    resolved = argparse.Namespace(command=args.command)
+    for name, opt in OPTIONS.items():
+        if args.command not in opt.defaults:
+            continue
+        val = getattr(args, name)
+        if val is None and name in config:
+            raw = config[name]
+            val = (raw.lower() in ("1", "true", "yes", "on") if opt.type is bool
+                   else opt.type(raw))
+        if val is None:
+            val = (int(os.environ.get("GREEDYGRAPH_SEED") or 0) if name == "seed"
+                   else opt.defaults[args.command])
+        setattr(resolved, name, val)
+    return resolved
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -105,13 +142,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _meta(command: str, params: _Params, seed: int, **extra) -> dict:
-    return {"tool": "greedygraph", "version": __version__, "command": command,
-            "seed": seed, "config": params.resolved(seed=seed, **extra)}
+def _meta(o: argparse.Namespace, **derived) -> dict:
+    """The report header: the command's run options as resolved, then the
+    values ``derived`` from them (which replace an option's own value)."""
+    config = {k: v for k, v in vars(o).items() if k != "command" and k not in _UNRECORDED}
+    config.update(derived)
+    return {"tool": "greedygraph", "version": __version__, "command": o.command,
+            "seed": config.get("seed", 0), "config": config}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each given the resolved options
 
 
 def _simulate_trial(params: ProcessParams, trial: int) -> dict:
@@ -122,127 +163,85 @@ def _simulate_trial(params: ProcessParams, trial: int) -> dict:
 
 def _rounds_trial(params: ProcessParams, trial: int) -> tuple[dict, list | None]:
     """One round-form run; snapshots, when requested, are kept for trial 0
-    only, as sorted edge lines per round."""
+    only, as sorted 'u v' edge lines per round."""
     if trial:
         params = replace(params, record_snapshots=False)
     trace = run_rounds(params, trial=trial)
     exported = None
     if trace.snapshots is not None:
-        exported = []
-        for snap in trace.snapshots:
-            buf = io.StringIO()
-            snap.export_edges(buf)
-            exported.append(buf.getvalue().splitlines())
+        exported = [[f"{u} {v}" for u, v in snap.edges()] for snap in trace.snapshots]
     return trace.to_json_dict(), exported
 
 
-def _cmd_simulate(args) -> int:
-    p = _Params(args)
-    n = p.get("n", 100, int)
-    eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 1, positive_int)
-    cutoff = p.get("cutoff", None, float)
-    jobs = p.get("jobs", 1, positive_int)
-    seed = p.seed()
-    ctx = RoundContext(n, eps)
-    params = ProcessParams(ctx=ctx, seed=seed, mode="exact", cutoff=cutoff)
-    runs = map_trials(_simulate_trial, (params,), trials, jobs)
+def _cmd_simulate(o) -> int:
+    params = ProcessParams(ctx=RoundContext(o.n, o.eps), seed=o.seed, mode="exact",
+                           cutoff=o.cutoff)
+    runs = map_trials(_simulate_trial, (params,), o.trials, o.jobs)
     edges = [r["final_edges"] for r in runs]
     payload = {
-        "meta": _meta("simulate", p, seed, n=n, eps=eps, trials=trials, cutoff=cutoff),
+        "meta": _meta(o),
         "runs": runs,
         "summary": {"mean_edges": sum(edges) / len(edges),
                     "min_edges": min(edges), "max_edges": max(edges)},
     }
-    _emit(payload, p.get("out", None))
+    _emit(payload, o.out)
     return 0
 
 
-def _cmd_rounds(args) -> int:
-    p = _Params(args)
-    n = p.get("n", 100, int)
-    eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 1, positive_int)
-    snapshots = bool(p.get("rounds_snapshots", False, bool))
-    seed = p.seed()
-    jobs = p.get("jobs", 1, positive_int)
-    ctx = RoundContext(n, eps)
-    params = ProcessParams(ctx=ctx, seed=seed, mode="rounds",
-                           record_snapshots=snapshots)
-    results = map_trials(_rounds_trial, (params,), trials, jobs)
+def _cmd_rounds(o) -> int:
+    ctx = RoundContext(o.n, o.eps)
+    params = ProcessParams(ctx=ctx, seed=o.seed, mode="rounds",
+                           record_snapshots=o.rounds_snapshots)
+    results = map_trials(_rounds_trial, (params,), o.trials, o.jobs)
     runs = [run for run, _ in results]
-    exported = results[0][1]
     edges = [r["final_edges"] for r in runs]
     pred = predicted_final_edges(ctx)
     payload = {
-        "meta": _meta("rounds", p, seed, n=n, eps=eps, trials=trials,
-                      rounds_snapshots=snapshots, k=ctx.k,
-                      rounds_total=ctx.rounds_total),
+        "meta": _meta(o, k=ctx.k, rounds_total=ctx.rounds_total),
         "runs": runs,
         "summary": {"mean_edges": sum(edges) / len(edges),
                     "predicted_edges": pred,
                     "ratio": sum(edges) / len(edges) / pred},
     }
-    if exported is not None:
-        payload["snapshots_trial0"] = exported
-    _emit(payload, p.get("out", None))
+    if results[0][1] is not None:
+        payload["snapshots_trial0"] = results[0][1]
+    _emit(payload, o.out)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    p = _Params(args)
-    n = p.get("n", 4, int)
-    oracle = exhaustive_oracle(n)
-    payload = {"meta": _meta("oracle", p, 0, n=n)}
-    payload.update(oracle.to_json_dict())
-    _emit(payload, p.get("out", None))
+def _cmd_oracle(o) -> int:
+    _emit({"meta": _meta(o), **exhaustive_oracle(o.n).to_json_dict()}, o.out)
     return 0
 
 
-def _cmd_lambda(args) -> int:
-    p = _Params(args)
-    n = p.get("n", 1000, int)
-    eps = p.get("eps", 0.1, float)
-    sample = p.get("sample_size", 2000, positive_int)
-    seed = p.seed()
-    csv_path = p.get("csv", None)
-    ctx = RoundContext(n, eps)
-    trace = run_rounds(ProcessParams(ctx=ctx, seed=seed, record_snapshots=True))
-    report = check_trajectories(trace, ctx, sample_size=sample, seed=seed,
-                                keep_rows=csv_path is not None)
-    payload = {"meta": _meta("lambda", p, seed, n=n, eps=eps, sample_size=sample)}
-    payload.update(report.to_json_dict())
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+def _cmd_lambda(o) -> int:
+    ctx = RoundContext(o.n, o.eps)
+    trace = run_rounds(ProcessParams(ctx=ctx, seed=o.seed, record_snapshots=True))
+    report = check_trajectories(trace, ctx, sample_size=o.sample_size, seed=o.seed,
+                                keep_rows=o.csv is not None)
+    payload = {"meta": _meta(o), **report.to_json_dict()}
+    if o.csv:
+        with open(o.csv, "w", encoding="utf-8") as fh:
             write_rows_csv(report, fh)
-    _emit(payload, p.get("out", None))
+    _emit(payload, o.out)
     return 0
 
 
-def _cmd_branching(args) -> int:
-    p = _Params(args)
-    n = p.get("n", 10 ** 6, int)
-    eps = p.get("eps", 0.1, float)
-    scale = p.get("k", 8, int)
-    depth = p.get("depth", 40, positive_int)
-    grid = p.get("grid", None, positive_int)
-    trials = p.get("trials", 10_000, positive_int)
-    zeta = p.get("zeta", None, float)
-    seed = p.seed()
-    ctx = RoundContext(n, eps)
-    round_i = p.get("round", ctx.rounds_total // 2, int)
+def _cmd_branching(o) -> int:
+    ctx = RoundContext(o.n, o.eps)
+    round_i = ctx.rounds_total // 2 if o.round is None else o.round
     c = ctx.with_round(round_i)
-    kwargs = {"thinning": zeta} if zeta is not None else {}
-    if grid is not None:
-        kwargs["grid"] = grid
-    model = SurvivalModel.make(c, scale=scale, depth=depth, **kwargs)
+    kwargs = {"thinning": o.zeta} if o.zeta is not None else {}
+    if o.grid is not None:
+        kwargs["grid"] = o.grid
+    depth = o.depth
+    model = SurvivalModel.make(c, scale=o.k, depth=depth, **kwargs)
     exact = exact_curve(c, grid=model.grid)
     levels = limit_recursion(c, depth=depth, grid=model.grid)
     finite = finite_recursion(model)
-    est = simulate_tree(model, c.delta, trials=trials, seed=seed)
+    est = simulate_tree(model, c.delta, trials=o.trials, seed=o.seed)
     payload = {
-        "meta": _meta("branching", p, seed, n=n, eps=eps, k=scale, depth=depth,
-                      grid=model.grid, round=round_i, zeta=model.thinning),
+        "meta": _meta(o, grid=model.grid, round=round_i, zeta=model.thinning),
         "model": {"scale": model.scale, "thinning": model.thinning,
                   "singles": model.singles, "pairs": model.pairs,
                   "depth": model.depth, "grid": model.grid},
@@ -259,57 +258,50 @@ def _cmd_branching(args) -> int:
                                if est.se else 0.0),
         },
     }
-    csv_path = p.get("csv", None)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+    if o.csv:
+        with open(o.csv, "w", encoding="utf-8") as fh:
             write_curves_csv(fh, finite, exact=exact)
-    _emit(payload, p.get("out", None))
+    _emit(payload, o.out)
     return 0
 
 
-def _cmd_predict(args, with_gnm: bool = False) -> int:
-    p = _Params(args)
-    n = p.get("n", 1000, int)
-    eps = p.get("eps", 0.1, float)
-    trials = p.get("trials", 10, positive_int)
-    jobs = p.get("jobs", 1, positive_int)
-    seed = p.seed()
-    pattern = load_pattern(p.get("pattern", "C4"))
-    ctx = RoundContext(n, eps)
-    if with_gnm:
-        rep = compare_with_gnm(pattern, ctx, trials=trials, seed=seed, jobs=jobs)
-    else:
-        rep = run_prediction_campaign(pattern, ctx, trials=trials, seed=seed, jobs=jobs)
-    payload = {"meta": _meta("compare-gnm" if with_gnm else "predict", p, seed,
-                             n=n, eps=eps, trials=trials, pattern=pattern.name)}
-    payload.update(rep.to_json_dict())
-    _emit(payload, p.get("out", None))
+def _cmd_predict(o) -> int:
+    pattern = load_pattern(o.pattern)
+    ctx = RoundContext(o.n, o.eps)
+    campaign = compare_with_gnm if o.command == "compare-gnm" else run_prediction_campaign
+    rep = campaign(pattern, ctx, trials=o.trials, seed=o.seed, jobs=o.jobs)
+    _emit({"meta": _meta(o, pattern=pattern.name), **rep.to_json_dict()}, o.out)
     return 0
 
 
-def _cmd_accept(args) -> int:
-    p = _Params(args)
-    profile = p.get("profile", "quick")
-    seed = p.seed()
-    only = None
-    if p.get("only", None):
-        only = [int(tok) for tok in str(p.get("only", "")).split(",") if tok]
+def _cmd_accept(o) -> int:
+    only = [int(tok) for tok in o.only.split(",") if tok] if o.only else None
     t0 = time.time()
-    results = run_acceptance(profile=profile, seed=seed, only=only)
+    results = run_acceptance(profile=o.profile, seed=o.seed, only=only)
     payload = {
-        "meta": _meta("accept", p, seed, profile=profile),
+        "meta": _meta(o),
         "wall_clock_s": round(time.time() - t0, 3),
         "passed": sum(r.passed for r in results),
         "total": len(results),
         "criteria": [r.to_json_dict() for r in results],
     }
-    out = p.get("out", None)
-    if out:
-        _emit(payload, out)
+    if o.out:
+        _emit(payload, o.out)
     return 0 if all(r.passed for r in results) else ACCEPT_FAILURE
 
 
 # ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "simulate": ("birth-order process runs", _cmd_simulate),
+    "rounds": ("round-form process runs", _cmd_rounds),
+    "oracle": ("exact small-instance distribution (n = 3, 4 or 5)", _cmd_oracle),
+    "lambda": ("triangle-slot trajectory windows", _cmd_lambda),
+    "branching": ("survival curves and Monte Carlo check", _cmd_branching),
+    "predict": ("copy-count prediction campaign", _cmd_predict),
+    "compare-gnm": ("prediction campaign with a uniform-graph baseline", _cmd_predict),
+    "accept": ("run the acceptance suite", _cmd_accept),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,80 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *names):
-        if "n" in names:
-            sp.add_argument("--n", type=int, help="vertex count")
-        if "eps" in names:
-            sp.add_argument("--eps", type=float, help="pace exponent in (0, 1/2)")
-        if "trials" in names:
-            sp.add_argument("--trials", type=positive_int, help="independent trials")
-        if "seed" in names:
-            sp.add_argument("--seed", type=int,
-                            help="master seed (default: $GREEDYGRAPH_SEED or 0)")
-        if "jobs" in names:
-            sp.add_argument("--jobs", type=positive_int, help="trial-level workers")
-        sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--config", help="flat key=value config file; flags override")
-
-    sp = sub.add_parser("simulate", help="birth-order process runs")
-    common(sp, "n", "eps", "trials", "seed", "jobs")
-    sp.add_argument("--cutoff", type=float, help="birth-time cutoff in (0, 1]")
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("rounds", help="round-form process runs")
-    common(sp, "n", "eps", "trials", "seed", "jobs")
-    sp.add_argument("--rounds-snapshots", action="store_const", const=True,
-                    dest="rounds_snapshots", help="record per-round snapshots")
-    sp.set_defaults(func=_cmd_rounds)
-
-    sp = sub.add_parser("oracle", help="exact small-instance distribution")
-    common(sp)
-    sp.add_argument("--n", type=int, help="vertex count (3, 4 or 5)")
-    sp.set_defaults(func=_cmd_oracle)
-
-    sp = sub.add_parser("lambda", help="triangle-slot trajectory windows")
-    common(sp, "n", "eps", "seed")
-    sp.add_argument("--sample-size", type=positive_int, dest="sample_size",
-                    help="pairs sampled per round (default 2000)")
-    sp.add_argument("--csv", help="also dump per-pair rows to this CSV file")
-    sp.set_defaults(func=_cmd_lambda)
-
-    sp = sub.add_parser("branching", help="survival curves and Monte Carlo check")
-    common(sp, "n", "eps", "trials", "seed")
-    sp.add_argument("--k", type=int, help="finite scale (default 8)")
-    sp.add_argument("--zeta", type=float, help="thinning factor override")
-    sp.add_argument("--depth", type=positive_int, help="recursion depth (default 40)")
-    sp.add_argument("--grid", type=positive_int, help="quadrature grid points")
-    sp.add_argument("--round", type=int, help="round index (default: middle)")
-    sp.add_argument("--csv", help="dump level curves to this CSV file")
-    sp.set_defaults(func=_cmd_branching)
-
-    sp = sub.add_parser("predict", help="copy-count prediction campaign")
-    common(sp, "n", "eps", "trials", "seed", "jobs")
-    sp.add_argument("--pattern", help="catalog name, Sk shorthand, or edge-list file")
-    sp.set_defaults(func=_cmd_predict)
-
-    sp = sub.add_parser("compare-gnm", help="prediction campaign with a uniform-graph baseline")
-    common(sp, "n", "eps", "trials", "seed", "jobs")
-    sp.add_argument("--pattern", help="catalog name, Sk shorthand, or edge-list file")
-    sp.set_defaults(func=lambda a: _cmd_predict(a, with_gnm=True))
-
-    sp = sub.add_parser("accept", help="run the acceptance suite")
-    common(sp, "seed")
-    sp.add_argument("--profile", choices=("quick", "full"),
-                    help="criteria set (default quick)")
-    sp.add_argument("--only", help="comma-separated criterion ids to run")
-    sp.set_defaults(func=_cmd_accept)
-
+    for command, (text, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for name, opt in OPTIONS.items():
+            if command not in opt.defaults:
+                continue
+            default = opt.defaults[command]
+            flag = "--" + name.replace("_", "-")
+            if opt.type is bool:
+                sp.add_argument(flag, action="store_const", const=True, help=opt.help)
+                continue
+            sp.add_argument(flag, type=opt.type, choices=opt.choices,
+                            help=opt.help if default is None else f"{opt.help} (default {default})")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](_resolve(args))
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -252,11 +252,6 @@ class EvolvingGraph:
         g.birthed_count = self.birthed_count
         return g
 
-    def export_edges(self, fileobj) -> None:
-        """Snapshot export: one sorted 'u v' pair per line."""
-        for u, v in self.edges():
-            fileobj.write(f"{u} {v}\n")
-
     @classmethod
     def from_edges(cls, n: int, edges, birthed: bool = True) -> "EvolvingGraph":
         g = cls(n)

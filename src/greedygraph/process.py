@@ -37,7 +37,7 @@ and any other graph is named v<vertices>e<edges>.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, factorial, sqrt
 from typing import Optional
@@ -154,16 +154,14 @@ def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
     return ids[order]
 
 
-def _exact_schedule(params: ProcessParams, trial: int):
-    """The birth-order form's one round, as (stream cells, threshold): below
-    the cutoff, or below 1 (every pair, since draws lie in [0, 1)).  A cell
-    is the (seed, trial, round, purpose) of ``rng.stream``."""
-    threshold = 1.0 if params.cutoff is None else params.cutoff
-    return [(params.seed, trial, 0, rng.EXACT)], threshold
-
-
-def _rounds_schedule(params: ProcessParams, trial: int):
-    """The round form's k**2 rounds, as (stream cells, threshold)."""
+def _schedule(params: ProcessParams, trial: int):
+    """The rounds of a run, as (stream cells, threshold); a cell is the
+    (seed, trial, round, purpose) of ``rng.stream``.  The birth-order form
+    has one round, below the cutoff or below 1 (every pair, since draws lie
+    in [0, 1)); the round form has k**2, each below the birth probability."""
+    if params.mode == "exact":
+        threshold = 1.0 if params.cutoff is None else params.cutoff
+        return [(params.seed, trial, 0, rng.EXACT)], threshold
     ctx = params.ctx
     cells = [(params.seed, trial, i, rng.ROUNDS) for i in range(1, ctx.rounds_total + 1)]
     return cells, ctx.birth_prob
@@ -232,25 +230,27 @@ def _traverse(n: int, cells, threshold: float, snapshots: int
     return g, per_round, copies
 
 
-def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
-    """Birth-order process: all pairs sorted by uniform birth times, in one
-    round (two snapshots, when recorded: the empty graph and the final one)."""
+def _run(params: ProcessParams, trial: int) -> RunTrace:
+    """Trial ``trial`` of the form ``params.mode``; when recorded, a snapshot
+    of the empty graph and one after each round."""
     n = params.ctx.n
-    cells, threshold = _exact_schedule(params, trial)
-    g, per_round, snapshots = _traverse(n, cells, threshold, 2 * params.record_snapshots)
-    return RunTrace(n=n, mode="exact", seed=params.seed, trial=trial,
+    cells, threshold = _schedule(params, trial)
+    g, per_round, snapshots = _traverse(n, cells, threshold,
+                                        (len(cells) + 1) * params.record_snapshots)
+    return RunTrace(n=n, mode=params.mode, seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots,
                     cutoff=params.cutoff)
 
 
+def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
+    """Birth-order process: all pairs sorted by uniform birth times, in one
+    round (two snapshots, when recorded: the empty graph and the final one)."""
+    return _run(replace(params, mode="exact"), trial)
+
+
 def run_rounds(params: ProcessParams, trial: int = 0) -> RunTrace:
-    """Round form of the process through all k**2 rounds."""
-    ctx = params.ctx
-    cells, threshold = _rounds_schedule(params, trial)
-    g, per_round, snapshots = _traverse(
-        ctx.n, cells, threshold, (ctx.rounds_total + 1) * params.record_snapshots)
-    return RunTrace(n=ctx.n, mode="rounds", seed=params.seed, trial=trial,
-                    per_round=per_round, graph=g, snapshots=snapshots)
+    """Round form of the process through all k**2 rounds (it has no cutoff)."""
+    return _run(replace(params, mode="rounds", cutoff=None), trial)
 
 
 def run(params: ProcessParams, trial: int = 0) -> RunTrace:
@@ -453,13 +453,10 @@ def _final_blocks(params: ProcessParams, trials: int):
     """
     n = params.ctx.n
     m = num_pairs(n)
-    if params.mode == "exact":
-        schedule, threshold = _exact_schedule, params.cutoff or 1.0
-        share = threshold
-    else:
-        schedule, threshold = _rounds_schedule, params.ctx.birth_prob
-        share = aggregate_cutoff(params.ctx)
-    # a trial's sequence length is binomial, with variance below its mean
+    cells, threshold = _schedule(params, 0)
+    # a trial's share of the pairs; its sequence length is binomial, with
+    # variance below its mean
+    share = 1.0 - (1.0 - threshold) ** len(cells)
     cap = min(m, ceil(share * m + 6 * sqrt(share * m)))
     dtype = np.int32 if m < 2 ** 31 else np.int64
     per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
@@ -480,7 +477,7 @@ def _final_blocks(params: ProcessParams, trials: int):
         longest = 0
         for col in range(cols):
             seen[:] = False
-            cells, threshold = schedule(params, start + col)
+            cells, threshold = _schedule(params, start + col)
             ids = np.concatenate([_draw_round(streams.rekey(*cell), m, threshold, seen)
                                   for cell in cells])
             if len(ids) > len(seq):

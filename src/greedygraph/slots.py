@@ -162,6 +162,23 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[pos]
 
 
+def _band_stats(kind: str, ratios: list[float], window: float) -> dict:
+    """The ``RoundWindowReport`` fields of one ratio kind ("half" or "fully")
+    over the non-traversed sampled pairs: the fraction within each band
+    c * window, the mean, the largest |ratio - 1| and the 95% band scale
+    (1.0, 1.0, 0.0 and 0.0 for no pair; a scale of 0.0 for a zero window)."""
+    nb = len(ratios)
+    within = {}
+    for c in BAND_SCALES:
+        band = c * window
+        within[c] = sum(1 for r in ratios if abs(r - 1.0) <= band) / nb if nb else 1.0
+    dev = sorted(abs(r - 1.0) for r in ratios)
+    return {f"{kind}_within": within,
+            f"{kind}_ratio_mean": sum(ratios) / nb if nb else 1.0,
+            f"{kind}_ratio_spread": dev[-1] if dev else 0.0,
+            f"{kind}_scale_for_95": _quantile(dev, 0.95) / window if window else 0.0}
+
+
 def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 2000,
                        seed: int = 0, keep_rows: bool = False) -> TrajectoryReport:
     """Window report over a per-round uniform sample of pairs.
@@ -208,29 +225,13 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
             if not graph.is_birthed(u, v):
                 half_ratios.append(sc.half_open_ratio())
                 fully_ratios.append(sc.fully_open_ratio())
-        nb = len(half_ratios)
-        half_within = {}
-        fully_within = {}
-        for c in BAND_SCALES:
-            band = c * window
-            half_within[c] = (sum(1 for r in half_ratios if abs(r - 1.0) <= band) / nb
-                              if nb else 1.0)
-            fully_within[c] = (sum(1 for r in fully_ratios if abs(r - 1.0) <= band) / nb
-                               if nb else 1.0)
-        hdev = sorted(abs(r - 1.0) for r in half_ratios)
-        fdev = sorted(abs(r - 1.0) for r in fully_ratios)
         report.rounds.append(RoundWindowReport(
-            round=i, sampled=size, non_birthed=nb,
-            half_within=half_within, fully_within=fully_within,
+            round=i, sampled=size, non_birthed=len(half_ratios),
             closed_cap=closed_cap, half_cap=half_cap,
             closed_cap_violations=closed_viol, half_cap_violations=half_viol,
             max_closed=max_closed, max_half=max_half,
-            half_ratio_mean=(sum(half_ratios) / nb if nb else 1.0),
-            fully_ratio_mean=(sum(fully_ratios) / nb if nb else 1.0),
-            half_ratio_spread=(hdev[-1] if hdev else 0.0),
-            fully_ratio_spread=(fdev[-1] if fdev else 0.0),
-            half_scale_for_95=(_quantile(hdev, 0.95) / window if window else 0.0),
-            fully_scale_for_95=(_quantile(fdev, 0.95) / window if window else 0.0),
+            **_band_stats("half", half_ratios, window),
+            **_band_stats("fully", fully_ratios, window),
         ))
     return report
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from greedygraph.cli import main
+from greedygraph.cli import OPTIONS, main
 
 
 def run_cli(argv, capsys):
@@ -55,8 +55,18 @@ class TestRounds:
                              "--rounds-snapshots", "--seed", "1"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert "snapshots_trial0" in payload
-        assert payload["snapshots_trial0"][0] == []  # empty initial graph
+        snaps = payload["snapshots_trial0"]
+        assert snaps[0] == []  # empty initial graph
+        # one snapshot per round after it, each the graph's edges as sorted
+        # 'u v' lines with u < v
+        totals = [r["total_edges"] for r in payload["runs"][0]["per_round"]]
+        assert len(snaps) == len(totals) + 1
+        for lines, total in zip(snaps[1:], totals):
+            pairs = [tuple(map(int, line.split(" "))) for line in lines]
+            assert [f"{u} {v}" for u, v in pairs] == lines
+            assert all(u < v for u, v in pairs) and pairs == sorted(pairs)
+            assert len(pairs) == total
+        assert totals[-1] > 0
 
     def test_snapshots_simulate_trial0_once(self, capsys, monkeypatch):
         import greedygraph.cli as cli
@@ -105,11 +115,97 @@ class TestConfigFile:
         _, out = run_cli(["rounds", "--config", str(cfg), "--n", "80"], capsys)
         assert json.loads(out)["meta"]["config"]["n"] == 80
 
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 40\ntrails = 5\n")
+        code = main(["simulate", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s) trails" in err
+        assert f"valid keys are {', '.join(OPTIONS)}" in err
+
+    def test_keys_of_other_commands_and_outputs_allowed(self, capsys, tmp_path):
+        # one file can serve several commands; out and csv are read from it
+        report, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"n = 60\neps = 0.25\nsample_size = 20\npattern = P3\nk = 4\n"
+                       f"jobs = 2\nout = {report}\ncsv = {rows}\n")
+        assert main(["lambda", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(report.read_text())["meta"]["config"]["sample_size"] == 20
+        assert rows.read_text().startswith("round,u,v,")
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a pair\n")
         code, _ = run_cli(["rounds", "--config", str(cfg)], capsys)
         assert code == 2
+
+
+# flags of a small run of every command whose report is deterministic
+_REPRODUCIBLE = {
+    "simulate": ["--n", "40", "--eps", "0.2", "--trials", "3", "--seed", "3",
+                 "--cutoff", "0.5", "--jobs", "2"],
+    "rounds": ["--n", "40", "--eps", "0.2", "--trials", "2", "--seed", "3",
+               "--rounds-snapshots"],
+    "oracle": ["--n", "3"],
+    "lambda": ["--n", "60", "--eps", "0.25", "--sample-size", "20", "--seed", "3"],
+    "branching": ["--n", "1000000", "--k", "4", "--depth", "3", "--trials", "300",
+                  "--seed", "2"],
+    "predict": ["--n", "60", "--eps", "0.2", "--pattern", "P3", "--trials", "2",
+                "--seed", "4"],
+    "compare-gnm": ["--n", "60", "--eps", "0.2", "--pattern", "C4", "--trials", "2",
+                    "--seed", "4", "--jobs", "2"],
+}
+
+
+class TestReproduce:
+    @pytest.mark.parametrize("command", sorted(_REPRODUCIBLE))
+    def test_flags_config_and_meta_config_agree(self, command, capsys, tmp_path):
+        # the same values as flags, as a config file, and read back from
+        # the report's own meta.config give the same bytes
+        flags = _REPRODUCIBLE[command]
+        code, by_flags = run_cli([command, *flags], capsys)
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        lines, i = [], 0
+        while i < len(flags):
+            key = flags[i][2:].replace("-", "_")
+            if OPTIONS[key].type is bool:
+                lines.append(f"{key} = true")
+                i += 1
+            else:
+                lines.append(f"{key} = {flags[i + 1]}")
+                i += 2
+        cfg.write_text("\n".join(lines) + "\n")
+        code, by_config = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 0
+        assert by_config == by_flags
+        replay = []
+        for key, val in json.loads(by_flags)["meta"]["config"].items():
+            # derived values that are no option of the command stay out
+            if key not in OPTIONS or command not in OPTIONS[key].defaults:
+                continue
+            if val is None or val is False:
+                continue
+            replay += [f"--{key.replace('_', '-')}"] + ([] if val is True else [str(val)])
+        code, by_meta = run_cli([command, *replay], capsys)
+        assert code == 0
+        assert by_meta == by_flags
+        if "--jobs" in flags:
+            # the worker count changes no output, so the report omits it
+            at = flags.index("--jobs")
+            code, serial = run_cli([command, *flags[:at], *flags[at + 2:]], capsys)
+            assert serial == by_flags
+
+
+@pytest.mark.parametrize("command", ["simulate", "rounds", "oracle", "lambda", "branching",
+                                     "predict", "compare-gnm", "accept"])
+def test_subcommand_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: greedygraph {command}" in capsys.readouterr().out
 
 
 class TestBranchingCommand:
