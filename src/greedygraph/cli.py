@@ -106,12 +106,16 @@ OPTIONS = {
 }
 # Options that change no output, so meta.config leaves them out.
 _UNRECORDED = ("jobs", "out", "csv", "config")
+# The spellings a config file may give a boolean option, case-insensitive.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Each option of ``args.command``: the flag, else the --config file's
     value, else ($GREEDYGRAPH_SEED first, for the seed) the command's default.
-    A config key that no command declares is a ValueError."""
+    A config key that no command declares, and a boolean option's value
+    outside ``_BOOLEANS``, are ValueErrors."""
     config = _load_config(args.config) if args.config else {}
     unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
@@ -124,8 +128,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         val = getattr(args, name)
         if val is None and name in config:
             raw = config[name]
-            val = (raw.lower() in ("1", "true", "yes", "on") if opt.type is bool
-                   else opt.type(raw))
+            if opt.type is not bool:
+                val = opt.type(raw)
+            elif raw.lower() in _BOOLEANS:
+                val = _BOOLEANS[raw.lower()]
+            else:
+                raise ValueError(f"{args.config}: {name} = {raw!r} is not a boolean")
         if val is None:
             val = (int(os.environ.get("GREEDYGRAPH_SEED") or 0) if name == "seed"
                    else opt.defaults[args.command])

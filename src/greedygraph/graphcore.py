@@ -294,7 +294,7 @@ def _scan(adj: list[int], birthed: list[int] | None, us, vs) -> list[int]:
     return added
 
 
-def _set_pairs(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
+def set_pair_bits(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
     """Set bits (us[j], vs[j]) and (vs[j], us[j]) in a bitset_words array."""
     flat = words.reshape(-1)
     for a, b in ((us, vs), (vs, us)):
@@ -338,10 +338,10 @@ def greedy_insert(g: EvolvingGraph, us, vs) -> int:
             new = _scan(g.adj, None, cu[keep].tolist(), cv[keep].tolist())
             if new:
                 pairs = np.array(new, dtype=np.int64)
-                _set_pairs(mirror, pairs[0::2], pairs[1::2])
+                set_pair_bits(mirror, pairs[0::2], pairs[1::2])
                 added += len(new) // 2
         marks = np.zeros_like(mirror)
-        _set_pairs(marks, us, vs)
+        set_pair_bits(marks, us, vs)
         birthed = g.birthed_adj
         for r, mask in enumerate(bitset_ints(marks)):
             birthed[r] |= mask

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import EvolvingGraph, decode_edge_ids, num_pairs
+from .graphcore import (EvolvingGraph, bitset_ints, check_memory, decode_edge_ids,
+                        num_pairs, set_pair_bits)
 from .numerics import RoundContext
 from .patterns import PatternGraph, count_copies
 from .process import ProcessParams, run_rounds
@@ -62,16 +63,37 @@ def gnm_edge_target(n: int, eps: float) -> int:
     return int(math.floor(0.5 * n ** 1.5 * math.sqrt(eps * math.log(n))))
 
 
+def _gnm_bytes(n: int, m: int) -> int:
+    """Peak bytes of ``sample_gnm(n, m, ...)``.  numpy's draw of m distinct
+    pair ids either tail-shuffles an arange of all C(n,2) ids (when there are
+    over 10,000 and m exceeds a fiftieth of them) or runs Floyd's algorithm
+    with a hash set of the next power of two above 1.2 m slots; either keeps
+    8 bytes per slot.  Decoding and setting bits take about 48 bytes per
+    edge, the word array 8 bytes per word and the rows about as much again,
+    plus an int header each."""
+    total = num_pairs(n)
+    if total > 10_000 and m > total // 50:
+        draw = 8 * total + 8 * m
+    else:
+        draw = 8 * m + 8 * (1 << int(1.2 * m).bit_length())
+    words = n * ((n + 63) // 64)
+    return draw + 48 * m + 16 * words + 64 * n
+
+
 def sample_gnm(n: int, m: int, gen: np.random.Generator) -> EvolvingGraph:
-    """Uniform graph with exactly m edges on n labelled vertices."""
+    """Uniform graph with exactly m edges on n labelled vertices, its ledger
+    empty.  The memory bound is checked before any draw; the sampled pairs
+    are set in a word array in one vectorised pass and read back as rows."""
     total = num_pairs(n)
     if not 0 <= m <= total:
         raise ValueError(f"m={m} outside [0, {total}]")
-    ids = gen.choice(total, size=m, replace=False)
-    us, vs = decode_edge_ids(np.sort(ids), n)
+    check_memory(_gnm_bytes(n, m), f"a G(n, m) sample at n={n}, m={m}")
+    us, vs = decode_edge_ids(gen.choice(total, size=m, replace=False), n)
+    words = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    set_pair_bits(words, us, vs)
     g = EvolvingGraph(n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        g.insert_edge(u, v)
+    g.adj = list(bitset_ints(words))
+    g.edge_count = m
     return g
 
 

@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedygraph import rng
 from greedygraph.branching import (DEFAULT_GRID, McEstimate, SurvivalCurve,
@@ -17,6 +19,30 @@ def ctx():
     return RoundContext(10 ** 6, 0.1)
 
 
+def _thinning_by_scan(target: float) -> float:
+    """The reference: scan all 800,001 grid points of [0.1, 0.9] for the
+    first whose product with the target lies within the tolerance of an
+    integer, else take the distance-minimizing one."""
+    if target <= 0.0:
+        return 0.1
+    steps = int(round((0.9 - 0.1) / 1e-6)) + 1
+    zetas = 0.1 + 1e-6 * np.arange(steps)
+    prod = zetas * target
+    dist = np.abs(prod - np.rint(prod))
+    tol = 5e-7 * max(1.0, target)
+    hits = np.nonzero(dist <= tol)[0]
+    idx = int(hits[0]) if len(hits) else int(np.argmin(dist))
+    return float(zetas[idx])
+
+
+def _survival_targets():
+    # the targets 2 k traj_i of the models that C7, C8 and the benchmark's
+    # survival workload build at the middle round of RoundContext(10**6, 0.1)
+    c = RoundContext(10 ** 6, 0.1)
+    c = c.with_round(c.rounds_total // 2)
+    return [2.0 * k * float(c.traj[c.round]) for k in (4, 8, 16, 64, 256)]
+
+
 class TestThinning:
     def test_range_and_near_integrality(self):
         for c in (0.7, 1.9, 3.3, 17.77, 412.9):
@@ -27,6 +53,49 @@ class TestThinning:
 
     def test_zero_target(self):
         assert choose_thinning(0.0) == 0.1
+
+    # 7047.357241034611 puts 705's preimage a hair below grid point 37.5:
+    # point 37 misses the tolerance by 6e-14 and point 38 meets it, so a
+    # window of the nearest grid point alone would miss the first hit
+    @pytest.mark.parametrize("target", [0.0, 1.0, 1.11, 1.25, 1e5, 7047.357241034611,
+                                        *_survival_targets()])
+    def test_equals_scan_at_edges_and_model_targets(self, target):
+        assert choose_thinning(target) == _thinning_by_scan(target)
+
+    @given(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_scan_where_fallback_applies(self, target):
+        assert choose_thinning(target) == _thinning_by_scan(target)
+
+    @given(st.floats(min_value=2.0, max_value=1e5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scan(self, target):
+        assert choose_thinning(target) == _thinning_by_scan(target)
+
+    @pytest.mark.parametrize("target", [2.0, 7.6, 486.4, 1e5])
+    def test_search_allocates_no_grid(self, target):
+        # past the fallback, only windows of a few grid points are built:
+        # 1,000 float64 entries would be 8,000 bytes
+        choose_thinning(target)  # warm any lazily built numpy state
+        tracemalloc.start()
+        try:
+            choose_thinning(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000
+
+    def test_model_build_peak(self, ctx):
+        # one model used to build four 800,001-entry arrays, a 24 MiB peak
+        c = ctx.with_round(4)
+        SurvivalModel.make(c, scale=64)
+        tracemalloc.start()
+        try:
+            SurvivalModel.make(c, scale=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExactSolution:

@@ -135,6 +135,25 @@ class TestConfigFile:
         assert json.loads(report.read_text())["meta"]["config"]["sample_size"] == 20
         assert rows.read_text().startswith("round,u,v,")
 
+    @pytest.mark.parametrize("raw, on", [("1", True), ("TRUE", True), ("yes", True),
+                                         ("On", True), ("0", False), ("False", False),
+                                         ("NO", False), ("off", False)])
+    def test_boolean_spellings(self, capsys, tmp_path, raw, on):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(f"n = 20\neps = 0.2\nrounds_snapshots = {raw}\n")
+        _, out = run_cli(["rounds", "--config", str(cfg)], capsys)
+        payload = json.loads(out)
+        assert payload["meta"]["config"]["rounds_snapshots"] is on
+        assert ("snapshots_trial0" in payload) is on
+
+    def test_misspelt_boolean_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 20\nrounds_snapshots = ture\n")
+        code = main(["rounds", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: rounds_snapshots = 'ture' "
+                                           "is not a boolean\n")
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a pair\n")

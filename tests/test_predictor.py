@@ -1,12 +1,14 @@
 import concurrent.futures
 import math
 import os
+import tracemalloc
 from math import comb, sqrt
 
+import numpy as np
 import pytest
 
-from greedygraph import rng
-from greedygraph.graphcore import num_pairs
+from greedygraph import graphcore, predictor, rng
+from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import CATALOG, PatternGraph
 from greedygraph.predictor import (PredictionReport, compare_with_gnm,
@@ -85,6 +87,61 @@ class TestGnmSampler:
         p = m / num_pairs(n)
         sigma = sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) <= 4 * sigma
+
+
+def _gnm_by_inserts(n: int, m: int, gen) -> EvolvingGraph:
+    """The reference host: the same draw, one ``insert_edge`` per pair."""
+    ids = gen.choice(num_pairs(n), size=m, replace=False)
+    us, vs = decode_edge_ids(np.sort(ids), n)
+    g = EvolvingGraph(n)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        g.insert_edge(u, v)
+    return g
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) before the memory check")
+
+
+class TestGnmHost:
+    @pytest.mark.parametrize("n, m", [(1, 0), (40, 0), (40, 300), (40, num_pairs(40)),
+                                      (130, 2000), (300, gnm_edge_target(300, 0.1))])
+    def test_equals_per_edge_construction(self, n, m):
+        g = sample_gnm(n, m, rng.stream(3, n, purpose=rng.GNM))
+        ref = _gnm_by_inserts(n, m, rng.stream(3, n, purpose=rng.GNM))
+        assert g.adj == ref.adj
+        assert g.edge_count == ref.edge_count == m
+        assert g.birthed_adj == [0] * n and g.birthed_count == 0
+
+    @pytest.mark.parametrize("n, m", [(300, gnm_edge_target(300, 0.1)),
+                                      (2000, gnm_edge_target(2000, 0.1)),
+                                      (2000, num_pairs(2000) // 50 + 1)])
+    def test_estimate_bounds_traced_peak(self, n, m):
+        # the last size tail-shuffles all C(n,2) ids, the others run Floyd's
+        # algorithm; the estimate adds up phases that never coexist, so it
+        # stays within twice the peak
+        sample_gnm(40, 300, rng.stream(1, purpose=rng.GNM))  # warm the caches first
+        gen = rng.stream(1, purpose=rng.GNM)
+        tracemalloc.start()
+        try:
+            sample_gnm(n, m, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= predictor._gnm_bytes(n, m) <= 2 * peak
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        def made(*args, **kwargs):
+            raise AssertionError("made a stream before the memory check")
+
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
+        monkeypatch.setattr(rng, "stream", made)
+        monkeypatch.setattr(rng.Streams, "rekey", made)
+        m = gnm_edge_target(2000, 0.1)
+        with pytest.raises(ValueError, match=fr"memory bound: a G\(n, m\) sample at "
+                                             fr"n=2000, m={m} needs about 4 MiB"):
+            sample_gnm(2000, m, _NoDraws())
 
 
 class TestCampaigns:
