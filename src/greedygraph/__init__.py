@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .numerics import (RoundContext, ErrorWindow, erfi, trajectory, open_density,
-                       error_window, round_slope)
+from .numerics import RoundContext, erfi, trajectory, open_density, round_slope
 from .graphcore import EvolvingGraph, edge_index, edge_endpoints, num_pairs
 from .process import (ProcessParams, RunTrace, run_exact, run_rounds,
                       exhaustive_oracle, aggregate_cutoff)
@@ -15,8 +14,7 @@ from .predictor import predict_copies, compare_with_gnm, PredictionReport
 
 __all__ = [
     "__version__",
-    "RoundContext", "ErrorWindow", "erfi", "trajectory", "open_density",
-    "error_window", "round_slope",
+    "RoundContext", "erfi", "trajectory", "open_density", "round_slope",
     "EvolvingGraph", "edge_index", "edge_endpoints", "num_pairs",
     "ProcessParams", "RunTrace", "run_exact", "run_rounds",
     "exhaustive_oracle", "aggregate_cutoff",

@@ -30,7 +30,6 @@ left failing, with the measured values in their details:
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import wraps
@@ -448,11 +447,11 @@ def criterion_14(ck: _Check, seed: int) -> dict:
 
 
 def run_acceptance(profile: str = "quick", seed: int = 0,
-                   only: list[int] | None = None, stream=None) -> list[CriterionResult]:
+                   only: list[int] | None = None) -> list[CriterionResult]:
+    """Run the criteria of ``profile``, or those in ``only``, printing each
+    verdict to stdout as it finishes and then the tally."""
     if profile not in ("quick", "full"):
         raise ValueError(f"profile must be 'quick' or 'full', got {profile!r}")
-    if stream is None:
-        stream = sys.stdout
     ids = sorted(cid for cid, run in CRITERIA.items()
                  if profile == "full" or run.profile == "quick")
     if only:
@@ -465,9 +464,8 @@ def run_acceptance(profile: str = "quick", seed: int = 0,
     for cid in ids:
         res = CRITERIA[cid](seed=seed)
         results.append(res)
-        stream.write(res.verdict() + "\n")
-        stream.flush()
+        print(res.verdict(), flush=True)
     npass = sum(r.passed for r in results)
     label = f"only={','.join(str(i) for i in ids)}" if only else f"profile={profile}"
-    stream.write(f"{npass}/{len(results)} criteria passed ({label}, seed={seed})\n")
+    print(f"{npass}/{len(results)} criteria passed ({label}, seed={seed})")
     return results

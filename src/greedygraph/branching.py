@@ -170,23 +170,28 @@ def exact_curve(ctx: RoundContext, grid: int = DEFAULT_GRID) -> SurvivalCurve:
     return SurvivalCurve(x=xs, p=p, cum=cum)
 
 
-def limit_recursion(ctx: RoundContext, depth: int = DEFAULT_DEPTH,
-                    grid: int = DEFAULT_GRID) -> list[SurvivalCurve]:
-    """Scale-free depth recursion p_l = exp(-2 traj_i density_i P_{l-1}
-    - density_i**2 P_{l-1}**2), p_0 = 1; returns levels 0..depth."""
+def _depth_levels(ctx: RoundContext, depth: int, grid: int, step) -> list[SurvivalCurve]:
+    """Levels 0..depth of a depth recursion on a uniform grid of ``grid``
+    points over the context's round: p_0 = 1 and p_l = step(P_{l-1})."""
     if grid < 256:
         raise ValueError(f"grid resolution must be >= 256, got {grid}")
-    i = ctx.round
-    t0 = float(ctx.traj[i])
-    d0 = float(ctx.density[i])
     xs = np.linspace(0.0, ctx.delta, grid)
     p = np.ones_like(xs)
     levels = [SurvivalCurve(x=xs, p=p, cum=_cumtrapz(xs, p))]
     for _ in range(depth):
-        prev = levels[-1].cum
-        p = np.exp(-2.0 * t0 * d0 * prev - (d0 * prev) ** 2)
+        p = step(levels[-1].cum)
         levels.append(SurvivalCurve(x=xs, p=p, cum=_cumtrapz(xs, p)))
     return levels
+
+
+def limit_recursion(ctx: RoundContext, depth: int = DEFAULT_DEPTH,
+                    grid: int = DEFAULT_GRID) -> list[SurvivalCurve]:
+    """Scale-free depth recursion p_l = exp(-2 traj_i density_i P_{l-1}
+    - density_i**2 P_{l-1}**2), p_0 = 1; returns levels 0..depth."""
+    t0 = float(ctx.traj[ctx.round])
+    d0 = float(ctx.density[ctx.round])
+    return _depth_levels(ctx, depth, grid,
+                         lambda prev: np.exp(-2.0 * t0 * d0 * prev - (d0 * prev) ** 2))
 
 
 def finite_recursion(model: SurvivalModel) -> list[SurvivalCurve]:
@@ -197,21 +202,14 @@ def finite_recursion(model: SurvivalModel) -> list[SurvivalCurve]:
     p_0 = 1; returns levels 0..depth.  Converges pointwise to the
     scale-free limit as the scale grows, with gap O(1/scale).
     """
-    ctx = model.ctx
-    if model.grid < 256:
-        raise ValueError(f"grid resolution must be >= 256, got {model.grid}")
     m = model.horizon
-    xs = np.linspace(0.0, ctx.delta, model.grid)
-    p = np.ones_like(xs)
-    levels = [SurvivalCurve(x=xs, p=p, cum=_cumtrapz(xs, p))]
-    for _ in range(model.depth):
-        prev = levels[-1].cum
+
+    def step(prev):
         single_factor = (1.0 - prev / (model.thinning * m)) ** model.singles \
             if model.singles else 1.0
-        pair_factor = (1.0 - (prev / m) ** 2) ** model.pairs
-        p = single_factor * pair_factor
-        levels.append(SurvivalCurve(x=xs, p=p, cum=_cumtrapz(xs, p)))
-    return levels
+        return single_factor * (1.0 - (prev / m) ** 2) ** model.pairs
+
+    return _depth_levels(model.ctx, model.depth, model.grid, step)
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,7 @@ class McEstimate:
     survivors: int
 
 
-def simulate_tree(model: SurvivalModel, x: float, trials: int, seed: int,
-                  depth: int | None = None) -> McEstimate:
+def simulate_tree(model: SurvivalModel, x: float, trials: int, seed: int) -> McEstimate:
     """Monte Carlo survival estimate at birth time x.
 
     Trees are expanded lazily: a child set is materialized only when its
@@ -232,8 +229,6 @@ def simulate_tree(model: SurvivalModel, x: float, trials: int, seed: int,
     pair set; triggered members get fresh uniform birth times below the
     parent's and recurse one level down.  Nodes at the horizon survive.
     """
-    if depth is None:
-        depth = model.depth
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ctx = model.ctx
@@ -260,7 +255,7 @@ def simulate_tree(model: SurvivalModel, x: float, trials: int, seed: int,
     streams = rng.Streams()
     alive = 0
     for t in range(trials):
-        if survives(xm, depth, streams.rekey(seed, t, purpose=rng.TREE)):
+        if survives(xm, model.depth, streams.rekey(seed, t, purpose=rng.TREE)):
             alive += 1
     mean = alive / trials
     se = math.sqrt(mean * (1.0 - mean) / trials)

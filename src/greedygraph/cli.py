@@ -284,11 +284,11 @@ def _cmd_predict(o) -> int:
 
 def _cmd_accept(o) -> int:
     only = [int(tok) for tok in o.only.split(",") if tok] if o.only else None
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_acceptance(profile=o.profile, seed=o.seed, only=only)
     payload = {
         "meta": _meta(o),
-        "wall_clock_s": round(time.time() - t0, 3),
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
         "passed": sum(r.passed for r in results),
         "total": len(results),
         "criteria": [r.to_json_dict() for r in results],

@@ -195,13 +195,9 @@ class EvolvingGraph:
         not touched here; the process marks traversal separately.
         """
         u, v = self._check_pair(u, v)
-        if (self.adj[u] >> v) & 1:
-            raise ValueError(f"edge ({u}, {v}) already present")
-        if self.adj[u] & self.adj[v]:
+        if self.adj[u] & self.adj[v] and not (self.adj[u] >> v) & 1:
             return False
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.edge_count += 1
+        self.insert_edge(u, v)
         return True
 
     def insert_edge(self, u: int, v: int) -> None:
@@ -220,9 +216,6 @@ class EvolvingGraph:
         self.birthed_adj[u] |= 1 << v
         self.birthed_adj[v] |= 1 << u
         self.birthed_count += 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, lexicographic."""
@@ -253,12 +246,12 @@ class EvolvingGraph:
         return g
 
     @classmethod
-    def from_edges(cls, n: int, edges, birthed: bool = True) -> "EvolvingGraph":
+    def from_edges(cls, n: int, edges) -> "EvolvingGraph":
+        """The graph on n vertices with these edges, each also traversed."""
         g = cls(n)
         for u, v in edges:
             g.insert_edge(u, v)
-            if birthed:
-                g.mark_birthed(u, v)
+            g.mark_birthed(u, v)
         return g
 
     def __repr__(self):

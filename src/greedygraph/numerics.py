@@ -21,7 +21,6 @@ share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -179,18 +178,6 @@ def floor_power(n: int, eps: float) -> int:
     return max(k, 1)
 
 
-@dataclass(frozen=True)
-class ErrorWindow:
-    """Per-round error rate and the accumulated multiplicative window.
-
-    rate(i)   = max(step * traj_i * density_i, step^2 * density_i^2)
-    window(0) = n**(-30 eps); window(i) = window(i-1) * (1 + 10 rate(i-1))
-    """
-
-    rate: float
-    window: float
-
-
 class RoundContext:
     """Global parameters of one process instance plus per-round grids.
 
@@ -200,7 +187,11 @@ class RoundContext:
 
         traj[i]    = trajectory(i * step)
         density[i] = exp(-traj[i]**2)
-        rates[i], windows[i] per ErrorWindow
+        rates[i]   = max(step * traj[i] * density[i], step**2 * density[i]**2)
+        windows[i] = n**(-30 eps) at i = 0, else windows[i-1] * (1 + 10 rates[i-1])
+
+    rates[i] is round i's error rate and windows[i] its accumulated
+    multiplicative tolerance window.
 
     Contexts are immutable after construction; ``with_round`` returns a
     sibling at another round sharing the same grids.
@@ -257,12 +248,6 @@ class RoundContext:
     def __repr__(self):
         return (f"RoundContext(n={self.n}, eps={self.eps}, k={self.k}, "
                 f"rounds={self.rounds_total}, round={self.round})")
-
-
-def error_window(ctx: RoundContext) -> ErrorWindow:
-    """Error rate and tolerance window at the context's current round."""
-    i = ctx.round
-    return ErrorWindow(rate=float(ctx.rates[i]), window=float(ctx.windows[i]))
 
 
 def round_slope(ctx: RoundContext, i: int) -> float:

@@ -118,10 +118,6 @@ class PatternGraph:
         return EvolvingGraph.from_edges(self.v, self.edges).adj
 
 
-def is_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    return p.e == q.e and isomorphisms(p.adjacency(), q.adjacency(), first=True) > 0
-
-
 # ---------------------------------------------------------------------------
 # copy counting
 #

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
@@ -32,29 +32,27 @@ def _log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def predict_copies(pattern: PatternGraph, ctx: RoundContext) -> float:
-    """Sharp prediction for the mean copy count in the final graph."""
+def _predict(pattern: PatternGraph, ctx: RoundContext, log_traj: float) -> float:
+    """(v_F! / aut(F)) * C(n, v_F) * (t / sqrt(n))**e_F, given ln t."""
     if not pattern.triangle_free:
         raise ValueError(f"pattern {pattern.name} contains a triangle; "
                          "its copy count in the final graph is identically 0")
     n = ctx.n
-    traj_end = float(ctx.traj[ctx.rounds_total])
     log_pred = (math.lgamma(pattern.v + 1) - math.log(pattern.aut)
                 + _log_binomial(n, pattern.v)
-                + pattern.e * (math.log(traj_end) - 0.5 * math.log(n)))
+                + pattern.e * (log_traj - 0.5 * math.log(n)))
     return math.exp(log_pred)
+
+
+def predict_copies(pattern: PatternGraph, ctx: RoundContext) -> float:
+    """Sharp prediction for the mean copy count in the final graph."""
+    return _predict(pattern, ctx, math.log(float(ctx.traj[ctx.rounds_total])))
 
 
 def predict_copies_log_form(pattern: PatternGraph, ctx: RoundContext) -> float:
     """Log-asymptotic variant: (ln n**eps / n)**(e_F/2) in place of the
     sharp trajectory factor."""
-    if not pattern.triangle_free:
-        raise ValueError(f"pattern {pattern.name} contains a triangle")
-    n = ctx.n
-    log_pred = (math.lgamma(pattern.v + 1) - math.log(pattern.aut)
-                + _log_binomial(n, pattern.v)
-                + 0.5 * pattern.e * (math.log(ctx.eps * math.log(n)) - math.log(n)))
-    return math.exp(log_pred)
+    return _predict(pattern, ctx, 0.5 * math.log(ctx.eps * math.log(ctx.n)))
 
 
 def gnm_edge_target(n: int, eps: float) -> int:
@@ -113,17 +111,9 @@ class PredictionReport:
     gnm: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "pattern": self.pattern, "n": self.n, "eps": self.eps,
-            "trials": self.trials, "predicted": self.predicted,
-            "predicted_log_form": self.predicted_log_form,
-            "empirical_mean": self.empirical_mean,
-            "empirical_sd": self.empirical_sd,
-            "ratio": self.ratio, "ratio_se": self.ratio_se,
-        }
-        if self.gnm is not None:
-            out["gnm"] = self.gnm
-        return out
+        """Every field but ``counts``, and ``gnm`` only when it is set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "counts" and (f.name != "gnm" or self.gnm is not None)}
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:

@@ -25,7 +25,7 @@ one ``run`` builds for it.
 
 ``exhaustive_oracle`` returns the exact outcome distribution over all
 C(n,2)! birth orders for n <= 5 by dynamic programming over
-(processed-set, graph) states, which regroups the literal enumeration
+(processed-set, adjacency) states, which regroups the literal enumeration
 without changing it.
 
 Outcome classes are named from the labelled adjacency of a final graph,
@@ -46,8 +46,7 @@ import numpy as np
 
 from . import rng
 from .graphcore import (_BULK_GATE, EvolvingGraph, bit_slots, bitset_ints, check_memory,
-                        decode_edge_ids, greedy_insert, iter_bits, num_pairs,
-                        row_bit_counts)
+                        decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from . import patterns as pat
 
@@ -168,30 +167,38 @@ def _schedule(params: ProcessParams, trial: int):
 
 
 def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
-    """Bytes a run on n vertices holds at its peak, where a round keeps at
-    most a ``threshold`` share of the m = C(n,2) pairs and the run keeps
-    ``snapshots`` copies of the graph:
+    """Bytes of address space a run on n vertices maps at its peak, beyond
+    what was mapped before it, where a round keeps at most a ``threshold``
+    share of the m = C(n,2) pairs and the run keeps ``snapshots`` copies of
+    the graph:
 
-    - 2.5 per pair of K_n: 1 for ``seen``, and a quarter each (n**2/8
-      bytes) for the graph's adjacency and ledger rows and for the
-      insertion's word mirror, its build buffer and its marks;
     - 16 per pair of one draw chunk (the times, the masks, the kept ids);
-    - per pair the round keeps, the larger of its join and sort (28: three
-      of the ids, the times, their chunk lists, the order and the sorted
-      ids, 8 bytes each, are alive at a time) and its insertion (8 for the
-      ids, 48 per pair of the slice being decoded and inserted);
+    - the larger of three phases of a round.  Its join, when it spans
+      several chunks: 1 per pair for ``seen``, 32 per pair kept (the ids
+      and the times, 8 bytes each, as chunk lists and joined: the freed id
+      chunks lie between live time chunks and stay mapped while the times
+      are joined) and 16 per pair of one chunk, for the heap the chunks'
+      temporaries leave among them.  Its sort: 2.5 per pair of K_n (below)
+      and 28 per pair kept (three of the ids, the times, their chunk
+      lists, the order and the sorted ids, 8 bytes each, are alive at a
+      time).  Its insertion: 2.5 per pair of K_n (1 for ``seen`` and a
+      quarter each, n**2/8 bytes, for the graph's adjacency and ledger
+      rows and for the insertion's word mirror, its build buffer and its
+      marks), 8 per pair kept for the ids and 48 per pair of the slice
+      being decoded and inserted;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
-    At n = 1500-5000 the traced numpy and int peak per pair of K_n is 25-26
-    bytes for an uncut birth-order run, 8-17 with cutoff 0.3 (the larger
-    where one slice holds the whole round) and 2.4-3.0 for the round form,
-    64-83% of this figure; a snapshot at n = 60-1500 takes 52-72% of its
-    term."""
+    An uncut birth-order run, whose join is the largest, peaks about 0.7
+    MiB below this figure at n = 3000-7400, by VmPeak less what was mapped
+    at the check (x86_64 Linux, glibc malloc, numpy 2.4).  With a cutoff
+    below 1 the heap keeps the chunks mapped through the sort as well, and
+    the peak can pass this figure by up to a quarter."""
     m = num_pairs(n)
     kept = threshold * m
     slice_ = min(kept, 2 * max(_SLICE, _BULK_GATE * n))
-    return ceil(2.5 * m + 16 * min(m, _CHUNK) + max(28 * kept, 8 * kept + 48 * slice_)
+    join = m + 32 * kept + 16 * _CHUNK if m > _CHUNK else 0
+    return ceil(16 * min(m, _CHUNK) + max(join, 2.5 * m + max(28 * kept, 8 * kept + 48 * slice_))
                 + snapshots * n * (n / 4 + 80))
 
 
@@ -208,6 +215,9 @@ def _traverse(n: int, cells, threshold: float, snapshots: int
     would not fit in memory (``check_memory``).
     """
     m = num_pairs(n)
+    # made before the check, so that what it maps (numpy.random, loaded on
+    # first use) counts as mapped already
+    streams = rng.Streams()
     check_memory(_round_bytes(n, threshold, snapshots), f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
@@ -217,7 +227,6 @@ def _traverse(n: int, cells, threshold: float, snapshots: int
     # a round is decoded and inserted in slices of at least this many pairs,
     # so a slice takes greedy_insert's bulk path whenever the round would
     step = max(_SLICE, _BULK_GATE * n)
-    streams = rng.Streams()
     for i, cell in enumerate(cells, start=1):
         ids = _draw_round(streams.rekey(*cell), m, threshold, seen)
         added = 0
@@ -266,6 +275,13 @@ def aggregate_cutoff(ctx: RoundContext) -> float:
 # exact small-instance oracle
 
 
+def _fraction_map(probs: dict) -> dict:
+    """Exact probabilities as JSON: numerator, denominator and float, keyed
+    by the key as a string, in key order."""
+    return {str(k): {"num": v.numerator, "den": v.denominator, "float": float(v)}
+            for k, v in sorted(probs.items())}
+
+
 @dataclass(frozen=True)
 class OracleDistribution:
     n: int
@@ -274,16 +290,9 @@ class OracleDistribution:
     class_probs: dict[str, Fraction]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "total_orderings": self.total_orderings,
-            "edge_count_probs": {str(k): {"num": v.numerator, "den": v.denominator,
-                                          "float": float(v)}
-                                 for k, v in sorted(self.edge_count_probs.items())},
-            "class_probs": {k: {"num": v.numerator, "den": v.denominator,
-                                "float": float(v)}
-                            for k, v in sorted(self.class_probs.items())},
-        }
+        return {"n": self.n, "total_orderings": self.total_orderings,
+                "edge_count_probs": _fraction_map(self.edge_count_probs),
+                "class_probs": _fraction_map(self.class_probs)}
 
 
 # the outcome classes that have a name: (name, edges, adjacency masks)
@@ -307,77 +316,50 @@ def _class_name(adj: list[int]) -> str:
     return f"v{len(sub)}e{e}"
 
 
-def _closure_table(n: int):
-    """closes[graph_mask][edge] for all graphs on <= 10 pair slots."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
-    idx = {e: i for i, e in enumerate(pairs)}
-    table = []
-    for gmask in range(1 << m):
-        row = []
-        for (u, v) in pairs:
-            closed = False
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                e1 = idx[(min(u, w), max(u, w))]
-                e2 = idx[(min(v, w), max(v, w))]
-                if (gmask >> e1) & 1 and (gmask >> e2) & 1:
-                    closed = True
-                    break
-            row.append(closed)
-        table.append(row)
-    return pairs, table
-
-
 def exhaustive_oracle(n: int) -> OracleDistribution:
     """Exact distribution of the final graph over all birth orders, n <= 5.
 
-    States (processed pairs, current graph) are advanced one traversal at a
-    time with ordering multiplicities carried as exact integers; merging
-    equal states is a pure regrouping of the C(n,2)! orderings (validated
-    against the literal 720-ordering iteration at n = 4 in the test suite).
+    States (processed pairs, adjacency masks) are advanced one traversal at
+    a time, with the process's own test (a pair is added unless its ends
+    share a neighbour) and ordering multiplicities carried as exact
+    integers; merging equal states is a pure regrouping of the C(n,2)!
+    orderings (validated against the literal 720-ordering iteration at
+    n = 4 in the test suite).
     """
     if n not in (3, 4, 5):
         raise ValueError(f"exhaustive oracle supports n in {{3, 4, 5}}, got {n}")
-    pairs, closes = _closure_table(n)
-    m = len(pairs)
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(m):
-        nxt: dict[tuple[int, int], int] = {}
-        for (proc, gmask), ways in states.items():
-            for e in range(m):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
+    for _ in pairs:
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (proc, adj), ways in states.items():
+            for e, (u, v) in enumerate(pairs):
                 if (proc >> e) & 1:
                     continue
-                ng = gmask if closes[gmask][e] else (gmask | (1 << e))
-                key = (proc | (1 << e), ng)
+                after = adj
+                if not adj[u] & adj[v]:
+                    after = list(adj)
+                    after[u] |= 1 << v
+                    after[v] |= 1 << u
+                    after = tuple(after)
+                key = (proc | (1 << e), after)
                 nxt[key] = nxt.get(key, 0) + ways
         states = nxt
-    total = factorial(m)
-    finals: dict[int, int] = {}
-    for (_, gmask), ways in states.items():
-        finals[gmask] = finals.get(gmask, 0) + ways
-    edge_probs: dict[int, Fraction] = {}
-    class_counts: dict[str, int] = {}
-    for gmask, ways in finals.items():
-        k = gmask.bit_count()
-        edge_probs[k] = edge_probs.get(k, Fraction(0)) + Fraction(ways, total)
-        name = _class_name(EvolvingGraph.from_edges(n, [pairs[e] for e in iter_bits(gmask)]).adj)
-        class_counts[name] = class_counts.get(name, 0) + ways
+    total = factorial(len(pairs))
+    edge_counts: Counter = Counter()
+    class_counts: Counter = Counter()
+    for (_, adj), ways in states.items():
+        edge_counts[sum(m.bit_count() for m in adj) // 2] += ways
+        class_counts[_class_name(adj)] += ways
     return OracleDistribution(n=n, total_orderings=total,
-                              edge_count_probs=dict(sorted(edge_probs.items())),
-                              class_probs={name: Fraction(ways, total)
-                                           for name, ways in sorted(class_counts.items())})
+                              edge_count_probs={k: Fraction(w, total)
+                                                for k, w in sorted(edge_counts.items())},
+                              class_probs={k: Fraction(w, total)
+                                           for k, w in sorted(class_counts.items())})
 
 
 # ---------------------------------------------------------------------------
 # campaign helpers
-
-
-def classify_final_graph(graph: EvolvingGraph) -> str:
-    """Isomorphism-class name of a final graph, named from its labelled
-    adjacency."""
-    return _class_name(graph.adj)
 
 
 # Byte budget of one block of trials in the campaign path: its adjacency

@@ -16,7 +16,7 @@ inside multiplicative bands 1 +/- c*window(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import rng
 from .graphcore import EvolvingGraph, bit_indices, decode_edge_ids, num_pairs
@@ -122,6 +122,15 @@ class RoundWindowReport:
     half_scale_for_95: float
     fully_scale_for_95: float
 
+    def to_json_dict(self) -> dict:
+        """Every field in order, ``round`` as "i" and band scales as strings."""
+        out = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            out["i" if f.name == "round" else f.name] = \
+                {str(c): x for c, x in val.items()} if isinstance(val, dict) else val
+        return out
+
 
 @dataclass
 class TrajectoryReport:
@@ -137,29 +146,17 @@ class TrajectoryReport:
             "n": self.n, "eps": self.eps, "seed": self.seed,
             "sample_size": self.sample_size,
             "band_scales": list(BAND_SCALES),
-            "rounds": [{
-                "i": r.round, "sampled": r.sampled, "non_birthed": r.non_birthed,
-                "half_within": {str(c): f for c, f in r.half_within.items()},
-                "fully_within": {str(c): f for c, f in r.fully_within.items()},
-                "closed_cap": r.closed_cap, "half_cap": r.half_cap,
-                "closed_cap_violations": r.closed_cap_violations,
-                "half_cap_violations": r.half_cap_violations,
-                "max_closed": r.max_closed, "max_half": r.max_half,
-                "half_ratio_mean": r.half_ratio_mean,
-                "fully_ratio_mean": r.fully_ratio_mean,
-                "half_ratio_spread": r.half_ratio_spread,
-                "fully_ratio_spread": r.fully_ratio_spread,
-                "half_scale_for_95": r.half_scale_for_95,
-                "fully_scale_for_95": r.fully_scale_for_95,
-            } for r in self.rounds],
+            "rounds": [r.to_json_dict() for r in self.rounds],
         }
 
 
-def _quantile(sorted_vals: list[float], q: float) -> float:
+def _quantile(sorted_vals: list[float], percent: int) -> float:
+    """The smallest of ``sorted_vals`` that at least ``percent`` percent of
+    them do not exceed (0.0 for none): the one at index
+    ceil(percent * len / 100) - 1, in integer arithmetic."""
     if not sorted_vals:
         return 0.0
-    pos = min(len(sorted_vals) - 1, max(0, int(q * len(sorted_vals)) ))
-    return sorted_vals[pos]
+    return sorted_vals[-(-percent * len(sorted_vals) // 100) - 1]
 
 
 def _band_stats(kind: str, ratios: list[float], window: float) -> dict:
@@ -176,7 +173,7 @@ def _band_stats(kind: str, ratios: list[float], window: float) -> dict:
     return {f"{kind}_within": within,
             f"{kind}_ratio_mean": sum(ratios) / nb if nb else 1.0,
             f"{kind}_ratio_spread": dev[-1] if dev else 0.0,
-            f"{kind}_scale_for_95": _quantile(dev, 0.95) / window if window else 0.0}
+            f"{kind}_scale_for_95": _quantile(dev, 95) / window if window else 0.0}
 
 
 def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 2000,

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestSimulateTree:
 
     def test_depth_zero_always_survives(self, ctx):
         model = SurvivalModel.make(ctx.with_round(4), scale=8, depth=6)
-        est = simulate_tree(model, ctx.delta, trials=500, seed=1, depth=0)
+        est = simulate_tree(replace(model, depth=0), ctx.delta, trials=500, seed=1)
         assert est.mean == 1.0
 
     def test_matches_recursion_at_step(self, ctx):

@@ -311,7 +311,7 @@ class TestMemoryBound:
         assert "Traceback" not in err
 
     def test_simulate_past_address_space_limit_is_usage_error(self):
-        # a run at n=12000 needs about 3.5 GiB; the soft limit is lowered
+        # a run at n=12000 needs about 2.2 GiB; the soft limit is lowered
         # in the child process only
         limit = 1_000_000 * 1024
 
@@ -327,6 +327,26 @@ class TestMemoryBound:
         assert "memory bound" in proc.stderr
         assert "address-space limit (RLIMIT_AS)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_run_that_would_run_out_of_address_space_is_refused(self):
+        # an uncut run at n=7500 maps about 885 MiB at its join, where the
+        # id and time chunks and both joined arrays are mapped at once;
+        # under a 1,000,000 KiB soft limit, with 100-150 MiB mapped by the
+        # interpreter and numpy, the check must refuse the run before it
+        # starts, not leave an allocation to fail
+        limit = 1_000_000 * 1024
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
+                               "--n", "7500", "--trials", "1"],
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=lower_limit)
+        assert proc.returncode == 2
+        assert "memory bound: a run at n=7500 needs about" in proc.stderr
+        assert "an allocation failed" not in proc.stderr
 
     @pytest.mark.full
     def test_rounds_at_n20000_runs_in_one_gib(self):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedygraph.numerics import (ErrorWindow, RoundContext, erfi, error_window,
-                                  floor_power, open_density, round_slope,
-                                  trajectory, trajectory_grid)
+from greedygraph.numerics import (RoundContext, erfi, floor_power, open_density,
+                                  round_slope, trajectory, trajectory_grid)
 
 HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
@@ -170,9 +169,8 @@ class TestRoundContext:
 class TestErrorWindow:
     def test_round_zero_forced(self):
         ctx = RoundContext(5000, 0.1)
-        w = error_window(ctx)
-        assert w.rate == pytest.approx(ctx.delta ** 2)
-        assert w.window == pytest.approx(5000.0 ** -3.0)
+        assert ctx.rates[0] == pytest.approx(ctx.delta ** 2)
+        assert ctx.windows[0] == pytest.approx(5000.0 ** -3.0)
 
     def test_recursion_ratio_exact(self):
         ctx = RoundContext(5000, 0.1)
@@ -182,9 +180,8 @@ class TestErrorWindow:
 
     def test_final_window_inside_power_bounds(self):
         ctx = RoundContext(5000, 0.1)
-        w = error_window(ctx.with_round(ctx.rounds_total))
         n, eps = 5000, 0.1
-        assert n ** (-30 * eps) <= w.window <= n ** (-10 * eps)
+        assert n ** (-30 * eps) <= ctx.windows[ctx.rounds_total] <= n ** (-10 * eps)
 
     def test_rate_recomputable(self):
         ctx = RoundContext(10 ** 6, 0.1)

@@ -16,8 +16,8 @@ from greedygraph import graphcore, process, rng
 from greedygraph.graphcore import EvolvingGraph, bitset_ints
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
-                                 _birth_order, _final_blocks,
-                                 aggregate_cutoff, classify_final_graph,
+                                 _birth_order, _class_name, _final_blocks,
+                                 aggregate_cutoff,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
@@ -32,7 +32,7 @@ def literal_oracle_n4() -> dict[str, Fraction]:
         for e in order:
             u, v = pairs[e]
             g.add_edge_if_open(u, v)
-        out[classify_final_graph(g)] += 1
+        out[_class_name(g.adj)] += 1
     return {k: Fraction(v, 720) for k, v in out.items()}
 
 
@@ -40,10 +40,10 @@ def test_class_names_from_labelled_edges_any_n():
     # a 5-cycle on scattered labels of 12 vertices, and K_{3,3}, which has
     # no named shape; isolated vertices are ignored
     c5 = EvolvingGraph.from_edges(12, [(11, 3), (3, 7), (7, 0), (0, 9), (9, 11)])
-    assert classify_final_graph(c5) == "C5"
+    assert _class_name(c5.adj) == "C5"
     k33 = EvolvingGraph.from_edges(10, [(u, v) for u in (1, 4, 8) for v in (0, 5, 9)])
-    assert classify_final_graph(k33) == "v6e9"
-    assert classify_final_graph(EvolvingGraph(9)) == "empty"
+    assert _class_name(k33.adj) == "v6e9"
+    assert _class_name(EvolvingGraph(9).adj) == "empty"
 
 
 class TestExhaustiveOracle:
@@ -411,7 +411,7 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
     assert rows == [mask for g in graphs for mask in g.adj]
     assert edges == Counter(g.edge_count for g in graphs)
     if classify:
-        assert classes == Counter(classify_final_graph(g) for g in graphs)
+        assert classes == Counter(_class_name(g.adj) for g in graphs)
 
 
 @given(n=st.integers(min_value=3, max_value=12),

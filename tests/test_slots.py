@@ -9,8 +9,8 @@ from greedygraph import rng
 from greedygraph.graphcore import EvolvingGraph
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
-from greedygraph.slots import (SlotCounts, check_trajectories, classify_pair,
-                               write_rows_csv)
+from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
+                               classify_pair, write_rows_csv)
 
 
 def brute_classify(graph: EvolvingGraph, u: int, v: int) -> tuple[int, int, int, int]:
@@ -57,7 +57,7 @@ class TestClassifyPair:
 
     def test_hand_built_instance(self):
         # graph {01, 12} on 6 vertices, ledger equal; query pair (0, 2)
-        g = EvolvingGraph.from_edges(6, [(0, 1), (1, 2)], birthed=True)
+        g = EvolvingGraph.from_edges(6, [(0, 1), (1, 2)])
         ctx = RoundContext(6, 0.2, round=1)
         sc = classify_pair(g, 0, 2, ctx)
         # w=1 gives the closed triangle {01, 12}; w in {3,4,5}: both pairs
@@ -117,6 +117,17 @@ class TestClassifyPair:
         a = classify_pair(snap, 3, 17, ctx)
         b = classify_pair(snap, 3, 17, ctx)
         assert a == b
+
+
+def test_scale_for_95_is_the_smallest_covering_95_percent():
+    # 20 deviations 0.01 ... 0.20: 0.19 already covers 19 of 20 pairs
+    ratios = [1.0 + j / 100 for j in range(1, 21)]
+    stats = _band_stats("half", ratios, 1.0)
+    assert stats["half_scale_for_95"] == pytest.approx(0.19)
+    # one pair needs the largest deviation; 21 need ceil(19.95) = 20 covered
+    assert _band_stats("fully", [1.5], 0.5)["fully_scale_for_95"] == 1.0
+    assert _band_stats("half", ratios + [1.3], 1.0)["half_scale_for_95"] == \
+        pytest.approx(0.20)
 
 
 class TestCheckTrajectories:
