@@ -55,6 +55,17 @@ def check_memory(need: int, what: str) -> None:
                          f"more than the {limit / 2 ** 20:,.0f} MiB {name}")
 
 
+def choice_bytes(total: int, m: int) -> int:
+    """Peak bytes of numpy's ``gen.choice(total, size=m, replace=False)``
+    (numpy 2.4): it tail-shuffles an arange of all ``total`` ids when there
+    are over 10,000 and m exceeds a fiftieth of them, else runs Floyd's
+    algorithm with a hash set of the next power of two above 1.2 m slots;
+    either keeps 8 bytes per slot, beside the m ids drawn."""
+    if total > 10_000 and m > total // 50:
+        return 8 * total + 8 * m
+    return 8 * m + 8 * (1 << int(1.2 * m).bit_length())
+
+
 def edge_index(u: int, v: int, n: int) -> int:
     """Canonical index of the unordered pair {u, v} in 0..C(n,2)-1."""
     if u == v:
@@ -132,13 +143,9 @@ def bit_slots(rows: np.ndarray, cols: np.ndarray, words: int):
     return rows * words + (cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64)
 
 
-# set bits of each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def row_bit_counts(words: np.ndarray) -> np.ndarray:
     """Set bits of each row of a ``bitset_words`` array."""
-    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def bit_indices(x: int, n: int) -> np.ndarray:

@@ -131,29 +131,37 @@ def trajectory_grid(xs) -> np.ndarray:
 
     Warm-starts Newton from the previous root; falls back to the bracketed
     solver on any point that fails to converge.  Residuals meet the same
-    1e-12 * max(1, x) contract as the scalar path.
+    1e-12 * max(1, x) contract as the scalar path.  The previous root's
+    (sqrt(pi)/2) erfi value is carried over, so a point's first residual
+    costs no erfi call.
     """
     out = np.empty(len(xs), dtype=float)
     z = 0.0
+    fz = 0.0     # HALF_SQRT_PI * erfi(z)
     for idx, x in enumerate(xs):
         x = float(x)
         if x == 0.0:
-            z = 0.0
+            z = fz = 0.0
         else:
             # Newton from the previous root; bail out to the bracketed
             # solver on any sign of divergence (large forward jumps can
             # push the iterate past the erfi overflow range)
             ok = False
-            zz = z
+            zz, f = z, fz
             for _ in range(50):
-                r = HALF_SQRT_PI * erfi(zz) - x
+                r = f - x
                 if abs(r) <= 1e-13 * max(1.0, x):
                     ok = True
                     break
                 zz -= r * math.exp(-zz * zz)
                 if not (0.0 <= zz <= 26.0):
                     break
-            z = zz if ok else trajectory(x)
+                f = HALF_SQRT_PI * erfi(zz)
+            if ok:
+                z, fz = zz, f
+            else:
+                z = trajectory(x)
+                fz = HALF_SQRT_PI * erfi(z)
         out[idx] = z
     return out
 

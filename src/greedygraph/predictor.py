@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bitset_ints, check_memory, decode_edge_ids,
-                        num_pairs, set_pair_bits)
+from .graphcore import (EvolvingGraph, bitset_ints, check_memory, choice_bytes,
+                        decode_edge_ids, num_pairs, set_pair_bits)
 from .numerics import RoundContext
 from .patterns import PatternGraph, count_copies
 from .process import ProcessParams, run_rounds
@@ -62,20 +62,12 @@ def gnm_edge_target(n: int, eps: float) -> int:
 
 
 def _gnm_bytes(n: int, m: int) -> int:
-    """Peak bytes of ``sample_gnm(n, m, ...)``.  numpy's draw of m distinct
-    pair ids either tail-shuffles an arange of all C(n,2) ids (when there are
-    over 10,000 and m exceeds a fiftieth of them) or runs Floyd's algorithm
-    with a hash set of the next power of two above 1.2 m slots; either keeps
-    8 bytes per slot.  Decoding and setting bits take about 48 bytes per
-    edge, the word array 8 bytes per word and the rows about as much again,
-    plus an int header each."""
-    total = num_pairs(n)
-    if total > 10_000 and m > total // 50:
-        draw = 8 * total + 8 * m
-    else:
-        draw = 8 * m + 8 * (1 << int(1.2 * m).bit_length())
+    """Peak bytes of ``sample_gnm(n, m, ...)``: the draw of m distinct pair
+    ids (``choice_bytes``), then about 48 bytes per edge for decoding and
+    setting bits, the word array 8 bytes per word and the rows about as
+    much again, plus an int header each."""
     words = n * ((n + 63) // 64)
-    return draw + 48 * m + 16 * words + 64 * n
+    return choice_bytes(num_pairs(n), m) + 48 * m + 16 * words + 64 * n
 
 
 def sample_gnm(n: int, m: int, gen: np.random.Generator) -> EvolvingGraph:

@@ -173,7 +173,7 @@ def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
     the graph:
 
     - 16 per pair of one draw chunk (the times, the masks, the kept ids);
-    - the larger of three phases of a round.  Its join, when it spans
+    - the largest of the phases of a round.  Its join, when it spans
       several chunks: 1 per pair for ``seen``, 32 per pair kept (the ids
       and the times, 8 bytes each, as chunk lists and joined: the freed id
       chunks lie between live time chunks and stay mapped while the times
@@ -185,20 +185,29 @@ def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
       quarter each, n**2/8 bytes, for the graph's adjacency and ledger
       rows and for the insertion's word mirror, its build buffer and its
       marks), 8 per pair kept for the ids and 48 per pair of the slice
-      being decoded and inserted;
+      being decoded and inserted.  With a threshold below 1, a fourth
+      phase: the kept chunks are smaller than a draw chunk, and the heap
+      keeps the holes between them mapped while they are joined, for 1
+      per pair of K_n and 35 per pair kept;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
-    An uncut birth-order run, whose join is the largest, peaks about 0.7
-    MiB below this figure at n = 3000-7400, by VmPeak less what was mapped
-    at the check (x86_64 Linux, glibc malloc, numpy 2.4).  With a cutoff
-    below 1 the heap keeps the chunks mapped through the sort as well, and
-    the peak can pass this figure by up to a quarter."""
+    On x86_64 Linux with glibc malloc and numpy 2.4, an uncut birth-order
+    run, whose join is the largest phase, peaks about 0.7 MiB below this
+    figure at n = 3000-7400 (VmPeak less what was mapped at the check).
+    Under a 1,000,000 KiB RLIMIT_AS with 109 MiB mapped, cutoff 0.3
+    completes at n = 12400 and fails an allocation at 12800, cutoff 0.6
+    completes at 8600 and fails at 8850, and cutoff 0.9 completes at 7400;
+    this figure accepts the three runs that complete and refuses n = 12800
+    at cutoff 0.3; it still passes n = 8850 at cutoff 0.6, which then fails
+    as before."""
     m = num_pairs(n)
     kept = threshold * m
     slice_ = min(kept, 2 * max(_SLICE, _BULK_GATE * n))
     join = m + 32 * kept + 16 * _CHUNK if m > _CHUNK else 0
-    return ceil(16 * min(m, _CHUNK) + max(join, 2.5 * m + max(28 * kept, 8 * kept + 48 * slice_))
+    cut = m + 35 * kept if threshold < 1 else 0
+    return ceil(16 * min(m, _CHUNK)
+                + max(join, cut, 2.5 * m + max(28 * kept, 8 * kept + 48 * slice_))
                 + snapshots * n * (n / 4 + 80))
 
 

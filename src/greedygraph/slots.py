@@ -17,9 +17,14 @@ inside multiplicative bands 1 +/- c*window(i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import or_
+
+import numpy as np
 
 from . import rng
-from .graphcore import EvolvingGraph, bit_indices, decode_edge_ids, num_pairs
+from .graphcore import (EvolvingGraph, bitset_words, check_memory, choice_bytes,
+                        decode_edge_ids, iter_bits, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -42,61 +47,137 @@ class SlotCounts:
     fully_open_center: float
     window: float
 
-    def half_open_ratio(self) -> float:
-        if self.half_open_center == 0.0:
-            return 1.0 if self.half_open == 0 else float("inf")
-        return self.half_open / self.half_open_center
 
-    def fully_open_ratio(self) -> float:
-        if self.fully_open_center == 0.0:
-            return 1.0 if self.fully_open == 0 else float("inf")
-        return self.fully_open / self.fully_open_center
-
-
-def _blocked_mask(graph: EvolvingGraph, x: int) -> int:
-    """Vertices w whose pair {x, w} would close a triangle: the union of
-    the neighbourhoods of x's neighbours."""
-    adj = graph.adj
-    out = 0
-    for z in bit_indices(adj[x], graph.n).tolist():
-        out |= adj[z]
-    return out
+def _centres(n: int, ctx: RoundContext) -> tuple[float, float, float]:
+    """Round ``ctx.round``'s half-open and fully-open centres and window."""
+    i = ctx.round
+    traj_i = float(ctx.traj[i])
+    dens_i = float(ctx.density[i])
+    return 2.0 * (n ** 0.5) * traj_i * dens_i, n * dens_i * dens_i, float(ctx.windows[i])
 
 
 def classify_pair(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext) -> SlotCounts:
-    """Slot counts for the pair {u, v} against the snapshot held in ``graph``.
+    """Slot counts for the pair {u, v} against the snapshot held in ``graph``,
+    counted on the int bitmask rows: the scalar reference of
+    ``classify_pairs``.
 
     Pure: recomputing on a stored snapshot always returns the same counts.
     """
     u, v = graph._check_pair(u, v)
-    return _slot_counts(graph, u, v, ctx, _blocked_mask(graph, u), _blocked_mask(graph, v))
-
-
-def _slot_counts(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext,
-                 blocked_u: int, blocked_v: int) -> SlotCounts:
-    """``classify_pair`` for a checked pair whose endpoints' blocked masks
-    (``_blocked_mask``) are given, so a round computes each once."""
     n = graph.n
-    i = ctx.round
     adj = graph.adj
     birthed = graph.birthed_adj
     full = (1 << n) - 1
     valid = full & ~(1 << u) & ~(1 << v)
     au, av = adj[u], adj[v]
-    addable_u = valid & ~birthed[u] & ~blocked_u
-    addable_v = valid & ~birthed[v] & ~blocked_v
+    # a pair {x, w} is addable unless traversed or w is a neighbour of a
+    # neighbour of x
+    addable_u = valid & ~birthed[u] & ~reduce(or_, map(adj.__getitem__, iter_bits(au)), 0)
+    addable_v = valid & ~birthed[v] & ~reduce(or_, map(adj.__getitem__, iter_bits(av)), 0)
     closed = (au & av & valid).bit_count()
     half = ((au & ~av & valid) & addable_v).bit_count() \
         + ((av & ~au & valid) & addable_u).bit_count()
     fully = (valid & ~au & ~av & addable_u & addable_v).bit_count()
-    traj_i = float(ctx.traj[i])
-    dens_i = float(ctx.density[i])
-    return SlotCounts(
-        u=u, v=v, round=i, closed=closed, half_open=half, fully_open=fully,
-        half_open_center=2.0 * (n ** 0.5) * traj_i * dens_i,
-        fully_open_center=n * dens_i * dens_i,
-        window=float(ctx.windows[i]),
-    )
+    half_c, fully_c, window = _centres(n, ctx)
+    return SlotCounts(u=u, v=v, round=ctx.round, closed=closed, half_open=half,
+                      fully_open=fully, half_open_center=half_c,
+                      fully_open_center=fully_c, window=window)
+
+
+# Endpoints whose neighbours _addable_rows unpacks at a time
+_ENDS_CHUNK = 512
+
+
+def _addable_rows(graph: EvolvingGraph, ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency rows of the vertices ``ends`` and their addable rows, as
+    ``bitset_words`` arrays.  Vertex x's addable row holds each w != x whose
+    pair {x, w} is not traversed and would close no triangle (w is no
+    neighbour of a neighbour of x).  The neighbours of ``_ENDS_CHUNK``
+    rows at a time come from their nonzero bytes, unpacked together, and
+    each row's neighbours' rows are OR-ed as ints."""
+    n = graph.n
+    adj = graph.adj
+    birthed = graph.birthed_adj
+    rows = bitset_words([adj[x] for x in ends], n)
+    width = 8 * rows.shape[1]
+    addable = np.empty_like(rows)
+    out = memoryview(addable.reshape(-1).view(np.uint8))
+    for c in range(0, len(ends), _ENDS_CHUNK):
+        chunk = rows[c:c + _ENDS_CHUNK]
+        # the chunk's set bits, row after row
+        octets = chunk.view(np.uint8).reshape(-1)
+        at = np.flatnonzero(octets != 0)
+        hit = np.flatnonzero(np.unpackbits(octets[at], bitorder="little").view(bool))
+        nbrs = (((at[hit >> 3] % width) << 3) | (hit & 7)).tolist()
+        start = 0
+        for j, stop in enumerate(np.cumsum(row_bit_counts(chunk)).tolist(), start=c):
+            x = ends[j]
+            blocked = reduce(or_, map(adj.__getitem__, nbrs[start:stop]), birthed[x] | 1 << x)
+            out[j * width:(j + 1) * width] = blocked.to_bytes(width, "little")
+            start = stop
+    np.invert(addable, out=addable)
+    addable &= bitset_words([(1 << n) - 1], n)
+    return rows, addable
+
+
+# Bytes of word rows that classify_pairs gathers and combines for one block
+# of pairs: the four gathered rows and their temporaries, 8 rows per pair
+_BLOCK_BYTES = 1 << 20
+
+
+def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
+    """Bytes ``check_trajectories`` holds at its peak when it samples
+    ``pairs`` pairs a round from the snapshots of a run whose final graph
+    is ``graph`` and keeps ``kept`` rows for the CSV:
+
+    - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
+      their endpoints, row indices and counts;
+    - per endpoint, of at most min(n, 2 * pairs): 3 rows of ceil(n/64)
+      words (the adjacency rows, twice while they are built, and the
+      addable rows) and 40 bytes;
+    - 72 per neighbour of one chunk of ``_ENDS_CHUNK`` endpoints (their
+      unpacked indices and the list of them), the chunk taken at the
+      largest degrees of ``graph``, which holds every snapshot;
+    - ``_BLOCK_BYTES`` for one block of pairs;
+    - 300 per kept row.
+    """
+    n = graph.n
+    degrees = sorted((row.bit_count() for row in graph.adj), reverse=True)
+    ends = min(n, 2 * pairs)
+    return (choice_bytes(num_pairs(n), pairs) + 96 * pairs
+            + ends * (24 * ((n + 63) // 64) + 40) + 72 * sum(degrees[:_ENDS_CHUNK])
+            + _BLOCK_BYTES + 300 * kept)
+
+
+def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed, half-open and fully-open counts of the pairs
+    (us[j], vs[j]) against the snapshot held in ``graph``, as int64 arrays,
+    equal to ``classify_pair``'s.  The pairs are not checked: each must have
+    distinct endpoints in range.
+
+    Each distinct endpoint's adjacency and addable rows are built once
+    (``_addable_rows``), and the pairs are counted a block at a time
+    (``_BLOCK_BYTES``) with popcounts over their gathered rows.  With a, b the adjacency
+    rows of u and v and p, q their addable rows: closed a & b, half open
+    (a & ~b & q) + (b & ~a & p), fully open p & q & ~(a | b).  No other
+    mask is needed: every count ANDs a row of u, which lacks bit u, with a
+    row of v, which lacks bit v, and no row holds a bit at or past n.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    ends = np.unique(np.concatenate([us, vs]))
+    rows, addable = _addable_rows(graph, ends.tolist())
+    iu = np.searchsorted(ends, us)
+    iv = np.searchsorted(ends, vs)
+    counts = np.empty((3, len(us)), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (64 * rows.shape[1]))
+    for s in range(0, len(us), step):
+        a, b = rows[iu[s:s + step]], rows[iv[s:s + step]]
+        p, q = addable[iu[s:s + step]], addable[iv[s:s + step]]
+        counts[0, s:s + step] = row_bit_counts(a & b)
+        counts[1, s:s + step] = row_bit_counts(a & ~b & q) + row_bit_counts(b & ~a & p)
+        counts[2, s:s + step] = row_bit_counts(p & q & ~(a | b))
+    return counts[0], counts[1], counts[2]
 
 
 @dataclass
@@ -176,59 +257,62 @@ def _band_stats(kind: str, ratios: list[float], window: float) -> dict:
             f"{kind}_scale_for_95": _quantile(dev, 95) / window if window else 0.0}
 
 
+def _ratios(counts: np.ndarray, centre: float) -> list[float]:
+    """count / centre for each count, as floats; with a zero centre, 1.0
+    for a zero count and inf for any other."""
+    if centre == 0.0:
+        return [1.0 if c == 0 else float("inf") for c in counts.tolist()]
+    return (counts / centre).tolist()
+
+
 def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 2000,
                        seed: int = 0, keep_rows: bool = False) -> TrajectoryReport:
     """Window report over a per-round uniform sample of pairs.
 
     For every recorded round, draws ``sample_size`` pairs uniformly from all
-    C(n,2); window fractions are computed over the non-traversed pairs of
-    the sample (the centres only apply to those), while the absolute caps
+    C(n,2) and counts their slots with ``classify_pairs``; window fractions
+    are computed over the non-traversed pairs of the sample (the centres
+    only apply to those), while the absolute caps
     closed <= i * n**(5 eps) and half_open <= i * sqrt(n) are checked on
-    every sampled pair, traversed or not.
+    every sampled pair, traversed or not.  Raises ValueError, before any
+    draw, when a round's work would not fit in memory (``check_memory``).
     """
     if trace.snapshots is None:
         raise ValueError("trace has no snapshots; rerun with record_snapshots=True")
     n = ctx.n
     m = num_pairs(n)
-    report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
+    size = min(sample_size, m)
+    # made before the check, so that what it maps counts as mapped already
     streams = rng.Streams()
+    check_memory(_check_bytes(trace.graph, size, size * (ctx.rounds_total + 1) * keep_rows),
+                 f"the trajectory check at n={n}")
+    report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
     for i in range(0, ctx.rounds_total + 1):
         graph = trace.snapshots[i]
-        cctx = ctx.with_round(i)
         gen = streams.rekey(seed, 0, round_=i, purpose=rng.SAMPLE)
-        size = min(sample_size, m)
-        ids = gen.choice(m, size=size, replace=False)
-        us, vs = (ends.tolist() for ends in decode_edge_ids(ids, n))
-        # each endpoint's blocked mask once: at n=5000 the 4,000 endpoints
-        # of a round cover about 2,750 vertices
-        blocked = {x: _blocked_mask(graph, x) for x in set(us).union(vs)}
+        us, vs = decode_edge_ids(gen.choice(m, size=size, replace=False), n)
+        closed, half, fully = classify_pairs(graph, us, vs)
+        half_c, fully_c, window = _centres(n, ctx.with_round(i))
+        pairs = list(zip(us.tolist(), vs.tolist()))
+        if keep_rows:
+            report.rows.extend(
+                SlotCounts(u=u, v=v, round=i, closed=c, half_open=h, fully_open=f,
+                           half_open_center=half_c, fully_open_center=fully_c,
+                           window=window)
+                for (u, v), c, h, f in zip(pairs, closed.tolist(), half.tolist(),
+                                           fully.tolist()))
+        birthed = graph.birthed_adj
+        fresh = np.array([not (birthed[u] >> v) & 1 for u, v in pairs], dtype=bool)
         closed_cap = i * float(n) ** (5.0 * ctx.eps)
         half_cap = i * n ** 0.5
-        window = float(ctx.windows[i])
-        closed_viol = half_viol = 0
-        max_closed = max_half = 0
-        half_ratios: list[float] = []
-        fully_ratios: list[float] = []
-        for u, v in zip(us, vs):
-            sc = _slot_counts(graph, u, v, cctx, blocked[u], blocked[v])
-            if keep_rows:
-                report.rows.append(sc)
-            if sc.closed > closed_cap:
-                closed_viol += 1
-            if sc.half_open > half_cap:
-                half_viol += 1
-            max_closed = max(max_closed, sc.closed)
-            max_half = max(max_half, sc.half_open)
-            if not graph.is_birthed(u, v):
-                half_ratios.append(sc.half_open_ratio())
-                fully_ratios.append(sc.fully_open_ratio())
         report.rounds.append(RoundWindowReport(
-            round=i, sampled=size, non_birthed=len(half_ratios),
+            round=i, sampled=size, non_birthed=int(fresh.sum()),
             closed_cap=closed_cap, half_cap=half_cap,
-            closed_cap_violations=closed_viol, half_cap_violations=half_viol,
-            max_closed=max_closed, max_half=max_half,
-            **_band_stats("half", half_ratios, window),
-            **_band_stats("fully", fully_ratios, window),
+            closed_cap_violations=int((closed > closed_cap).sum()),
+            half_cap_violations=int((half > half_cap).sum()),
+            max_closed=int(closed.max(initial=0)), max_half=int(half.max(initial=0)),
+            **_band_stats("half", _ratios(half[fresh], half_c), window),
+            **_band_stats("fully", _ratios(fully[fresh], fully_c), window),
         ))
     return report
 
@@ -245,5 +329,5 @@ def write_rows_csv(report: TrajectoryReport, fileobj) -> None:
                       f"{sc.fully_open_center!r},{sc.window!r}\n")
 
 
-__all__ = ["SlotCounts", "classify_pair", "check_trajectories",
+__all__ = ["SlotCounts", "classify_pair", "classify_pairs", "check_trajectories",
            "TrajectoryReport", "RoundWindowReport", "write_rows_csv"]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -310,6 +312,24 @@ class TestMemoryBound:
         assert "memory bound: a run at n=300 needs about 3 MiB" in err
         assert "Traceback" not in err
 
+    def test_lambda_past_physical_memory_is_usage_error(self, capsys, monkeypatch):
+        # the run (about 66 KiB) fits and the trajectory check (about 1 MiB)
+        # does not; it is refused before it draws a sample
+        from greedygraph import graphcore, rng
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 19)
+        rekey = rng.Streams.rekey
+
+        def no_samples(self, seed, trial=0, round_=0, purpose=0):
+            assert purpose != rng.SAMPLE, "a sample was drawn"
+            return rekey(self, seed, trial, round_, purpose)
+
+        monkeypatch.setattr(rng.Streams, "rekey", no_samples)
+        code = main(["lambda", "--n", "60", "--eps", "0.25", "--sample-size", "100"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "memory bound: the trajectory check at n=60 needs about 1 MiB" in err
+        assert "Traceback" not in err
+
     def test_simulate_past_address_space_limit_is_usage_error(self):
         # a run at n=12000 needs about 2.2 GiB; the soft limit is lowered
         # in the child process only
@@ -346,6 +366,28 @@ class TestMemoryBound:
                               preexec_fn=lower_limit)
         assert proc.returncode == 2
         assert "memory bound: a run at n=7500 needs about" in proc.stderr
+        assert "an allocation failed" not in proc.stderr
+
+    def test_cut_run_that_would_run_out_of_address_space_is_refused(self):
+        # with cutoff 0.3 the heap keeps the holes between the kept chunks
+        # mapped while they are joined: at n=12800, with one OpenBLAS thread
+        # (about 109 MiB mapped before the run), the run passed a check
+        # without that phase and then failed to allocate the joined ids
+        # under a 1,000,000 KiB soft limit; the check must refuse it before
+        # its draw
+        limit = 1_000_000 * 1024
+
+        def lower_limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
+                               "--n", "12800", "--cutoff", "0.3", "--trials", "1"],
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=lower_limit,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2
+        assert "memory bound: a run at n=12800 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
 
     @pytest.mark.full
@@ -390,6 +432,9 @@ class TestLambdaCommand:
         payload = json.loads(out)
         assert len(payload["rounds"]) >= 2
         assert csv.read_text().startswith("round,u,v,")
+        # the rows file pinned byte for byte: 40 pairs in each of 10 rounds
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
+            "727cc68fde68f5a291d94b4c35f82bee0d3be8c79b7538ea5b613fbd5c06f264"
 
 
 class TestAcceptCommand:

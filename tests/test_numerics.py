@@ -112,6 +112,39 @@ class TestTrajectory:
         for x, z in zip(xs, grid):
             assert z == pytest.approx(trajectory(float(x)), abs=1e-12)
 
+    @pytest.mark.parametrize("xs", [
+        RoundContext(10 ** 6, 0.1).delta * np.arange(RoundContext(10 ** 6, 0.1).rounds_total + 1),
+        np.arange(51.0),
+        np.array([0.0, 0.5, 2e6, 2e6, 3e6, 0.0, 1.0, 1e-9]),
+        np.linspace(0.0, 7.0, 57),
+    ])
+    def test_grid_matches_uncached_loop(self, xs):
+        # the loop before the previous root's erfi value was carried over:
+        # every residual calls erfi
+        def uncached(xs):
+            out = np.empty(len(xs))
+            z = 0.0
+            for idx, x in enumerate(xs):
+                x = float(x)
+                if x == 0.0:
+                    z = 0.0
+                else:
+                    ok = False
+                    zz = z
+                    for _ in range(50):
+                        r = (math.sqrt(math.pi) / 2.0) * erfi(zz) - x
+                        if abs(r) <= 1e-13 * max(1.0, x):
+                            ok = True
+                            break
+                        zz -= r * math.exp(-zz * zz)
+                        if not (0.0 <= zz <= 26.0):
+                            break
+                    z = zz if ok else trajectory(x)
+                out[idx] = z
+            return out
+
+        assert np.array_equal(trajectory_grid(xs), uncached(xs))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             trajectory(-0.1)

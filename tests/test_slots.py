@@ -2,15 +2,20 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from greedygraph import rng
+from greedygraph import graphcore, rng, slots
 from greedygraph.graphcore import EvolvingGraph
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
 from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
-                               classify_pair, write_rows_csv)
+                               classify_pair, classify_pairs, write_rows_csv)
 
 
 def brute_classify(graph: EvolvingGraph, u: int, v: int) -> tuple[int, int, int, int]:
@@ -119,6 +124,56 @@ class TestClassifyPair:
         assert a == b
 
 
+class TestClassifyPairs:
+    @given(n=st.integers(min_value=2, max_value=130),
+           p_edge=st.sampled_from([0.0, 0.03, 0.15, 0.5]),
+           p_ledger=st.sampled_from([0.0, 0.2, 0.7]),
+           chunk=st.integers(min_value=1, max_value=40),
+           block=st.integers(min_value=1, max_value=50),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_classify_pair(self, n, p_edge, p_ledger, chunk, block, seed):
+        # random hosts (triangles allowed) with an independent random ledger;
+        # n up to 130 covers one- and multi-word rows with n % 64 != 0, and
+        # small chunk and block sizes cross every chunk and block boundary
+        gen = np.random.default_rng(seed)
+        g = EvolvingGraph(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for (u, v), e, b in zip(pairs, gen.random(len(pairs)), gen.random(len(pairs))):
+            if e < p_edge:
+                g.insert_edge(u, v)
+            if b < p_ledger:
+                g.mark_birthed(u, v)
+        picked = [pairs[j] for j in gen.choice(len(pairs), size=min(len(pairs), 150),
+                                               replace=False)]
+        # the edges and traversed pairs among them, and either orientation
+        picked += list(g.edges())[:20] + [(v, u) for u, v in picked[:30]]
+        us, vs = (list(ends) for ends in zip(*picked))
+        ctx = RoundContext(max(n, 3), 0.2)
+        with mock.patch.object(slots, "_ENDS_CHUNK", chunk), \
+                mock.patch.object(slots, "_BLOCK_BYTES", 64 * ((n + 63) // 64) * block):
+            closed, half, fully = classify_pairs(g, us, vs)
+        for j, (u, v) in enumerate(picked):
+            sc = classify_pair(g, u, v, ctx)
+            assert (closed[j], half[j], fully[j]) == (sc.closed, sc.half_open, sc.fully_open)
+
+    def test_no_pairs(self):
+        counts = classify_pairs(EvolvingGraph(70), [], [])
+        assert [c.tolist() for c in counts] == [[], [], []]
+
+    def test_isolated_endpoints_and_round_zero(self):
+        # in the empty graph every third vertex is fully open; beside a
+        # single edge {0, 1}, an isolated pair's slots at 0 and 1 stay open
+        n = 67
+        assert [c.tolist() for c in classify_pairs(EvolvingGraph(n), [0, 5], [66, 64])] == \
+            [[0, 0], [0, 0], [n - 2, n - 2]]
+        g = EvolvingGraph.from_edges(n, [(0, 1)])
+        closed, half, fully = classify_pairs(g, [2, 0, 0], [3, 1, 2])
+        assert closed.tolist() == [0, 0, 0]
+        assert half.tolist() == [0, 0, 1]
+        assert fully.tolist() == [n - 2, n - 2, n - 3]
+
+
 def test_scale_for_95_is_the_smallest_covering_95_percent():
     # 20 deviations 0.01 ... 0.20: 0.19 already covers 19 of 20 pairs
     ratios = [1.0 + j / 100 for j in range(1, 21)]
@@ -165,6 +220,29 @@ class TestCheckTrajectories:
         rep = check_trajectories(trace, ctx, sample_size=40 * 39 // 2, seed=1)
         for i, r in enumerate(rep.rounds):
             assert r.non_birthed == r.sampled - trace.snapshots[i].birthed_count
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        trace, ctx = self._trace(n=60)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 16)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(rng.Streams, "rekey", forbidden)
+        with pytest.raises(ValueError, match="memory bound: the trajectory check at n=60 "
+                                             "needs about 1 MiB"):
+            check_trajectories(trace, ctx, sample_size=100)
+
+    def test_memory_estimate_covers_the_traced_peak(self):
+        trace, ctx = self._trace(n=400, eps=0.2, seed=3)
+        need = slots._check_bytes(trace.graph, 1500, 0)
+        tracemalloc.start()
+        try:
+            check_trajectories(trace, ctx, sample_size=1500, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_csv_rows(self):
         trace, ctx = self._trace(n=30, eps=0.25)
