@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import EvolvingGraph, bitset_words, check_memory, iter_bits
+from .graphcore import (EvolvingGraph, bitset_words, check_memory, iter_bits,
+                        row_bit_counts)
 
 MAX_PATTERN_VERTICES = 8
 
@@ -136,13 +137,16 @@ class PatternGraph:
 # the host adjacency A, walk algebra in the manner of Alon, Yuster & Zwick,
 # "Finding and counting given length cycles" (1997): the images of a
 # smallest vertex set R whose removal leaves Q a forest stay free, and each
-# tree is summed from its leaves to its root with one matrix product per
-# tree edge.  Triangle-containing quotients are kept, so counts stay exact
-# on hosts with triangles.
+# tree is summed from its leaves to its root with one product by A per
+# tree edge, on the host's CSR where the message allows it.
+# Triangle-containing quotients are kept, so counts stay exact on hosts
+# with triangles.
 
-# Entries of one row-blocked array: 4 MB in float32.  It also bounds
+# Entries of one row-blocked array: 8 MB in int64.  It also bounds
 # n**|R|, the size of a one-row block.
 _BLOCK_CELLS = 1 << 20
+# (x, a, b) triples in one run of the CSR scatter
+_TRIPLES = 1 << 16
 
 
 class _Msg(NamedTuple):
@@ -207,14 +211,14 @@ def _subtree(adj: list[int], roots: tuple[int, ...], u: int, keep: int) -> _Msg:
                 [_subtree(adj, roots, c, keep) for c in iter_bits(adj[u] & keep)])
 
 
+def _pushed(trees) -> set[_Msg]:
+    """The distinct messages pushed along a tree edge in the given trees."""
+    return {m for t in trees for c in t.children for m in (c, *_pushed([c]))}
+
+
 def _push_cost(trees: tuple[_Msg, ...], k: int) -> tuple[int, ...]:
     """Distinct matrix products, the widest (most free R axes) first."""
-    pushed: set[_Msg] = set()
-    stack = list(trees)
-    while stack:
-        for c in stack.pop().children:
-            pushed.add(c)
-            stack.append(c)
+    pushed = _pushed(trees)
     return tuple(sum(len(m.deps) == d for m in pushed) for d in range(k, -1, -1))
 
 
@@ -300,10 +304,14 @@ def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
     return _Spasm(tuple(comps), tuple((mu, ids) for ids, mu in terms.items() if mu))
 
 
-def _dense_adjacency(host: EvolvingGraph, dtype) -> np.ndarray:
-    words = bitset_words(host.adj, host.n)
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=host.n, bitorder="little")
-    return bits.astype(dtype)
+def _dense_adjacency(words: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ``bitset_words`` as 0/1 bytes: those rows of the adjacency."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _scattered(m: _Msg) -> bool:
+    """Whether m is the row block A[rows] alone, pushed by the CSR scatter."""
+    return m.axes == (0,) and not m.children
 
 
 class _Walks:
@@ -311,16 +319,19 @@ class _Walks:
     free vertices R restricted to a block of rows.  Arrays have k + 1 axes
     (the images of R, then the image of a subtree's top vertex); an axis an
     array does not vary with has length 1.  Arrays that do not vary with the
-    first axis are kept in ``shared``, which outlives the block."""
+    first axis are kept in ``shared``, which outlives the block.  The host
+    comes as its bit words, its CSR (row x is indices[indptr[x]:indptr[x+1]])
+    and the dense 0/1 and float adjacency, None unless the plan needs them.
+    Messages hold exact counts in int64, or uint8 for products of adjacency."""
 
-    def __init__(self, a: np.ndarray, k: int, rows: slice, shared: dict):
-        self.a, self.k, self.rows = a, k, rows
-        self.shared = shared
+    def __init__(self, host: tuple, k: int, rows: slice, shared: dict):
+        self.words, self.indptr, self.indices, self.bits, self.a = host
+        self.n, self.k, self.rows, self.shared = len(self.indptr) - 1, k, rows, shared
         self.local: dict = {}
 
     def _adjacency(self, i: int, j: int, ndim: int) -> np.ndarray:
         """A[x_i, x_j] for axes i < j, broadcast to ndim axes."""
-        src = self.a[self.rows] if i == 0 else self.a
+        src = _dense_adjacency(self.words[self.rows], self.n) if i == 0 else self.bits
         shape = [1] * ndim
         shape[i], shape[j] = src.shape
         return src.reshape(shape)
@@ -332,18 +343,60 @@ class _Walks:
             cache[key] = compute(m)
         return cache[key]
 
-    def _message(self, m: _Msg) -> np.ndarray:
+    def _factors(self, m: _Msg) -> list[np.ndarray]:
         factors = [self._adjacency(i, self.k, self.k + 1) for i in m.axes]
         factors += [self._cached("push", c, self._push) for c in m.children]
-        if not factors:
-            return np.ones((1,) * self.k + (self.a.shape[0],), dtype=self.a.dtype)
-        return reduce(np.multiply, factors)
+        return factors or [np.ones((1,) * self.k + (self.n,), dtype=np.int64)]
+
+    def _message(self, m: _Msg) -> np.ndarray:
+        return reduce(np.multiply, self._factors(m))
 
     def _push(self, m: _Msg) -> np.ndarray:
-        return self._message(m) @ self.a
+        """message(m) @ A in int64.  A message that varies with no free
+        vertex is a vector, summed over each host row's CSR entries; the row
+        block A[rows] is scattered over the CSR; anything else is a float
+        product with the dense adjacency."""
+        if not m.deps:
+            sums = np.zeros(len(self.indices) + 1, dtype=np.int64)
+            np.cumsum(self._message(m).reshape(-1)[self.indices], out=sums[1:])
+            return np.diff(sums[self.indptr]).reshape((1,) * self.k + (self.n,))
+        if _scattered(m):
+            return self._scatter()
+        return (self._message(m).astype(self.a.dtype) @ self.a).astype(np.int64)
+
+    def _scatter(self) -> np.ndarray:
+        """A[rows] @ A: host row a is added to row x for each CSR entry
+        (x, a) of the block, by one unweighted bincount per run of entries
+        that holds at most _TRIPLES (x, a, b) triples, or one entry."""
+        n = self.n
+        ptr = self.indptr[self.rows.start:self.rows.stop + 1]
+        x = np.repeat(np.arange(len(ptr) - 1) * n, np.diff(ptr))   # offset of x's row
+        a = self.indices[ptr[0]:ptr[-1]]
+        triples = self.indptr[a + 1] - self.indptr[a]
+        ends = np.cumsum(triples)
+        shift = self.indptr[a] - ends + triples     # from a triple's rank to row a's entry
+        out = np.zeros((len(ptr) - 1) * n, dtype=np.int64)
+        i = 0
+        while i < len(a):
+            first = ends[i] - triples[i]
+            j = max(i + 1, int(np.searchsorted(ends, first + _TRIPLES, side="right")))
+            pos = np.repeat(shift[i:j] + first, triples[i:j])
+            pos += np.arange(ends[j - 1] - first)
+            keys = self.indices[pos]
+            del pos
+            keys += np.repeat(x[i:j] - x[i], triples[i:j])
+            span = x[j - 1] + n - x[i]
+            out[x[i]:x[i] + span] += np.bincount(keys, minlength=span)
+            i = j
+        return out.reshape((len(ptr) - 1,) + (1,) * (self.k - 1) + (n,))
 
     def _sum(self, m: _Msg) -> np.ndarray:
-        return self._message(m).sum(axis=-1, dtype=np.int64)
+        """message(m) summed over its last axis; the last product is fused
+        into the sum, so the message is never held whole."""
+        *rest, last = self._factors(m)
+        if not rest:
+            return last.sum(axis=-1, dtype=np.int64)
+        return np.einsum("...i,...i->...", reduce(np.multiply, rest), last, dtype=np.int64)
 
     def hom(self, c: _Component) -> int:
         parts = [self._cached("sum", t, self._sum) for t in c.trees]
@@ -355,19 +408,12 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
     """hom(Q, host) for each component Q of the spasm."""
     n = host.n
     comps = spasm.components
-    delta = max(m.bit_count() for m in host.adj)
-    # Every float entry counts maps of a subtree's lower vertices, each
-    # within delta of an image already fixed, so it is at most
-    # delta**(tree size - 1); every int64 partial sum is at most
-    # hom(Q) <= n * delta**(v_Q - 1).  Checked before any work.
-    power = max(t.size - 1 for c in comps for t in c.trees)
-    if delta ** power < 2 ** 24:
-        dtype = np.float32
-    elif delta ** power < 2 ** 53:
-        dtype = np.float64
-    else:
-        raise ValueError(f"exact-count bound: products reach (max degree)**{power} = "
-                         f"{delta}**{power}, past 2**53")
+    degrees = [m.bit_count() for m in host.adj]
+    delta = max(degrees)
+    # Every int64 partial sum is at most hom(Q) <= n * delta**(v_Q - 1).  A
+    # float entry of a dense push of m is at most delta**size(m); with
+    # size(m) <= v_Q - 2 and n > delta that bound keeps it under 2**48.
+    # Checked before any work.
     for c in comps:
         if n * delta ** (c.v - 1) >= 2 ** 63:
             raise ValueError(f"exact-count bound: n * (max degree)**{c.v - 1} = "
@@ -376,16 +422,33 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
             raise ValueError(f"memory bound: a quotient needs {c.roots} free vertices; "
                              f"n**{c.roots} = {n ** c.roots} entries per row block "
                              f"exceeds {_BLOCK_CELLS}")
-    # the unpacked bits and the adjacency itself
-    check_memory(n * n * (1 + np.dtype(dtype).itemsize), f"the dense adjacency at n={n}")
-    a = _dense_adjacency(host, dtype)
+    dense = [m.size for m in _pushed(t for c in comps for t in c.trees)
+             if m.deps and not _scattered(m)]
+    dtype = np.dtype(np.float32 if delta ** max(dense, default=0) < 2 ** 24 else np.float64)
+    built = dense or max(c.roots for c in comps) >= 2
+    if built:
+        check_memory(n * n * (1 + dtype.itemsize * bool(dense)), f"the dense adjacency at n={n}")
+    # bit words, the CSR and its copy while joined, one unpacked row step,
+    # and the 16 bytes a triple of one scatter run
+    check_memory(n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
+                 + min(n * n, max(n, _BLOCK_CELLS))
+                 + 16 * min(_TRIPLES, sum(d * d for d in degrees)),
+                 f"the host's CSR and scatter at n={n}")
+    words = bitset_words(host.adj, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_bit_counts(words), out=indptr[1:])
+    step = max(1, _BLOCK_CELLS // n)
+    indices = np.concatenate([np.flatnonzero(_dense_adjacency(words[s:s + step], n).view(bool))
+                              % n for s in range(0, n, step)])
+    bits = _dense_adjacency(words, n) if built else None
+    host_arrays = (words, indptr, indices, bits, bits.astype(dtype) if dense else None)
     counts = [0] * len(comps)
     for k in sorted({c.roots for c in comps}):
         group = [i for i, c in enumerate(comps) if c.roots == k]
         rows = _BLOCK_CELLS // n ** k if k else n
         shared: dict = {}
         for start in range(0, n, rows):
-            walks = _Walks(a, k, slice(start, start + rows), shared)
+            walks = _Walks(host_arrays, k, slice(start, start + rows), shared)
             for i in group:
                 counts[i] += walks.hom(comps[i])
     return counts
@@ -397,13 +460,14 @@ def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
 
     One route for every pattern: injective maps are the signed sum of
     homomorphism counts over the pattern's spasm (built on the pattern's
-    first count and cached), each a row-blocked product of the host
-    adjacency in float32, or float64 when the host's maximum degree could
-    push an entry past 2**24; copies are injective maps over |Aut|.
-    Raises ValueError, before any work, when the maximum degree puts an
-    exact count out of float64 or int64 range, a quotient's block would
-    not fit the memory bound, or the dense adjacency would not fit in
-    memory (``check_memory``).
+    first count and cached), each a row-blocked contraction of the host
+    adjacency in int64 on the host's CSR; only a push of a message with
+    children builds the dense adjacency, and runs in float32, or float64
+    when the maximum degree could push an entry past 2**24.  Copies are
+    injective maps over |Aut|.  Raises ValueError, before any work, when
+    the maximum degree puts an exact count out of int64 range, a quotient's
+    block would not fit the memory bound, or the CSR or the dense adjacency
+    would not fit in memory (``check_memory``).
     """
     spasm = _spasm(pattern.edges)
     homs = _hom_counts(spasm, host)

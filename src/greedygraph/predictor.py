@@ -38,6 +38,8 @@ def _predict(pattern: PatternGraph, ctx: RoundContext, log_traj: float) -> float
         raise ValueError(f"pattern {pattern.name} contains a triangle; "
                          "its copy count in the final graph is identically 0")
     n = ctx.n
+    if pattern.v > n:
+        raise ValueError(f"pattern {pattern.name} has {pattern.v} vertices, more than n={n}")
     log_pred = (math.lgamma(pattern.v + 1) - math.log(pattern.aut)
                 + _log_binomial(n, pattern.v)
                 + pattern.e * (log_traj - 0.5 * math.log(n)))

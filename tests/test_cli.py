@@ -277,14 +277,30 @@ class TestPredictCommands:
 
     @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
     def test_dense_adjacency_bound_is_usage_error(self, capsys, monkeypatch, command):
-        # hosts are built as usual; the count's n**2 adjacency is refused
+        # hosts are built as usual; C5's n**2 adjacency is refused
         from greedygraph import graphcore, process
         monkeypatch.setattr(process, "check_memory", lambda need, what: None)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 1000)
-        code = main([command, "--pattern", "C4", "--n", "60", "--eps", "0.2",
+        code = main([command, "--pattern", "C5", "--n", "60", "--eps", "0.2",
                      "--trials", "1"])
         assert code == 2
         assert "memory bound: the dense adjacency at n=60" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,pattern,n", [("predict", "C4", 3),
+                                                   ("compare-gnm", "C5", 4)])
+    def test_pattern_larger_than_host_is_usage_error(self, capsys, monkeypatch,
+                                                      command, pattern, n):
+        from greedygraph import predictor
+
+        def no_trials(*args):
+            raise AssertionError("trials simulated before the pattern was checked")
+
+        monkeypatch.setattr(predictor, "map_trials", no_trials)
+        code = main([command, "--pattern", pattern, "--n", str(n), "--trials", "1"])
+        assert code == 2
+        v = int(pattern[1])
+        assert f"error: pattern {pattern} has {v} vertices, more than n={n}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
     def test_triangle_pattern_refused_before_simulating(self, capsys, monkeypatch,

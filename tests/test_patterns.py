@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedygraph import graphcore, rng
+from greedygraph import graphcore, patterns, rng
 from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
@@ -168,7 +168,7 @@ class TestCountCopies:
         assert count_copies(host, K3) == 4
 
     def test_s7_on_n100_matches_degree_formula(self):
-        # 8 vertices on n=100: products run in float64 (max degree**7 > 2**24)
+        # 8 vertices on n=100: a tree, counted in int64 over the CSR
         host = random_host(100, 0.15, seed=31)
         degs = [row.bit_count() for row in host.adj]
         expected = sum(comb(d, 7) for d in degs)
@@ -176,19 +176,31 @@ class TestCountCopies:
         assert count_copies(host, star_graph(7)) == expected
 
     def test_exact_count_bound_raises(self):
-        # max degree 199: a star's centre entry reaches 199**7 > 2**53
+        # S7 on a star with max degree 199 stays under 200 * 199**7 < 2**63
+        # and runs in int64 on the CSR; at max degree 239 the bound
+        # 240 * 239**7 is past 2**63
         host = EvolvingGraph.from_edges(200, [(0, v) for v in range(1, 200)])
+        assert count_copies(host, star_graph(7)) == comb(199, 7)
+        host = EvolvingGraph.from_edges(240, [(0, v) for v in range(1, 240)])
         with pytest.raises(ValueError, match="exact-count bound"):
             count_copies(host, star_graph(7))
 
     def test_dense_adjacency_memory_bound_raises(self, monkeypatch):
-        # 200**2 bits unpacked plus 200**2 float32 entries: 200,000 bytes
-        host = random_host(200, 0.05, seed=2)
+        # C5 pushes a message with children through the dense adjacency:
+        # 200**2 bits unpacked plus 200**2 float32 entries, 200,000 bytes.
+        # C4 needs only the CSR and one scatter run, about 127,000 bytes on
+        # this host, so it counts where C5 is refused.
+        host = random_host(200, 0.02, seed=2)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 199_999)
         with pytest.raises(ValueError, match="memory bound: the dense adjacency at n=200"):
-            count_copies(host, CATALOG["C4"])
+            count_copies(host, CATALOG["C5"])
+        c4 = CATALOG["C4"]
+        assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut > 0
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 200_000)
-        assert count_copies(host, CATALOG["C4"]) >= 0
+        assert count_copies(host, CATALOG["C5"]) >= 0
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1000)
+        with pytest.raises(ValueError, match="memory bound: the host's CSR and scatter at n=200"):
+            count_copies(host, c4)
 
 
 def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:
@@ -317,15 +329,27 @@ def test_count_copies_matches_backtracking_property(data):
     assert count_copies(host, pattern) == count_embeddings(host, pattern) // pattern.aut
 
 
+@pytest.mark.parametrize("triples", [1, 7])
+def test_property_with_scatter_runs_split(monkeypatch, triples):
+    # runs of at most 1 or 7 (x, a, b) triples split the scatter inside a
+    # host row and across rows
+    monkeypatch.setattr(patterns, "_TRIPLES", triples)
+    test_count_copies_matches_backtracking_property()
+
+
 def closed_forms(host: EvolvingGraph) -> dict[str, int]:
     a = np.zeros((host.n, host.n), dtype=np.int64)
     for u, v in host.edges():
         a[u, v] = a[v, u] = 1
     d = a.sum(axis=1)
     m = int(d.sum()) // 2
-    tr4 = int(((a @ a) ** 2).sum())
+    a2 = a @ a
+    tr4 = int((a2 ** 2).sum())
+    triangles = int((a2 * a).sum()) // 6
+    us, vs = np.nonzero(np.triu(a))
     return {"P3": int((d * (d - 1) // 2).sum()),
             "K13": int((d * (d - 1) * (d - 2) // 6).sum()),
+            "P4": int(((d[us] - 1) * (d[vs] - 1)).sum()) - 3 * triangles,
             "C4": (tr4 - 2 * int((d * d).sum()) + 2 * m) // 8}
 
 
@@ -338,5 +362,21 @@ def test_count_copies_n200_closed_forms(kind):
     else:
         host = sample_gnm(200, gnm_edge_target(200, 0.1), rng.stream(12, purpose=rng.GNM))
         assert not host.audit_triangle_free()
+    for name, expected in closed_forms(host).items():
+        assert count_copies(host, CATALOG[name]) == expected
+
+
+def test_forests_and_c4_never_build_the_dense_adjacency(monkeypatch):
+    # n=600 process host, row blocks of 50 rows and CSR steps of 50 rows
+    host = run_rounds(ProcessParams(ctx=RoundContext(600, 0.1), seed=5)).graph
+
+    unpack = patterns._dense_adjacency
+
+    def rows_only(words, n):
+        assert len(words) < n, "dense n x n adjacency built"
+        return unpack(words, n)
+
+    monkeypatch.setattr(patterns, "_dense_adjacency", rows_only)
+    monkeypatch.setattr(patterns, "_BLOCK_CELLS", 600 * 50)
     for name, expected in closed_forms(host).items():
         assert count_copies(host, CATALOG[name]) == expected
