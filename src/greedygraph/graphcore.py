@@ -266,32 +266,8 @@ class EvolvingGraph:
                 f"birthed={self.birthed_count})")
 
 
-# greedy_insert's bulk path: the batch size, in multiples of n, from which it
-# runs, and the number of pairs its pre-pass filters at a time
-_BULK_GATE = 16
+# pairs greedy_insert filters against its word mirror at a time
 _CHUNK = 1024
-
-
-def _scan(adj: list[int], birthed: list[int] | None, us, vs) -> list[int]:
-    """The scalar insertion loop, the reference for both paths: traverse the
-    pairs (us[j], vs[j]) in order, mark each in the ledger rows ``birthed``
-    (unless None) and add it unless its endpoints share a neighbour.
-    Returns the added pairs flattened, u0, v0, u1, v1, ..."""
-    added: list[int] = []
-    push = added.append
-    for u, v in zip(us, vs):
-        bu = 1 << u
-        bv = 1 << v
-        if birthed is not None:
-            birthed[u] |= bv
-            birthed[v] |= bu
-        if adj[u] & adj[v]:
-            continue
-        adj[u] |= bv
-        adj[v] |= bu
-        push(u)
-        push(v)
-    return added
 
 
 def set_pair_bits(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
@@ -310,41 +286,42 @@ def greedy_insert(g: EvolvingGraph, us, vs) -> int:
     traversed (``add_edge_if_open`` with ``mark_birthed`` is the checked
     per-pair equivalent).
 
-    The scalar loop ``_scan`` is the reference, and a batch of fewer than
-    ``_BULK_GATE * n`` pairs (a round of a run at small n) runs it alone,
-    since it would not repay the bulk path's fixed cost of O(n) row
-    conversions.  A larger batch takes the bulk path: it keeps a numpy word
-    mirror of the adjacency and, in chunks of ``_CHUNK`` pairs, drops every
-    pair whose endpoints already share a neighbour in the mirror, then runs
-    the scalar loop on the rest.  Dropping is exact because edges are never
-    removed, so a closed pair stays closed; the mirror lags the graph by at
-    most one chunk, which only lets a closed pair through to the scalar
-    loop.  The bulk path marks the whole batch in the ledger in one
-    vectorised pass.
+    A numpy word mirror of the adjacency drops, ``_CHUNK`` pairs at a time,
+    every pair whose endpoints already share a neighbour in the mirror, and
+    a scalar loop on the int rows traverses the rest.  Dropping is exact
+    because edges are never removed, so a closed pair stays closed; the
+    mirror lags the graph by at most one chunk, which only lets a closed
+    pair through to the scalar loop.  The whole batch is marked in the
+    ledger in one vectorised pass.
     """
-    n = g.n
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    if len(us) < _BULK_GATE * n:
-        added = len(_scan(g.adj, g.birthed_adj, us.tolist(), vs.tolist())) // 2
-    else:
-        added = 0
-        mirror = bitset_words(g.adj, n).copy()
-        for s in range(0, len(us), _CHUNK):
-            cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
-            common = mirror[cu]
-            common &= mirror[cv]
-            keep = np.bitwise_or.reduce(common, axis=1) == 0
-            new = _scan(g.adj, None, cu[keep].tolist(), cv[keep].tolist())
-            if new:
-                pairs = np.array(new, dtype=np.int64)
-                set_pair_bits(mirror, pairs[0::2], pairs[1::2])
-                added += len(new) // 2
-        marks = np.zeros_like(mirror)
-        set_pair_bits(marks, us, vs)
-        birthed = g.birthed_adj
-        for r, mask in enumerate(bitset_ints(marks)):
-            birthed[r] |= mask
+    adj = g.adj
+    added = 0
+    mirror = bitset_words(adj, g.n).copy()
+    for s in range(0, len(us), _CHUNK):
+        cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
+        common = mirror[cu]
+        common &= mirror[cv]
+        keep = np.bitwise_or.reduce(common, axis=1) == 0
+        new: list[int] = []
+        push = new.append
+        for u, v in zip(cu[keep].tolist(), cv[keep].tolist()):
+            if adj[u] & adj[v]:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            push(u)
+            push(v)
+        if new:
+            pairs = np.array(new, dtype=np.int64)
+            set_pair_bits(mirror, pairs[0::2], pairs[1::2])
+            added += len(new) // 2
+    marks = np.zeros_like(mirror)
+    set_pair_bits(marks, us, vs)
+    birthed = g.birthed_adj
+    for r, mask in enumerate(bitset_ints(marks)):
+        birthed[r] |= mask
     g.edge_count += added
     g.birthed_count += len(us)
     return added

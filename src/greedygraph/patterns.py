@@ -422,18 +422,23 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
             raise ValueError(f"memory bound: a quotient needs {c.roots} free vertices; "
                              f"n**{c.roots} = {n ** c.roots} entries per row block "
                              f"exceeds {_BLOCK_CELLS}")
-    dense = [m.size for m in _pushed(t for c in comps for t in c.trees)
-             if m.deps and not _scattered(m)]
+    wide = [m for m in _pushed(t for c in comps for t in c.trees) if m.deps]
+    dense = [m.size for m in wide if not _scattered(m)]
     dtype = np.dtype(np.float32 if delta ** max(dense, default=0) < 2 ** 24 else np.float64)
     built = dense or max(c.roots for c in comps) >= 2
-    if built:
-        check_memory(n * n * (1 + dtype.itemsize * bool(dense)), f"the dense adjacency at n={n}")
-    # bit words, the CSR and its copy while joined, one unpacked row step,
-    # and the 16 bytes a triple of one scatter run
-    check_memory(n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
+    cells = max(min(n, _BLOCK_CELLS // n ** c.roots) * n ** c.roots for c in comps)
+    # What a count holds at once: the dense adjacency when built (n**2
+    # bytes, and n**2 floats for a dense push); the bit words, the CSR and
+    # its copy while joined, and one unpacked row step; the scatter's 40
+    # bytes per CSR entry of a block's rows and 16 per triple of one run;
+    # and int64 row blocks of the widest quotient, one per push that varies
+    # with a free vertex (kept for the block) and one for the product formed.
+    check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
+                 + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
                  + min(n * n, max(n, _BLOCK_CELLS))
-                 + 16 * min(_TRIPLES, sum(d * d for d in degrees)),
-                 f"the host's CSR and scatter at n={n}")
+                 + 40 * min(n, _BLOCK_CELLS // n) * delta
+                 + 16 * min(_TRIPLES, sum(d * d for d in degrees))
+                 + 8 * cells * (len(wide) + 1), f"a count at n={n}")
     words = bitset_words(host.adj, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_bit_counts(words), out=indptr[1:])
@@ -466,8 +471,9 @@ def count_copies(host: EvolvingGraph, pattern: PatternGraph) -> int:
     when the maximum degree could push an entry past 2**24.  Copies are
     injective maps over |Aut|.  Raises ValueError, before any work, when
     the maximum degree puts an exact count out of int64 range, a quotient's
-    block would not fit the memory bound, or the CSR or the dense adjacency
-    would not fit in memory (``check_memory``).
+    block would not fit the memory bound, or the count (its CSR, its dense
+    adjacency when built and its row blocks) would not fit in memory
+    (``check_memory``).
     """
     spasm = _spasm(pattern.edges)
     homs = _hom_counts(spasm, host)

@@ -24,9 +24,9 @@ one position of every trial per numpy step.  Trial t's final graph is the
 one ``run`` builds for it.
 
 ``exhaustive_oracle`` returns the exact outcome distribution over all
-C(n,2)! birth orders for n <= 5 by dynamic programming over
-(processed-set, adjacency) states, which regroups the literal enumeration
-without changing it.
+C(n,2)! birth orders for n <= 5 as a chain over adjacency alone: given the
+graph so far, the next edge is uniform among the open pairs (those whose
+ends share no neighbour), since none of them has been traversed yet.
 
 Outcome classes are named from the labelled adjacency of a final graph,
 for any n: its non-isolated part is matched against a few named shapes
@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (_BULK_GATE, EvolvingGraph, bit_slots, bitset_ints, check_memory,
+from .graphcore import (EvolvingGraph, bit_slots, bitset_ints, check_memory,
                         decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from . import patterns as pat
@@ -103,9 +103,9 @@ class RunTrace:
 
 # Pairs a round draws, filters and checks for ties at a time
 _CHUNK = 1 << 16
-# The fewest pairs a round decodes and inserts at a time, so that the fixed
-# cost of a slice in greedy_insert's bulk path, O(n) row conversions, stays
-# small per pair
+# A round decodes and inserts max(_SLICE, 16 n) pairs at a time or more: at
+# least 16 n, so that a greedy_insert call's fixed cost, O(n) row
+# conversions to and from words, stays small per pair
 _SLICE = 1 << 18
 
 
@@ -192,18 +192,19 @@ def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
-    On x86_64 Linux with glibc malloc and numpy 2.4, an uncut birth-order
-    run, whose join is the largest phase, peaks about 0.7 MiB below this
-    figure at n = 3000-7400 (VmPeak less what was mapped at the check).
-    Under a 1,000,000 KiB RLIMIT_AS with 109 MiB mapped, cutoff 0.3
-    completes at n = 12400 and fails an allocation at 12800, cutoff 0.6
-    completes at 8600 and fails at 8850, and cutoff 0.9 completes at 7400;
-    this figure accepts the three runs that complete and refuses n = 12800
-    at cutoff 0.3; it still passes n = 8850 at cutoff 0.6, which then fails
-    as before."""
+    On x86_64 Linux with glibc malloc and numpy 2.4, under a 1,000,000 KiB
+    RLIMIT_AS with 109 MiB mapped (867.8 MiB left), an uncut birth-order
+    run, whose join is the largest phase, completes at n = 7424 and fails
+    an allocation at 7425, where this figure reads 869.2 and 869.4 MiB: it
+    refuses both and accepts up to n = 7417, so it overstates that run's
+    need by about 1.5 MiB.  Under the same limit cutoff 0.3 completes at
+    n = 12400 and fails at 12800, cutoff 0.6 completes at 8600 and fails at
+    8850, and cutoff 0.9 completes at 7400; this figure accepts the three
+    runs that complete and refuses n = 12800 at cutoff 0.3; it still passes
+    n = 8850 at cutoff 0.6, which then fails as before."""
     m = num_pairs(n)
     kept = threshold * m
-    slice_ = min(kept, 2 * max(_SLICE, _BULK_GATE * n))
+    slice_ = min(kept, 2 * max(_SLICE, 16 * n))
     join = m + 32 * kept + 16 * _CHUNK if m > _CHUNK else 0
     cut = m + 35 * kept if threshold < 1 else 0
     return ceil(16 * min(m, _CHUNK)
@@ -233,13 +234,10 @@ def _traverse(n: int, cells, threshold: float, snapshots: int
     seen = np.zeros(m, dtype=bool)
     per_round: list[RoundRecord] = []
     copies = [g.copy()] if snapshots else None
-    # a round is decoded and inserted in slices of at least this many pairs,
-    # so a slice takes greedy_insert's bulk path whenever the round would
-    step = max(_SLICE, _BULK_GATE * n)
     for i, cell in enumerate(cells, start=1):
         ids = _draw_round(streams.rekey(*cell), m, threshold, seen)
         added = 0
-        for part in np.array_split(ids, max(1, len(ids) // step)):
+        for part in np.array_split(ids, max(1, len(ids) // max(_SLICE, 16 * n))):
             added += greedy_insert(g, *decode_edge_ids(part, n))
         per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
                                      total_edges=g.edge_count))
@@ -328,43 +326,38 @@ def _class_name(adj: list[int]) -> str:
 def exhaustive_oracle(n: int) -> OracleDistribution:
     """Exact distribution of the final graph over all birth orders, n <= 5.
 
-    States (processed pairs, adjacency masks) are advanced one traversal at
-    a time, with the process's own test (a pair is added unless its ends
-    share a neighbour) and ordering multiplicities carried as exact
-    integers; merging equal states is a pure regrouping of the C(n,2)!
-    orderings (validated against the literal 720-ordering iteration at
-    n = 4 in the test suite).
+    A pair is open when it is not an edge and its ends share no neighbour.
+    An open pair has not been traversed (it would have been added), so
+    given the graph so far the next edge is uniform among the open pairs
+    (Erdős, Suen & Winkler, "On the size of a random maximal graph", 1995),
+    and the process ends when none is left.  The chain runs over adjacency
+    masks alone, with exact Fraction probabilities; it regroups the C(n,2)!
+    orderings without changing the distribution (validated against the
+    literal 720-ordering iteration at n = 4 in the test suite).
     """
     if n not in (3, 4, 5):
         raise ValueError(f"exhaustive oracle supports n in {{3, 4, 5}}, got {n}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    states: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
-    for _ in pairs:
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (proc, adj), ways in states.items():
-            for e, (u, v) in enumerate(pairs):
-                if (proc >> e) & 1:
-                    continue
-                after = adj
-                if not adj[u] & adj[v]:
-                    after = list(adj)
-                    after[u] |= 1 << v
-                    after[v] |= 1 << u
-                    after = tuple(after)
-                key = (proc | (1 << e), after)
-                nxt[key] = nxt.get(key, 0) + ways
+    states: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
+    edge_probs: Counter = Counter()
+    class_probs: Counter = Counter()
+    while states:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for adj, p in states.items():
+            open_ = [(u, v) for u, v in pairs if not (adj[u] >> v) & 1 and not adj[u] & adj[v]]
+            if not open_:
+                edge_probs[sum(m.bit_count() for m in adj) // 2] += p
+                class_probs[_class_name(adj)] += p
+            for u, v in open_:
+                after = list(adj)
+                after[u] |= 1 << v
+                after[v] |= 1 << u
+                after = tuple(after)
+                nxt[after] = nxt.get(after, 0) + p / len(open_)
         states = nxt
-    total = factorial(len(pairs))
-    edge_counts: Counter = Counter()
-    class_counts: Counter = Counter()
-    for (_, adj), ways in states.items():
-        edge_counts[sum(m.bit_count() for m in adj) // 2] += ways
-        class_counts[_class_name(adj)] += ways
-    return OracleDistribution(n=n, total_orderings=total,
-                              edge_count_probs={k: Fraction(w, total)
-                                                for k, w in sorted(edge_counts.items())},
-                              class_probs={k: Fraction(w, total)
-                                           for k, w in sorted(class_counts.items())})
+    return OracleDistribution(n=n, total_orderings=factorial(len(pairs)),
+                              edge_count_probs=dict(sorted(edge_probs.items())),
+                              class_probs=dict(sorted(class_probs.items())))
 
 
 # ---------------------------------------------------------------------------

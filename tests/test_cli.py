@@ -277,14 +277,19 @@ class TestPredictCommands:
 
     @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
     def test_dense_adjacency_bound_is_usage_error(self, capsys, monkeypatch, command):
-        # hosts are built as usual; C5's n**2 adjacency is refused
+        # hosts are built as usual.  A count of C4 on the seed-0 hosts needs
+        # at most 170,424 bytes; C5 adds the dense adjacency (60**2 bytes and
+        # 60**2 float32 entries) and an int64 block of 60**2 entries, 217,224
+        # bytes on the process host, so 200,000 bytes refuse C5 and count C4
         from greedygraph import graphcore, process
         monkeypatch.setattr(process, "check_memory", lambda need, what: None)
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1000)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 200_000)
         code = main([command, "--pattern", "C5", "--n", "60", "--eps", "0.2",
                      "--trials", "1"])
         assert code == 2
-        assert "memory bound: the dense adjacency at n=60" in capsys.readouterr().err
+        assert "memory bound: a count at n=60" in capsys.readouterr().err
+        assert main([command, "--pattern", "C4", "--n", "60", "--eps", "0.2",
+                     "--trials", "1"]) == 0
 
     @pytest.mark.parametrize("command,pattern,n", [("predict", "C4", 3),
                                                    ("compare-gnm", "C5", 4)])

@@ -250,9 +250,9 @@ def test_greedy_insert_matches_checked_replay(n, data):
 
 @pytest.mark.parametrize("chunk", [1, 4])
 def test_bulk_path_matches_checked_replay(chunk):
-    # the same property with every batch, even an empty one, sent through the
-    # bulk path's pre-pass, in chunks small enough that a batch spans several
-    with mock.patch.multiple(graphcore, _BULK_GATE=0, _CHUNK=chunk):
+    # the same property with the pre-pass in chunks small enough that a
+    # batch spans several
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
         test_greedy_insert_matches_checked_replay()
 
 
@@ -261,7 +261,7 @@ def test_bulk_path_matches_checked_replay_multiword():
     n = 200
     us, vs = decode_edge_ids(np.random.default_rng(3).permutation(num_pairs(n)), n)
     fast = EvolvingGraph(n)
-    with mock.patch.multiple(graphcore, _BULK_GATE=0, _CHUNK=100):
+    with mock.patch.object(graphcore, "_CHUNK", 100):
         added = sum(greedy_insert(fast, us[part], vs[part])
                     for part in np.array_split(np.arange(len(us)), 3))
     slow = EvolvingGraph(n)
@@ -269,6 +269,28 @@ def test_bulk_path_matches_checked_replay_multiword():
         slow.mark_birthed(u, v)
         slow.add_edge_if_open(u, v)
     assert added == slow.edge_count
+    assert fast.adj == slow.adj
+    assert fast.birthed_adj == slow.birthed_adj
+    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
+
+
+def test_short_batch_matches_checked_replay_multiword():
+    # three pairs at n = 200 (rows of four words) into a graph with edges in
+    # every word: one closed by a common neighbour in word 0, one by a
+    # common neighbour in word 2, and one open
+    n = 200
+    edges = [(0, 1), (1, 2), (3, 130), (130, 140), (5, 70), (150, 199)]
+    batch = [(0, 2), (3, 140), (5, 150)]
+    fast = EvolvingGraph.from_edges(n, edges)
+    us = np.array([u for u, _ in batch], dtype=np.int64)
+    vs = np.array([v for _, v in batch], dtype=np.int64)
+    added = greedy_insert(fast, us, vs)
+    slow = EvolvingGraph.from_edges(n, edges)
+    expect = 0
+    for u, v in batch:
+        slow.mark_birthed(u, v)
+        expect += slow.add_edge_if_open(u, v)
+    assert added == expect == 1
     assert fast.adj == slow.adj
     assert fast.birthed_adj == slow.birthed_adj
     assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)

@@ -186,20 +186,22 @@ class TestCountCopies:
             count_copies(host, star_graph(7))
 
     def test_dense_adjacency_memory_bound_raises(self, monkeypatch):
-        # C5 pushes a message with children through the dense adjacency:
-        # 200**2 bits unpacked plus 200**2 float32 entries, 200,000 bytes.
-        # C4 needs only the CSR and one scatter run, about 127,000 bytes on
-        # this host, so it counts where C5 is refused.
+        # one estimate for the whole count.  On this host C4 needs 846,696
+        # bytes: the CSR, the scatter and two int64 blocks of 200**2 entries
+        # (its scattered push and the product being formed).  C5 adds the
+        # dense adjacency, 200**2 bits unpacked and 200**2 float32 entries,
+        # and a block for its dense push: 1,366,696 bytes.  So C4 counts
+        # where C5 is refused.
         host = random_host(200, 0.02, seed=2)
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 199_999)
-        with pytest.raises(ValueError, match="memory bound: the dense adjacency at n=200"):
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_366_695)
+        with pytest.raises(ValueError, match="memory bound: a count at n=200"):
             count_copies(host, CATALOG["C5"])
         c4 = CATALOG["C4"]
         assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut > 0
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 200_000)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_366_696)
         assert count_copies(host, CATALOG["C5"]) >= 0
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1000)
-        with pytest.raises(ValueError, match="memory bound: the host's CSR and scatter at n=200"):
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 846_695)
+        with pytest.raises(ValueError, match="memory bound: a count at n=200"):
             count_copies(host, c4)
 
 

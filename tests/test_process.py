@@ -73,6 +73,15 @@ class TestExhaustiveOracle:
         with pytest.raises(ValueError):
             exhaustive_oracle(6)
 
+    @pytest.mark.parametrize("n, digest", [
+        (3, "4abd1b2192a5bd13f27bc699995630649384aeb2b743868246632933eebd6cde"),
+        (4, "68d9457f6646d06a5386a90e36844c5d288f8880b1078959a6050c0efded2819"),
+        (5, "e5b2533418a746fb3a84367f3328ccd81a5269d57b185947d6c1e5f09fa50355")])
+    def test_report_bytes_pinned(self, n, digest):
+        # the report bytes are pinned, whatever algorithm computes them
+        blob = json.dumps(exhaustive_oracle(n).to_json_dict())
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
 
 class TestRunExact:
     def test_n3_always_two_edges(self):
@@ -225,7 +234,7 @@ class TestStreamedRound:
             assert np.array_equal(seen, ref_seen)
 
     def test_sliced_rounds_match_one_slice(self, monkeypatch):
-        # slices of the least size the bulk gate allows, against whole rounds
+        # slices of the least size the slice floor allows, against whole rounds
         n = 150
         params = ProcessParams(ctx=RoundContext(n, 0.2), seed=3, mode="exact", cutoff=0.6)
         whole = run(params)
@@ -240,8 +249,8 @@ class TestStreamedRound:
         sliced = run(params)
         assert _graph_state(sliced.graph) == _graph_state(whole.graph)
         assert sliced.per_round == whole.per_round
-        # every slice still takes the bulk path, as the whole round would
-        assert len(sizes) > 1 and min(sizes) >= graphcore._BULK_GATE * n
+        # no slice is shorter than the floor of 16 n pairs
+        assert len(sizes) > 1 and min(sizes) >= 16 * n > process._SLICE
 
     @pytest.mark.parametrize("mode, cutoff, snapshots", [
         ("rounds", None, 0), ("exact", 0.3, 0), ("exact", None, 0),
