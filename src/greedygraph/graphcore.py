@@ -268,6 +268,8 @@ class EvolvingGraph:
 
 # pairs greedy_insert filters against its word mirror at a time
 _CHUNK = 1024
+# pair ids greedy_insert decodes at a time
+_SLICE = 1 << 18
 
 
 def set_pair_bits(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
@@ -277,51 +279,53 @@ def set_pair_bits(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
         np.bitwise_or.at(flat, *bit_slots(a, b, words.shape[1]))
 
 
-def greedy_insert(g: EvolvingGraph, us, vs) -> int:
-    """Traverse the pairs (us[j], vs[j]) in order; returns how many were added.
+def greedy_insert(g: EvolvingGraph, ids) -> int:
+    """Traverse the pairs with these ``edge_index`` ids in order; returns how
+    many were added.
 
     Each pair is recorded in the ledger and added unless its endpoints
     already share a neighbour.  This is the process's inner loop, so the
-    pairs are not checked: they must be distinct, in range and not yet
+    ids are not checked: they must be distinct, in range and not yet
     traversed (``add_edge_if_open`` with ``mark_birthed`` is the checked
     per-pair equivalent).
 
-    A numpy word mirror of the adjacency drops, ``_CHUNK`` pairs at a time,
-    every pair whose endpoints already share a neighbour in the mirror, and
-    a scalar loop on the int rows traverses the rest.  Dropping is exact
-    because edges are never removed, so a closed pair stays closed; the
-    mirror lags the graph by at most one chunk, which only lets a closed
-    pair through to the scalar loop.  The whole batch is marked in the
-    ledger in one vectorised pass.
+    The ids are decoded ``_SLICE`` at a time.  A numpy word mirror of the
+    adjacency drops, ``_CHUNK`` pairs at a time, every pair whose endpoints
+    already share a neighbour in the mirror, and a scalar loop on the int
+    rows traverses the rest.  Dropping is exact because edges are never
+    removed, so a closed pair stays closed; the mirror lags the graph by at
+    most one chunk, which only lets a closed pair through to the scalar
+    loop.  The mirror is built and the ledger merged once per call.
     """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     adj = g.adj
     added = 0
     mirror = bitset_words(adj, g.n).copy()
-    for s in range(0, len(us), _CHUNK):
-        cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
-        common = mirror[cu]
-        common &= mirror[cv]
-        keep = np.bitwise_or.reduce(common, axis=1) == 0
-        new: list[int] = []
-        push = new.append
-        for u, v in zip(cu[keep].tolist(), cv[keep].tolist()):
-            if adj[u] & adj[v]:
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            push(u)
-            push(v)
-        if new:
-            pairs = np.array(new, dtype=np.int64)
-            set_pair_bits(mirror, pairs[0::2], pairs[1::2])
-            added += len(new) // 2
     marks = np.zeros_like(mirror)
-    set_pair_bits(marks, us, vs)
+    for d in range(0, len(ids), _SLICE):
+        us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)
+        set_pair_bits(marks, us, vs)
+        for s in range(0, len(us), _CHUNK):
+            cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
+            common = mirror[cu]
+            common &= mirror[cv]
+            keep = np.bitwise_or.reduce(common, axis=1) == 0
+            new: list[int] = []
+            push = new.append
+            for u, v in zip(cu[keep].tolist(), cv[keep].tolist()):
+                if adj[u] & adj[v]:
+                    continue
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                push(u)
+                push(v)
+            if new:
+                pairs = np.array(new, dtype=np.int64)
+                set_pair_bits(mirror, pairs[0::2], pairs[1::2])
+                added += len(new) // 2
     birthed = g.birthed_adj
     for r, mask in enumerate(bitset_ints(marks)):
         birthed[r] |= mask
     g.edge_count += added
-    g.birthed_count += len(us)
+    g.birthed_count += len(ids)
     return added

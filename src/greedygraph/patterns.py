@@ -426,19 +426,25 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
     dense = [m.size for m in wide if not _scattered(m)]
     dtype = np.dtype(np.float32 if delta ** max(dense, default=0) < 2 ** 24 else np.float64)
     built = dense or max(c.roots for c in comps) >= 2
-    cells = max(min(n, _BLOCK_CELLS // n ** c.roots) * n ** c.roots for c in comps)
+    cells = 0
+    for k in {c.roots for c in comps}:
+        block = min(n, _BLOCK_CELLS // n ** k)
+        pushes = _pushed(t for c in comps if c.roots == k for t in c.trees)
+        cells = max(cells, block * n ** k + sum(
+            (block if 0 in m.deps else n) * n ** len(m.deps) for m in pushes if m.deps))
     # What a count holds at once: the dense adjacency when built (n**2
     # bytes, and n**2 floats for a dense push); the bit words, the CSR and
     # its copy while joined, and one unpacked row step; the scatter's 40
     # bytes per CSR entry of a block's rows and 16 per triple of one run;
-    # and int64 row blocks of the widest quotient, one per push that varies
-    # with a free vertex (kept for the block) and one for the product formed.
+    # and int64 arrays for the quotients with k free vertices, for the k
+    # that needs most (each k runs in turn): their pushes that vary with a
+    # free vertex, each at its shape, and one row block for the product.
     check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
                  + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
                  + min(n * n, max(n, _BLOCK_CELLS))
                  + 40 * min(n, _BLOCK_CELLS // n) * delta
                  + 16 * min(_TRIPLES, sum(d * d for d in degrees))
-                 + 8 * cells * (len(wide) + 1), f"a count at n={n}")
+                 + 8 * cells, f"a count at n={n}")
     words = bitset_words(host.adj, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_bit_counts(words), out=indptr[1:])

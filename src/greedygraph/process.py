@@ -1,6 +1,6 @@
 """The triangle-free random greedy process, plus exact oracles.
 
-One routine, ``_traverse``, runs the process: each round draws a uniform
+One routine, ``_run``, runs the process: each round draws a uniform
 time for every pair of K_n, takes the pairs not yet traversed whose time
 falls below a threshold, and traverses them in increasing time order,
 skipping any insertion that would close a triangle.  The order is that of a
@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bit_slots, bitset_ints, check_memory,
+from .graphcore import (_SLICE, EvolvingGraph, bit_slots, bitset_ints, check_memory,
                         decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from . import patterns as pat
@@ -103,10 +103,6 @@ class RunTrace:
 
 # Pairs a round draws, filters and checks for ties at a time
 _CHUNK = 1 << 16
-# A round decodes and inserts max(_SLICE, 16 n) pairs at a time or more: at
-# least 16 n, so that a greedy_insert call's fixed cost, O(n) row
-# conversions to and from words, stays small per pair
-_SLICE = 1 << 18
 
 
 def _birth_order(times: np.ndarray) -> np.ndarray:
@@ -127,7 +123,7 @@ def _birth_order(times: np.ndarray) -> np.ndarray:
 
 
 def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
-    """One round's pair ids in birth order, drawn as ``_traverse`` draws them.
+    """One round's pair ids in birth order, drawn as ``_run`` draws them.
 
     Draws a time in [0, 1) for every pair and returns, in stable time order
     (exact float ties fall back to pair-index order), the pairs not yet in
@@ -187,72 +183,57 @@ def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
       marks), 8 per pair kept for the ids and 48 per pair of the slice
       being decoded and inserted.  With a threshold below 1, a fourth
       phase: the kept chunks are smaller than a draw chunk, and the heap
-      keeps the holes between them mapped while they are joined, for 1
-      per pair of K_n and 35 per pair kept;
+      keeps the holes between them mapped while they are joined and the
+      joined times sorted, for 1 per pair of K_n and 45 per pair kept;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
     On x86_64 Linux with glibc malloc and numpy 2.4, under a 1,000,000 KiB
-    RLIMIT_AS with 109 MiB mapped (867.8 MiB left), an uncut birth-order
-    run, whose join is the largest phase, completes at n = 7424 and fails
-    an allocation at 7425, where this figure reads 869.2 and 869.4 MiB: it
-    refuses both and accepts up to n = 7417, so it overstates that run's
-    need by about 1.5 MiB.  Under the same limit cutoff 0.3 completes at
-    n = 12400 and fails at 12800, cutoff 0.6 completes at 8600 and fails at
-    8850, and cutoff 0.9 completes at 7400; this figure accepts the three
-    runs that complete and refuses n = 12800 at cutoff 0.3; it still passes
-    n = 8850 at cutoff 0.6, which then fails as before."""
+    RLIMIT_AS with 109 MiB mapped (867.8 MiB left) and the memory check
+    switched off, the last n that completes and the first that fails an
+    allocation are 7424 and 7425 uncut (in the join), 11882 and 11890 at
+    cutoff 0.3, 8181 and 8190 at cutoff 0.6 (in the sort) and 7710 and 7717
+    at cutoff 0.9.  This figure accepts up to n = 7417, 11194, 8056 and 6617,
+    and each completes: it overstates the need at the last n that completes
+    by 0.1% uncut, 3% at cutoff 0.6, 12% at 0.3 and 36% at 0.9."""
     m = num_pairs(n)
     kept = threshold * m
-    slice_ = min(kept, 2 * max(_SLICE, 16 * n))
+    slice_ = min(kept, _SLICE)
     join = m + 32 * kept + 16 * _CHUNK if m > _CHUNK else 0
-    cut = m + 35 * kept if threshold < 1 else 0
+    cut = m + 45 * kept if threshold < 1 else 0
     return ceil(16 * min(m, _CHUNK)
                 + max(join, cut, 2.5 * m + max(28 * kept, 8 * kept + 48 * slice_))
                 + snapshots * n * (n / 4 + 80))
 
 
-def _traverse(n: int, cells, threshold: float, snapshots: int
-              ) -> tuple[EvolvingGraph, list[RoundRecord], Optional[list[EvolvingGraph]]]:
-    """Run one round per stream cell in ``cells`` on an empty graph on n vertices.
-
-    A round draws a time in [0, 1) for every pair and traverses, in stable
-    time order (exact float ties fall back to pair-index order), the pairs
-    not yet traversed whose time is below ``threshold``.  ``snapshots`` > 0,
-    one more than the rounds in ``cells``, asks for a copy of the graph
-    before the first round and after every round, returned as the third
-    item (else None).  Raises ValueError, before any draw, when the run
-    would not fit in memory (``check_memory``).
+def _run(params: ProcessParams, trial: int) -> RunTrace:
+    """Trial ``trial`` of the form ``params.mode`` on an empty graph: per
+    stream cell of ``_schedule``, one round drawn by ``_draw_round`` and
+    traversed in one ``greedy_insert`` call.  When recorded, the snapshots
+    are a copy of the empty graph and one after each round.  Raises
+    ValueError, before any draw, when the run would not fit in memory
+    (``check_memory``).
     """
+    n = params.ctx.n
     m = num_pairs(n)
+    cells, threshold = _schedule(params, trial)
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
-    check_memory(_round_bytes(n, threshold, snapshots), f"a run at n={n}")
+    check_memory(_round_bytes(n, threshold, (len(cells) + 1) * params.record_snapshots),
+                 f"a run at n={n}")
     g = EvolvingGraph(n)
     # vectorised mirror of the ledger, so a round filters in numpy
     seen = np.zeros(m, dtype=bool)
     per_round: list[RoundRecord] = []
-    copies = [g.copy()] if snapshots else None
+    snapshots = [g.copy()] if params.record_snapshots else None
     for i, cell in enumerate(cells, start=1):
         ids = _draw_round(streams.rekey(*cell), m, threshold, seen)
-        added = 0
-        for part in np.array_split(ids, max(1, len(ids) // max(_SLICE, 16 * n))):
-            added += greedy_insert(g, *decode_edge_ids(part, n))
+        added = greedy_insert(g, ids)
         per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
                                      total_edges=g.edge_count))
-        if copies is not None:
-            copies.append(g.copy())
-    return g, per_round, copies
-
-
-def _run(params: ProcessParams, trial: int) -> RunTrace:
-    """Trial ``trial`` of the form ``params.mode``; when recorded, a snapshot
-    of the empty graph and one after each round."""
-    n = params.ctx.n
-    cells, threshold = _schedule(params, trial)
-    g, per_round, snapshots = _traverse(n, cells, threshold,
-                                        (len(cells) + 1) * params.record_snapshots)
+        if snapshots is not None:
+            snapshots.append(g.copy())
     return RunTrace(n=n, mode=params.mode, seed=params.seed, trial=trial,
                     per_round=per_round, graph=g, snapshots=snapshots,
                     cutoff=params.cutoff)

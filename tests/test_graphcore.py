@@ -85,7 +85,7 @@ def opens(g: EvolvingGraph, u: int, v: int) -> bool:
     """Whether the insertion rule adds {u, v} to g, tried on a copy by both
     the checked per-pair insert and the kernel."""
     by_insert = g.copy().add_edge_if_open(u, v)
-    by_kernel = greedy_insert(g.copy(), np.array([u]), np.array([v])) == 1
+    by_kernel = greedy_insert(g.copy(), [edge_index(u, v, g.n)]) == 1
     assert by_insert == by_kernel
     return by_insert
 
@@ -235,9 +235,7 @@ def test_greedy_insert_matches_checked_replay(n, data):
     slow = EvolvingGraph(n)
     added = 0
     for chunk in (order[:split], order[split:cut]):
-        us = np.array([u for u, _ in chunk], dtype=np.int64)
-        vs = np.array([v for _, v in chunk], dtype=np.int64)
-        added += greedy_insert(fast, us, vs)
+        added += greedy_insert(fast, [edge_index(u, v, n) for u, v in chunk])
     expect = 0
     for u, v in order[:cut]:
         slow.mark_birthed(u, v)
@@ -248,22 +246,25 @@ def test_greedy_insert_matches_checked_replay(n, data):
     assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
 
 
-@pytest.mark.parametrize("chunk", [1, 4])
-def test_bulk_path_matches_checked_replay(chunk):
-    # the same property with the pre-pass in chunks small enough that a
-    # batch spans several
-    with mock.patch.object(graphcore, "_CHUNK", chunk):
+@pytest.mark.parametrize("chunk, slice_", [(1, 3), (4, 10)], ids=["1", "4"])
+def test_bulk_path_matches_checked_replay(chunk, slice_):
+    # the same property with decode blocks and pre-pass chunks small enough
+    # that a call spans several of each
+    with mock.patch.object(graphcore, "_CHUNK", chunk), \
+            mock.patch.object(graphcore, "_SLICE", slice_):
         test_greedy_insert_matches_checked_replay()
 
 
 def test_bulk_path_matches_checked_replay_multiword():
-    # rows of four 64-bit words, a batch split in three calls, chunks of 100
+    # rows of four 64-bit words, a batch split in three calls, decode
+    # blocks of 1000 pairs and chunks of 100
     n = 200
-    us, vs = decode_edge_ids(np.random.default_rng(3).permutation(num_pairs(n)), n)
+    ids = np.random.default_rng(3).permutation(num_pairs(n))
+    us, vs = decode_edge_ids(ids, n)
     fast = EvolvingGraph(n)
-    with mock.patch.object(graphcore, "_CHUNK", 100):
-        added = sum(greedy_insert(fast, us[part], vs[part])
-                    for part in np.array_split(np.arange(len(us)), 3))
+    with mock.patch.object(graphcore, "_CHUNK", 100), \
+            mock.patch.object(graphcore, "_SLICE", 1000):
+        added = sum(greedy_insert(fast, part) for part in np.array_split(ids, 3))
     slow = EvolvingGraph(n)
     for u, v in zip(us.tolist(), vs.tolist()):
         slow.mark_birthed(u, v)
@@ -282,9 +283,7 @@ def test_short_batch_matches_checked_replay_multiword():
     edges = [(0, 1), (1, 2), (3, 130), (130, 140), (5, 70), (150, 199)]
     batch = [(0, 2), (3, 140), (5, 150)]
     fast = EvolvingGraph.from_edges(n, edges)
-    us = np.array([u for u, _ in batch], dtype=np.int64)
-    vs = np.array([v for _, v in batch], dtype=np.int64)
-    added = greedy_insert(fast, us, vs)
+    added = greedy_insert(fast, [edge_index(u, v, n) for u, v in batch])
     slow = EvolvingGraph.from_edges(n, edges)
     expect = 0
     for u, v in batch:

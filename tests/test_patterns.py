@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -203,6 +204,23 @@ class TestCountCopies:
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 846_695)
         with pytest.raises(ValueError, match="memory bound: a count at n=200"):
             count_copies(host, c4)
+
+    def test_two_free_vertex_estimate_bounds_traced_peak(self, monkeypatch):
+        # C8's quotients with two free vertices are a group of their own;
+        # its pushes are charged at their own shapes, so the estimate lies
+        # between the traced peak and twice it
+        host = run_rounds(ProcessParams(ctx=RoundContext(200, 0.1), seed=1)).graph
+        needs = []
+        real = patterns.check_memory
+        monkeypatch.setattr(patterns, "check_memory",
+                            lambda need, what: needs.append(need) or real(need, what))
+        tracemalloc.start()
+        try:
+            count_copies(host, cycle_graph(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needs[0] <= 2 * peak
 
 
 def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, process, rng
-from greedygraph.graphcore import EvolvingGraph, bitset_ints
+from greedygraph.graphcore import EvolvingGraph, bitset_ints, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
                                  _birth_order, _class_name, _final_blocks,
@@ -233,24 +233,24 @@ class TestStreamedRound:
             assert np.array_equal(got, want)
             assert np.array_equal(seen, ref_seen)
 
-    def test_sliced_rounds_match_one_slice(self, monkeypatch):
-        # slices of the least size the slice floor allows, against whole rounds
-        n = 150
-        params = ProcessParams(ctx=RoundContext(n, 0.2), seed=3, mode="exact", cutoff=0.6)
-        whole = run(params)
-        sizes = []
+    @pytest.mark.parametrize("mode, n", [("rounds", 100), ("exact", 1025)])
+    def test_one_insert_call_per_round(self, monkeypatch, mode, n):
+        # a round is one greedy_insert call, even an uncut birth-order
+        # round of more than twice graphcore._SLICE pairs
+        params = ProcessParams(ctx=RoundContext(n, 0.2), seed=3, mode=mode)
+        calls = []
 
-        def insert(g, us, vs):
-            sizes.append(len(us))
-            return graphcore.greedy_insert(g, us, vs)
+        def insert(g, ids):
+            calls.append(len(ids))
+            return graphcore.greedy_insert(g, ids)
 
-        monkeypatch.setattr(process, "_SLICE", 1000)
         monkeypatch.setattr(process, "greedy_insert", insert)
-        sliced = run(params)
-        assert _graph_state(sliced.graph) == _graph_state(whole.graph)
-        assert sliced.per_round == whole.per_round
-        # no slice is shorter than the floor of 16 n pairs
-        assert len(sizes) > 1 and min(sizes) >= 16 * n > process._SLICE
+        trace = run(params)
+        assert len(calls) == len(trace.per_round) == (
+            params.ctx.rounds_total if mode == "rounds" else 1)
+        assert calls == [r.birthed for r in trace.per_round]
+        if mode == "exact":
+            assert calls[0] == num_pairs(n) > 2 * graphcore._SLICE
 
     @pytest.mark.parametrize("mode, cutoff, snapshots", [
         ("rounds", None, 0), ("exact", 0.3, 0), ("exact", None, 0),
