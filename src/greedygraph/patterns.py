@@ -429,16 +429,21 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
     cells = 0
     for k in {c.roots for c in comps}:
         block = min(n, _BLOCK_CELLS // n ** k)
-        pushes = _pushed(t for c in comps if c.roots == k for t in c.trees)
-        cells = max(cells, block * n ** k + sum(
-            (block if 0 in m.deps else n) * n ** len(m.deps) for m in pushes if m.deps))
+        trees = [t for c in comps if c.roots == k for t in c.trees]
+        # a tree's sum multiplies its factors but the last in turn: from
+        # four factors on, the running product and the next are alive at once
+        wide = any(len(t.axes) + len(t.children) >= 4 for t in trees)
+        cells = max(cells, (1 + wide) * block * n ** k + sum(
+            (block if 0 in m.deps else n) * n ** len(m.deps)
+            for m in _pushed(trees) if m.deps))
     # What a count holds at once: the dense adjacency when built (n**2
     # bytes, and n**2 floats for a dense push); the bit words, the CSR and
     # its copy while joined, and one unpacked row step; the scatter's 40
     # bytes per CSR entry of a block's rows and 16 per triple of one run;
     # and int64 arrays for the quotients with k free vertices, for the k
     # that needs most (each k runs in turn): their pushes that vary with a
-    # free vertex, each at its shape, and one row block for the product.
+    # free vertex, each at its shape, and one or two row blocks for the
+    # product.
     check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
                  + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
                  + min(n * n, max(n, _BLOCK_CELLS))

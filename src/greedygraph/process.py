@@ -1,15 +1,19 @@
 """The triangle-free random greedy process, plus exact oracles.
 
-One routine, ``_run``, runs the process: each round draws a uniform
-time for every pair of K_n, takes the pairs not yet traversed whose time
-falls below a threshold, and traverses them in increasing time order,
-skipping any insertion that would close a triangle.  The order is that of a
-stable sort: the faster default argsort gives it whenever the round's times
-are distinct, and an exact tie falls back to the stable sort, so tied pairs
-go in pair-index order.  Two stream schedules drive it:
+One routine, ``_run``, runs the process: it traverses pairs of K_n in
+order, skipping any insertion that would close a triangle.  A pair's round
+and its birth time within the round make one aggregate birth time, uniform
+in [0, 1) and independent across pairs, so one draw per trial gives a whole
+run: the pairs whose time falls below the run's share, in increasing time
+order, cut into rounds at the rounds' bounds.  The draw keeps each pair
+independently with that share and orders the kept pairs by uniform times,
+so it costs the pairs kept, not C(n,2).  The order is that of a stable
+sort: the faster default argsort gives it whenever the times are distinct,
+and an exact tie falls back to the stable sort, so tied pairs go in
+pair-index order.  Two forms share it:
 
-``run_exact`` is the birth-order form: a single round whose times are the
-birth times, with threshold 1 (every pair) or an optional cutoff.
+``run_exact`` is the birth-order form: a single round, below 1 (every
+pair, in a uniform permutation) or below an optional cutoff.
 
 ``run_rounds`` is the round form: k**2 rounds, each traversing every
 not-yet-traversed pair independently with probability step/sqrt(n), in
@@ -18,10 +22,9 @@ distributed graphs when the cutoff matches the aggregate traversal
 probability 1 - (1 - step/sqrt(n))**rounds.
 
 ``final_distribution_sample`` runs a campaign of many trials of either
-form: each trial draws its pair sequence through the same streams and
-round draws, then blocks of trials traverse their sequences in lockstep,
-one position of every trial per numpy step.  Trial t's final graph is the
-one ``run`` builds for it.
+form: each trial draws its pair sequence as ``run`` does, then blocks of
+trials traverse their sequences in lockstep, one position of every trial
+per numpy step.  Trial t's final graph is the one ``run`` builds for it.
 
 ``exhaustive_oracle`` returns the exact outcome distribution over all
 C(n,2)! birth orders for n <= 5 as a chain over adjacency alone: given the
@@ -101,7 +104,7 @@ class RunTrace:
         }
 
 
-# Pairs a round draws, filters and checks for ties at a time
+# Sorted times a tie check reads at a time
 _CHUNK = 1 << 16
 
 
@@ -122,115 +125,115 @@ def _birth_order(times: np.ndarray) -> np.ndarray:
     return order
 
 
-def _draw_round(gen, m: int, threshold: float, seen: np.ndarray) -> np.ndarray:
-    """One round's pair ids in birth order, drawn as ``_run`` draws them.
-
-    Draws a time in [0, 1) for every pair and returns, in stable time order
-    (exact float ties fall back to pair-index order), the pairs not yet in
-    ``seen`` whose time is below ``threshold``; marks them in ``seen``.  The
-    times are drawn and filtered ``_CHUNK`` pairs at a time (successive draws
-    from a generator reproduce one long draw bit for bit), so only the kept
-    pairs' ids and times span the round.
-    """
-    ids, times = [], []
-    for s in range(0, m, _CHUNK):
-        t = gen.random(min(_CHUNK, m - s))
-        part = seen[s:s + _CHUNK]
-        fresh = (t < threshold) & ~part
-        part |= fresh
-        kept = np.nonzero(fresh)[0]
-        ids.append(kept + s if s else kept)
-        times.append(t[kept])
-    # one chunk needs no join; several are joined one list at a time
-    ids = ids[0] if len(ids) == 1 else np.concatenate(ids)
-    times = times[0] if len(times) == 1 else np.concatenate(times)
-    order = _birth_order(times)
-    del times
-    return ids[order]
-
-
-def _schedule(params: ProcessParams, trial: int):
-    """The rounds of a run, as (stream cells, threshold); a cell is the
-    (seed, trial, round, purpose) of ``rng.stream``.  The birth-order form
-    has one round, below the cutoff or below 1 (every pair, since draws lie
-    in [0, 1)); the round form has k**2, each below the birth probability."""
+def _schedule(params: ProcessParams):
+    """The stream purpose of a run, the share of the pairs it traverses and
+    the bounds between its rounds, on the scale of a pair's aggregate birth
+    time.  The birth-order form is one round, below the cutoff or below 1
+    (every pair); round i of the round form's k**2 takes the times in
+    [1 - (1 - q)**(i-1), 1 - (1 - q)**i), q the birth probability."""
     if params.mode == "exact":
-        threshold = 1.0 if params.cutoff is None else params.cutoff
-        return [(params.seed, trial, 0, rng.EXACT)], threshold
-    ctx = params.ctx
-    cells = [(params.seed, trial, i, rng.ROUNDS) for i in range(1, ctx.rounds_total + 1)]
-    return cells, ctx.birth_prob
+        return rng.EXACT, 1.0 if params.cutoff is None else params.cutoff, []
+    q = params.ctx.birth_prob
+    return (rng.ROUNDS, aggregate_cutoff(params.ctx),
+            [1.0 - (1.0 - q) ** i for i in range(1, params.ctx.rounds_total)])
 
 
-def _round_bytes(n: int, threshold: float, snapshots: int = 0) -> int:
+def _cap(m: int, share: float) -> int:
+    """Six standard deviations above the mean of Binomial(m, share), the
+    count of pairs a run keeps, or m if that is fewer."""
+    return min(m, ceil(share * m + 6 * sqrt(share * m)))
+
+
+def _draw(streams: rng.Streams, params: ProcessParams, trial: int):
+    """Trial ``trial``'s traversed pair ids in traversal order, and where in
+    them each round but the last ends.
+
+    One stream cell per trial: (seed, trial, 0, the form's purpose).  A
+    pair's round and its time within the round make one aggregate birth
+    time, uniform in [0, 1) and independent across pairs, so a run traverses
+    each pair with its share (``_schedule``) independently, in uniform order,
+    and its rounds cut that order at the bounds.  The kept ids are drawn
+    ascending by geometric gaps, ``_cap`` gaps at a time until they pass
+    C(n,2); each gets a uniform time in [0, share), and they go in
+    ``_birth_order`` of their times, so the draw costs the pairs kept, not
+    C(n,2).  An uncut run keeps every pair, in a uniform permutation.
+    """
+    m = num_pairs(params.ctx.n)
+    purpose, share, bounds = _schedule(params)
+    gen = streams.rekey(params.seed, trial, 0, purpose)
+    if share >= 1.0:
+        return gen.permutation(m), []
+    block = _cap(m, share)
+    ids = np.cumsum(gen.geometric(share, block)) - 1
+    while ids[-1] < m:
+        ids = np.concatenate([ids, ids[-1] + np.cumsum(gen.geometric(share, block))])
+    ids = ids[:np.searchsorted(ids, m)]
+    times = gen.random(len(ids))
+    times *= share
+    order = _birth_order(times)
+    ends = np.searchsorted(times[order], bounds).tolist() if bounds else []
+    del times
+    return ids[order], ends
+
+
+def _round_bytes(n: int, share: float, rounds: int = 1, snapshots: int = 0) -> int:
     """Bytes of address space a run on n vertices maps at its peak, beyond
-    what was mapped before it, where a round keeps at most a ``threshold``
-    share of the m = C(n,2) pairs and the run keeps ``snapshots`` copies of
-    the graph:
+    what was mapped before it, when it keeps a ``share`` of the m = C(n,2)
+    pairs (``_cap`` of them at most) in ``rounds`` rounds and keeps
+    ``snapshots`` copies of the graph; the larger of two phases, plus the
+    snapshots:
 
-    - 16 per pair of one draw chunk (the times, the masks, the kept ids);
-    - the largest of the phases of a round.  Its join, when it spans
-      several chunks: 1 per pair for ``seen``, 32 per pair kept (the ids
-      and the times, 8 bytes each, as chunk lists and joined: the freed id
-      chunks lie between live time chunks and stay mapped while the times
-      are joined) and 16 per pair of one chunk, for the heap the chunks'
-      temporaries leave among them.  Its sort: 2.5 per pair of K_n (below)
-      and 28 per pair kept (three of the ids, the times, their chunk
-      lists, the order and the sorted ids, 8 bytes each, are alive at a
-      time).  Its insertion: 2.5 per pair of K_n (1 for ``seen`` and a
+    - the draw: 8 per pair of K_n for an uncut run's permutation; else, per
+      pair kept, 8 each for the ids, the times, their order and the sorted
+      ids (a run of several rounds also sorts the times, for 8 more), and
+      24 per time of one tie check (``_CHUNK``: two chunks of sorted times,
+      as one replaces the other, and their comparison);
+    - the insertion: 8 per pair kept for the ids, 1.25 per pair of K_n (a
       quarter each, n**2/8 bytes, for the graph's adjacency and ledger
-      rows and for the insertion's word mirror, its build buffer and its
-      marks), 8 per pair kept for the ids and 48 per pair of the slice
-      being decoded and inserted.  With a threshold below 1, a fourth
-      phase: the kept chunks are smaller than a draw chunk, and the heap
-      keeps the holes between them mapped while they are joined and the
-      joined times sorted, for 1 per pair of K_n and 45 per pair kept;
+      rows, two for the insertion's word mirror and its marks or its build
+      buffer, and one to spare) and 64 per pair of the slice being decoded
+      and inserted;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
     On x86_64 Linux with glibc malloc and numpy 2.4, under a 1,000,000 KiB
-    RLIMIT_AS with 109 MiB mapped (867.8 MiB left) and the memory check
+    RLIMIT_AS with 109 MiB mapped (867.4 MiB left) and the memory check
     switched off, the last n that completes and the first that fails an
-    allocation are 7424 and 7425 uncut (in the join), 11882 and 11890 at
-    cutoff 0.3, 8181 and 8190 at cutoff 0.6 (in the sort) and 7710 and 7717
-    at cutoff 0.9.  This figure accepts up to n = 7417, 11194, 8056 and 6617,
-    and each completes: it overstates the need at the last n that completes
-    by 0.1% uncut, 3% at cutoff 0.6, 12% at 0.3 and 36% at 0.9."""
+    allocation are 14144 and 14145 uncut, 15885 and 15886 at cutoff 0.3,
+    11233 and 11234 at 0.6 and 9171 and 9172 at 0.9.  This figure accepts
+    up to n = 13894, 15874, 11224 and 9165, and each completes: it
+    overstates the need at the last n that completes by 3.6% uncut and by
+    0.1% at each cutoff, where the draw sets the peak."""
     m = num_pairs(n)
-    kept = threshold * m
-    slice_ = min(kept, _SLICE)
-    join = m + 32 * kept + 16 * _CHUNK if m > _CHUNK else 0
-    cut = m + 45 * kept if threshold < 1 else 0
-    return ceil(16 * min(m, _CHUNK)
-                + max(join, cut, 2.5 * m + max(28 * kept, 8 * kept + 48 * slice_))
-                + snapshots * n * (n / 4 + 80))
+    kept = _cap(m, share)
+    draw = (8 * m if share >= 1.0
+            else (24 + 8 * (rounds > 1)) * kept + 24 * min(kept, _CHUNK))
+    insert = 8 * kept + 1.25 * m + 64 * min(kept, _SLICE)
+    return ceil(max(draw, insert) + snapshots * n * (n / 4 + 80))
 
 
 def _run(params: ProcessParams, trial: int) -> RunTrace:
-    """Trial ``trial`` of the form ``params.mode`` on an empty graph: per
-    stream cell of ``_schedule``, one round drawn by ``_draw_round`` and
-    traversed in one ``greedy_insert`` call.  When recorded, the snapshots
-    are a copy of the empty graph and one after each round.  Raises
-    ValueError, before any draw, when the run would not fit in memory
-    (``check_memory``).
+    """Trial ``trial`` of the form ``params.mode`` on an empty graph: one
+    ``_draw``, then each of its rounds traversed in one ``greedy_insert``
+    call.  When recorded, the snapshots are a copy of the empty graph and
+    one after each round.  Raises ValueError, before any draw, when the run
+    would not fit in memory (``check_memory``).
     """
     n = params.ctx.n
-    m = num_pairs(n)
-    cells, threshold = _schedule(params, trial)
+    _, share, bounds = _schedule(params)
+    rounds = len(bounds) + 1
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
-    check_memory(_round_bytes(n, threshold, (len(cells) + 1) * params.record_snapshots),
+    check_memory(_round_bytes(n, share, rounds, (rounds + 1) * params.record_snapshots),
                  f"a run at n={n}")
+    ids, ends = _draw(streams, params, trial)
     g = EvolvingGraph(n)
-    # vectorised mirror of the ledger, so a round filters in numpy
-    seen = np.zeros(m, dtype=bool)
     per_round: list[RoundRecord] = []
     snapshots = [g.copy()] if params.record_snapshots else None
-    for i, cell in enumerate(cells, start=1):
-        ids = _draw_round(streams.rekey(*cell), m, threshold, seen)
-        added = greedy_insert(g, ids)
-        per_round.append(RoundRecord(i=i, birthed=len(ids), added=added,
+    for i, (a, b) in enumerate(zip([0, *ends], [*ends, len(ids)]), start=1):
+        added = greedy_insert(g, ids[a:b])
+        per_round.append(RoundRecord(i=i, birthed=b - a, added=added,
                                      total_edges=g.edge_count))
         if snapshots is not None:
             snapshots.append(g.copy())
@@ -406,33 +409,27 @@ def _lockstep(n: int, table, seq: np.ndarray) -> np.ndarray:
 def _final_blocks(params: ProcessParams, trials: int):
     """Final adjacency words of trials 0..trials-1, a block of trials at a time.
 
-    Each trial of a block draws its pair sequence through the same streams
-    and ``_draw_round`` as ``run`` (the round form's rounds in order, one
-    reused ``seen`` mask) into a column of one padded matrix, and
-    ``_lockstep`` traverses the columns together.  So trial t's rows are
+    Each trial of a block takes its pair sequence from ``_draw``, as ``run``
+    does, into a column of one padded matrix, and ``_lockstep`` traverses
+    the columns together: a round ends where the next begins, so the whole
+    sequence needs no split.  So trial t's rows are
     ``run(params, t).graph.adj``.  The block size comes from
-    ``_BLOCK_BYTES`` and a column length six standard deviations above a
-    trial's mean sequence length; a longer sequence grows the matrix.
-    Raises ValueError, before any draw, when the work would not fit in
-    memory (``check_memory``).
+    ``_BLOCK_BYTES`` and a column length of ``_cap`` pairs; a longer
+    sequence grows the matrix.  Raises ValueError, before any draw, when the
+    work would not fit in memory (``check_memory``).
     """
     n = params.ctx.n
     m = num_pairs(n)
-    cells, threshold = _schedule(params, 0)
-    # a trial's share of the pairs; its sequence length is binomial, with
-    # variance below its mean
-    share = 1.0 - (1.0 - threshold) ** len(cells)
-    cap = min(m, ceil(share * m + 6 * sqrt(share * m)))
+    _, share, bounds = _schedule(params)
+    cap = _cap(m, share)
     dtype = np.int32 if m < 2 ** 31 else np.int64
     per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
     block = max(1, min(trials, _BLOCK_BYTES // per_trial))
-    # a trial's rounds (``_round_bytes``, which also covers a run's graph and
-    # insertion), its round lists and their concatenation, the table and the
-    # block
-    check_memory(_round_bytes(n, threshold) + ceil((16 * share + _TABLE_BYTES) * m)
+    # a trial's draw (``_round_bytes``, which also covers a run's graph and
+    # insertion), the table and the block
+    check_memory(_round_bytes(n, share, len(bounds) + 1) + _TABLE_BYTES * m
                  + block * per_trial, f"a campaign at n={n}")
     table = _pair_table(n)
-    seen = np.zeros(m, dtype=bool)
     # one matrix serves every block, so two are never alive at once
     seq = np.empty((cap, block), dtype=dtype)
     streams = rng.Streams()
@@ -441,10 +438,7 @@ def _final_blocks(params: ProcessParams, trials: int):
         seq.fill(m)
         longest = 0
         for col in range(cols):
-            seen[:] = False
-            cells, threshold = _schedule(params, start + col)
-            ids = np.concatenate([_draw_round(streams.rekey(*cell), m, threshold, seen)
-                                  for cell in cells])
+            ids, _ = _draw(streams, params, start + col)
             if len(ids) > len(seq):
                 seq = np.vstack([seq, np.full((len(ids) - len(seq), block), m, dtype=dtype)])
             seq[:len(ids), col] = ids

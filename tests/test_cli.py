@@ -352,8 +352,8 @@ class TestMemoryBound:
         assert "Traceback" not in err
 
     def test_simulate_past_address_space_limit_is_usage_error(self):
-        # a run at n=12000 needs about 2.2 GiB; the soft limit is lowered
-        # in the child process only
+        # an uncut run at n=20000 needs about 1.7 GiB; the soft limit is
+        # lowered in the child process only
         limit = 1_000_000 * 1024
 
         def lower_limit():
@@ -361,7 +361,7 @@ class TestMemoryBound:
                                (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "12000", "--trials", "1"],
+                               "--n", "20000", "--trials", "1"],
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_limit)
         assert proc.returncode == 2
@@ -370,11 +370,12 @@ class TestMemoryBound:
         assert "Traceback" not in proc.stderr
 
     def test_run_that_would_run_out_of_address_space_is_refused(self):
-        # an uncut run at n=7500 maps about 885 MiB at its join, where the
-        # id and time chunks and both joined arrays are mapped at once;
-        # under a 1,000,000 KiB soft limit, with 100-150 MiB mapped by the
-        # interpreter and numpy, the check must refuse the run before it
-        # starts, not leave an allocation to fail
+        # an uncut run keeps a permutation of all C(n,2) pair ids, 8 bytes
+        # each, through its insertion; under a 1,000,000 KiB soft limit,
+        # with 100-150 MiB mapped by the interpreter and numpy, a run at
+        # n=14200 fails an allocation when the check is off (the last n
+        # that completes, with 109 MiB mapped, is 14144), so the check must
+        # refuse it before it starts
         limit = 1_000_000 * 1024
 
         def lower_limit():
@@ -382,20 +383,20 @@ class TestMemoryBound:
                                (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "7500", "--trials", "1"],
+                               "--n", "14200", "--trials", "1"],
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_limit)
         assert proc.returncode == 2
-        assert "memory bound: a run at n=7500 needs about" in proc.stderr
+        assert "memory bound: a run at n=14200 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
 
     def test_cut_run_that_would_run_out_of_address_space_is_refused(self):
-        # with cutoff 0.3 the heap keeps the holes between the kept chunks
-        # mapped while they are joined: at n=12800, with one OpenBLAS thread
-        # (about 109 MiB mapped before the run), the run passed a check
-        # without that phase and then failed to allocate the joined ids
-        # under a 1,000,000 KiB soft limit; the check must refuse it before
-        # its draw
+        # with cutoff 0.3 the draw holds the kept ids, their times, their
+        # order and the sorted ids at once: under a 1,000,000 KiB soft
+        # limit, with one OpenBLAS thread (about 109 MiB mapped before the
+        # run), a run at n=15900 fails an allocation when the check is off
+        # (the last n that completes is 15885); the check must refuse it
+        # before its draw
         limit = 1_000_000 * 1024
 
         def lower_limit():
@@ -403,21 +404,21 @@ class TestMemoryBound:
                                (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "12800", "--cutoff", "0.3", "--trials", "1"],
+                               "--n", "15900", "--cutoff", "0.3", "--trials", "1"],
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_limit,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2
-        assert "memory bound: a run at n=12800 needs about" in proc.stderr
+        assert "memory bound: a run at n=15900 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
 
     @pytest.mark.full
     def test_rounds_at_n20000_runs_in_one_gib(self):
-        # the round form streams each round, so a run at n=20000 keeps about
-        # 2.5 bytes per pair of K_n: on a 2-core x86_64 host it took 29 s,
-        # peaked at 578 MiB of address space and 466 MiB resident.  Under a
-        # 1 GiB soft limit it must pass the memory check and finish, which
-        # also bounds its resident peak by 1 GiB
+        # the round form draws only the pairs it keeps, so a run at n=20000
+        # holds about 1.25 bytes per pair of K_n: on a 2-core x86_64 host it
+        # took 11-12 s and peaked at 281 MiB resident.  Under a 1 GiB soft
+        # limit it must pass the memory check and finish, which also bounds
+        # its resident peak by 1 GiB
         limit = 1 << 30
 
         def lower_limit():
@@ -455,7 +456,7 @@ class TestLambdaCommand:
         assert csv.read_text().startswith("round,u,v,")
         # the rows file pinned byte for byte: 40 pairs in each of 10 rounds
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
-            "727cc68fde68f5a291d94b4c35f82bee0d3be8c79b7538ea5b613fbd5c06f264"
+            "a50750a322ea7428c11925b576e16feb23947fcdeed5657fa6f2fd20419603a5"
 
 
 class TestAcceptCommand:

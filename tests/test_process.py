@@ -191,14 +191,57 @@ class TestRunRounds:
         assert run_rounds(p, trial=1).graph.adj == run_rounds(p, trial=1).graph.adj
 
 
+# Pairs the reference draw draws, filters and joins at a time
+_DRAW_CHUNK = 1 << 16
+
+
+def draw_round(gen, m, threshold, seen):
+    """One round of the reference draw, which the aggregate draw
+    (``process._draw``) replaced: a time in [0, 1) for every pair, drawn and
+    filtered ``_DRAW_CHUNK`` pairs at a time (successive draws from a
+    generator reproduce one long draw bit for bit); returns, in stable time
+    order, the pairs not yet in ``seen`` whose time is below ``threshold``,
+    and marks them in ``seen``."""
+    ids, times = [], []
+    for s in range(0, m, _DRAW_CHUNK):
+        t = gen.random(min(_DRAW_CHUNK, m - s))
+        part = seen[s:s + _DRAW_CHUNK]
+        fresh = (t < threshold) & ~part
+        part |= fresh
+        kept = np.nonzero(fresh)[0]
+        ids.append(kept + s)
+        times.append(t[kept])
+    ids, times = np.concatenate(ids), np.concatenate(times)
+    return ids[_birth_order(times)]
+
+
 def one_shot_draw(gen, m, threshold, seen):
-    """The reference for ``_draw_round``: every pair's time in one array,
+    """The reference for ``draw_round``: every pair's time in one array,
     filtered with full-length masks."""
     t = gen.random(m)
     fresh = (t < threshold) & ~seen
     seen |= fresh
     ids = np.nonzero(fresh)[0]
     return ids[_birth_order(t[ids])]
+
+
+def reference_draw(streams, params, trial):
+    """The reference route, in place of ``process._draw``: each round draws
+    from its own cell (seed, trial, round, purpose), round 0 of the
+    birth-order form below the cutoff (or 1), rounds 1..k**2 of the round
+    form below the birth probability, over one ``seen`` mask.  Returns the
+    rounds' ids joined, and where each round but the last ends."""
+    ctx = params.ctx
+    m = num_pairs(ctx.n)
+    if params.mode == "exact":
+        cells = [(params.seed, trial, 0, rng.EXACT)]
+        threshold = 1.0 if params.cutoff is None else params.cutoff
+    else:
+        cells = [(params.seed, trial, i, rng.ROUNDS) for i in range(1, ctx.rounds_total + 1)]
+        threshold = ctx.birth_prob
+    seen = np.zeros(m, dtype=bool)
+    rounds = [draw_round(streams.rekey(*cell), m, threshold, seen) for cell in cells]
+    return np.concatenate(rounds), np.cumsum([len(r) for r in rounds[:-1]]).tolist()
 
 
 class _TiedStream:
@@ -213,21 +256,22 @@ class _TiedStream:
 
 
 class TestStreamedRound:
-    """A round is drawn, filtered, decoded and inserted in fixed-size pieces
-    and must give what one pass over all C(n,2) pairs gives."""
+    """A round is drawn, decoded and inserted in fixed-size pieces and must
+    give what one pass over all its pairs gives."""
 
-    @pytest.mark.parametrize("m", [process._CHUNK - 1, process._CHUNK,
-                                   3 * process._CHUNK, 3 * process._CHUNK + 77])
+    @pytest.mark.parametrize("m", [_DRAW_CHUNK - 1, _DRAW_CHUNK,
+                                   3 * _DRAW_CHUNK, 3 * _DRAW_CHUNK + 77])
     @pytest.mark.parametrize("threshold", [1.0, 0.3, RoundContext(2000, 0.1).birth_prob])
     @pytest.mark.parametrize("ties", [False, True])
     def test_chunked_draw_matches_one_shot(self, m, threshold, ties):
-        # three rounds over one reused seen mask, as the round form draws them
+        # the reference route: three rounds over one reused seen mask, as
+        # its round form draws them
         wrap = _TiedStream if ties else (lambda gen: gen)
         seen = np.zeros(m, dtype=bool)
         ref_seen = np.zeros(m, dtype=bool)
         for i in range(1, 4):
-            got = process._draw_round(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
-                                      m, threshold, seen)
+            got = draw_round(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
+                             m, threshold, seen)
             want = one_shot_draw(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
                                  m, threshold, ref_seen)
             assert np.array_equal(got, want)
@@ -261,7 +305,6 @@ class TestStreamedRound:
         n = 1500
         params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff,
                                record_snapshots=bool(snapshots))
-        threshold = params.ctx.birth_prob if mode == "rounds" else cutoff or 1.0
         run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
         tracemalloc.start()
         try:
@@ -269,7 +312,13 @@ class TestStreamedRound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= process._round_bytes(n, threshold, snapshots)
+        assert peak <= _estimate(params, snapshots)
+
+
+def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
+    """``process._round_bytes`` for a run of these parameters."""
+    _, share, bounds = process._schedule(params)
+    return process._round_bytes(params.ctx.n, share, len(bounds) + 1, snapshots)
 
 
 def _forbid_streams(monkeypatch):
@@ -293,24 +342,23 @@ class TestMemoryBound:
     @pytest.mark.parametrize("mode, n, mib", [pytest.param("exact", 300, 3, id="exact-300"),
                                               pytest.param("rounds", 600, 2, id="rounds-600")])
     def test_run_refused(self, tiny_memory, mode, n, mib):
-        # an uncut birth-order run keeps every pair, about 75 bytes each at
-        # n=300, where the whole round is one slice; a round of the round
-        # form keeps a share of about 1/(k sqrt(n)), about 11 bytes per pair
-        # of K_n at n=600
+        # an uncut birth-order run keeps every pair, about 73 bytes each at
+        # n=300, where the whole round is one slice; a round-form run keeps
+        # a share of about k/sqrt(n), about 10 bytes per pair of K_n at
+        # n=600
         params = ProcessParams(ctx=RoundContext(n, 0.2), seed=1, mode=mode)
         with pytest.raises(ValueError,
                            match=fr"memory bound: a run at n={n} needs about {mib} MiB"):
             run(params)
 
     def test_rounds_run_below_full_draw_passes(self, monkeypatch):
-        # a round at n=300 keeps about 2% of the pairs: it fits where
-        # keeping every pair would not, and an uncut birth-order run is
-        # refused
+        # a round-form run at n=300 keeps about 16% of the pairs: it fits
+        # where keeping every pair would not, and an uncut birth-order run
+        # is refused
         limit = 1 << 20
-        assert (process._round_bytes(300, RoundContext(300, 0.2).birth_prob) < limit
-                < process._round_bytes(300, 1.0))
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
         params = ProcessParams(ctx=RoundContext(300, 0.2), seed=1)
+        assert _estimate(params) < limit < _estimate(replace(params, mode="exact"))
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
         assert run_rounds(params).final_edges > 0
         with pytest.raises(ValueError, match="memory bound: a run at n=300"):
             run_exact(params)
@@ -318,14 +366,14 @@ class TestMemoryBound:
     def test_snapshots_counted(self, monkeypatch):
         # 26 snapshots of the n=300 graph (k = 5) take the run past a limit
         # the run without them fits in
-        ctx = RoundContext(300, 0.3)
-        limit = process._round_bytes(300, ctx.birth_prob) + 100_000
-        assert limit < process._round_bytes(300, ctx.birth_prob, ctx.rounds_total + 1)
+        params = ProcessParams(ctx=RoundContext(300, 0.3), seed=1)
+        limit = _estimate(params) + 100_000
+        assert limit < _estimate(params, params.ctx.rounds_total + 1)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
-        assert run_rounds(ProcessParams(ctx=ctx, seed=1)).final_edges > 0
+        assert run_rounds(params).final_edges > 0
         _forbid_streams(monkeypatch)
         with pytest.raises(ValueError, match="memory bound: a run at n=300"):
-            run_rounds(ProcessParams(ctx=ctx, seed=1, record_snapshots=True))
+            run_rounds(replace(params, record_snapshots=True))
 
     @pytest.mark.parametrize("mode", ["exact", "rounds"])
     def test_campaign_refused(self, tiny_memory, mode):
@@ -383,13 +431,20 @@ class TestDistributionHelpers:
 
 
 class _GridStream:
-    """A stream whose times lie on {0, 1/3, 2/3}: exact ties everywhere."""
+    """A stream that keeps every pair (each gap 1) and whose times lie on
+    {0, 1/3, 2/3}: exact ties everywhere, and more pairs than the share."""
 
     def __init__(self, gen):
         self.gen = gen
 
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
     def random(self, size):
         return self.gen.integers(0, 3, size=size) / 3
+
+    def permutation(self, m):
+        return self.gen.permutation(m)
 
 
 def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
@@ -414,9 +469,8 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
             params.ctx, trials, params.seed, mode=params.mode, cutoff=params.cutoff,
             classify=classify)
         graphs = [run(params, trial=t).graph for t in range(trials)]
-    # all three passes drew each trial's rounds through the patched route
-    rounds = 1 if params.mode == "exact" else params.ctx.rounds_total
-    assert len(cells) == 3 * trials * rounds
+    # all three passes drew each trial through the patched route, once
+    assert len(cells) == 3 * trials
     assert rows == [mask for g in graphs for mask in g.adj]
     assert edges == Counter(g.edge_count for g in graphs)
     if classify:
@@ -434,7 +488,8 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
 @settings(max_examples=120, deadline=None)
 def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, ties):
     # blocks of any size from 1 trial up, so the trial count need not divide
-    # it; with ``ties`` every round's times repeat, so the stable order rules
+    # it; with ``ties`` a cut run keeps every pair and its times repeat, so
+    # the stable order rules
     params = ProcessParams(ctx=RoundContext(n, eps), seed=seed, mode=mode, cutoff=cutoff)
     _check_batch_against_runs(params, trials, budget, classify=n <= 6, ties=ties)
 
@@ -442,8 +497,8 @@ def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, 
 @pytest.mark.parametrize("budget", [0, 1 << 20])
 @pytest.mark.parametrize("mode, cutoff, ties", [
     ("exact", None, False), ("exact", 0.3, False), ("rounds", None, False),
-    # about 2/3 of the pairs fall below 0.34, far past the expected share:
-    # the sequences outgrow the column length the block was sized for
+    # every pair is kept, far past the expected share of 0.34: the
+    # sequences outgrow the column length the block was sized for
     ("exact", 0.34, True),
 ])
 def test_campaign_path_matches_runs_multiword(mode, cutoff, ties, budget):
@@ -464,26 +519,92 @@ def _trace_digest(trace: RunTrace) -> str:
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
 
-class TestGolden:
-    """Pinned outputs: the per-trial streams and the traversal must keep
-    reproducing these exact graphs, ledgers, round records and snapshots."""
+class TestAggregateDraw:
+    """The law of the one draw per trial: each pair kept independently with
+    the run's share, in uniform order, cut into rounds by birth time."""
 
-    CTX = RoundContext(60, 0.3)  # k = 3, 9 rounds
+    @pytest.mark.parametrize("mode, cutoff", [("rounds", None), ("exact", 0.3)])
+    def test_kept_count_and_round_sizes(self, mode, cutoff):
+        # k = 2 at n = 30: four rounds, birth probability q = 0.091; the
+        # kept count is Binomial(C(n,2), share) and round i holds a share
+        # (1 - q)**(i-1) q / share of the kept pairs, each within 3 sigma
+        params = ProcessParams(ctx=RoundContext(30, 0.25), seed=21, mode=mode, cutoff=cutoff)
+        _, share, bounds = process._schedule(params)
+        q = params.ctx.birth_prob if mode == "rounds" else share
+        m, trials = num_pairs(30), 2000
+        streams = rng.Streams()
+        sizes = np.zeros(len(bounds) + 1, dtype=np.int64)
+        for t in range(trials):
+            ids, ends = process._draw(streams, params, t)
+            assert len(np.unique(ids)) == len(ids) and 0 <= ids.min() and ids.max() < m
+            sizes += np.diff([0, *ends, len(ids)])
+        kept = int(sizes.sum())
+        assert abs(kept - trials * m * share) <= 3 * np.sqrt(trials * m * share * (1 - share))
+        for i, size in enumerate(sizes, start=1):
+            f = (1 - q) ** (i - 1) * q / share
+            assert abs(size - kept * f) <= 3 * np.sqrt(kept * f * (1 - f))
+
+    def test_uncut_campaign_matches_oracle_n5(self):
+        # a uniform permutation per trial: the edge-count law of n = 5
+        oracle = exhaustive_oracle(5).edge_count_probs
+        trials = 20_000
+        counts, _ = final_distribution_sample(RoundContext(5, 0.2), trials, seed=13)
+        assert set(counts) <= set(oracle)
+        for edges, p in oracle.items():
+            p = float(p)
+            assert abs(counts[edges] / trials - p) <= 3 * np.sqrt(p * (1 - p) / trials)
+
+    def test_round_form_campaign_matches_reference_route(self, monkeypatch):
+        # C4's setting and tolerance (n = 100, k = 2, 100,000 trials, TV <=
+        # 0.02), against the per-round draw it replaced
+        ctx = RoundContext(100, 0.2)
+        trials = 100_000
+        edges, _ = final_distribution_sample(ctx, trials, seed=7, mode="rounds")
+        monkeypatch.setattr(process, "_draw", reference_draw)
+        ref, _ = final_distribution_sample(ctx, trials, seed=8, mode="rounds")
+        assert tv_distance(normalize_counter(edges), normalize_counter(ref)) <= 0.02
+
+
+def _golden_digest(case: str) -> str:
+    """sha256 of one pinned output: a trace's graph, ledger, round records
+    and snapshots, or a campaign's edge and class counters."""
+    ctx = RoundContext(60, 0.3)  # k = 3, 9 rounds
+    if case == "exact":
+        return _trace_digest(run_exact(ProcessParams(ctx=ctx, seed=11, mode="exact"), trial=3))
+    if case == "exact_cutoff":
+        params = ProcessParams(ctx=ctx, seed=11, mode="exact", cutoff=aggregate_cutoff(ctx))
+        return _trace_digest(run_exact(params, trial=3))
+    if case == "rounds_snapshots":
+        params = ProcessParams(ctx=ctx, seed=11, record_snapshots=True)
+        return _trace_digest(run_rounds(params, trial=3))
+    mode = case.removeprefix("campaign_")
+    ctx = RoundContext(6, 0.25)
+    cutoff = aggregate_cutoff(ctx) if mode == "exact" else None
+    edges, classes = final_distribution_sample(ctx, 300, seed=5, mode=mode,
+                                               cutoff=cutoff, classify=True)
+    blob = json.dumps([sorted(edges.items()), sorted(classes.items())])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestGolden:
+    """Pinned outputs of the reference route: with it in place of the
+    aggregate draw, the streams and the traversal must keep reproducing
+    these exact graphs, ledgers, round records and snapshots."""
+
+    @pytest.fixture(autouse=True)
+    def reference_route(self, monkeypatch):
+        monkeypatch.setattr(process, "_draw", reference_draw)
 
     def test_run_exact(self):
-        trace = run_exact(ProcessParams(ctx=self.CTX, seed=11, mode="exact"), trial=3)
-        assert _trace_digest(trace) == \
+        assert _golden_digest("exact") == \
             "8c95df28b8df4b1a6775ab2a740f31c5f140ef746e124a316b5d0452871ca680"
 
     def test_run_exact_cutoff(self):
-        params = ProcessParams(ctx=self.CTX, seed=11, mode="exact",
-                               cutoff=aggregate_cutoff(self.CTX))
-        assert _trace_digest(run_exact(params, trial=3)) == \
+        assert _golden_digest("exact_cutoff") == \
             "125dd1e62bbc197da7e65d6a96caf07bdfc00a125055b918ca0826a6214c6bd5"
 
     def test_run_rounds_snapshots(self):
-        params = ProcessParams(ctx=self.CTX, seed=11, record_snapshots=True)
-        assert _trace_digest(run_rounds(params, trial=3)) == \
+        assert _golden_digest("rounds_snapshots") == \
             "bfd18f013e81bacdb46a9177f16a40569a972eae18543e6cdcf3ae4617b9e773"
 
     @pytest.mark.parametrize("mode, digest", [
@@ -491,9 +612,16 @@ class TestGolden:
         ("rounds", "23a57942aae0008e2154b3731bb842bcebac2a2787632af73a59d93eca2c5247"),
     ])
     def test_final_distribution_sample(self, mode, digest):
-        ctx = RoundContext(6, 0.25)
-        cutoff = aggregate_cutoff(ctx) if mode == "exact" else None
-        edges, classes = final_distribution_sample(ctx, 300, seed=5, mode=mode,
-                                                   cutoff=cutoff, classify=True)
-        blob = json.dumps([sorted(edges.items()), sorted(classes.items())])
-        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+        assert _golden_digest(f"campaign_{mode}") == digest
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("exact", "71983c84d0d5e2d0e4aaf0f43a654134c9b3a5ccab4b5d5c2e0a36ae58708185"),
+    ("exact_cutoff", "15bcddf8e02ec417d6fbbd887fd25d83220322fe4f2fff368f9e471c983c0690"),
+    ("rounds_snapshots", "126299f35f864a952027dd2a987e44262b01e1fd80b53bf1994c30afad930f08"),
+    ("campaign_exact", "cdd64470658814f46326d61f6a93cd24a74626e6974885cd3544461cf7c78a80"),
+    ("campaign_rounds", "27c553bd4f06475eb1d67c6a03a47dcf39ef36d1d11e1197ecf274267383825f"),
+])
+def test_golden_aggregate_draw(case, digest):
+    # the same outputs through the aggregate draw, one stream cell per trial
+    assert _golden_digest(case) == digest
