@@ -454,11 +454,11 @@ def run_acceptance(profile: str = "quick", seed: int = 0,
         raise ValueError(f"profile must be 'quick' or 'full', got {profile!r}")
     ids = sorted(cid for cid, run in CRITERIA.items()
                  if profile == "full" or run.profile == "quick")
-    if only:
+    if only is not None:
         unknown = sorted(set(only) - set(CRITERIA))
-        if unknown:
-            raise ValueError(f"unknown criterion ids {unknown}; "
-                             f"valid ids are {', '.join(map(str, CRITERIA))}")
+        if unknown or not only:
+            what = f"unknown criterion ids {unknown}" if unknown else "no criterion id given"
+            raise ValueError(f"{what}; valid ids are {', '.join(map(str, CRITERIA))}")
         ids = sorted(set(only))
     results = []
     for cid in ids:

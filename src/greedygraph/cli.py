@@ -283,7 +283,7 @@ def _cmd_predict(o) -> int:
 
 
 def _cmd_accept(o) -> int:
-    only = [int(tok) for tok in o.only.split(",") if tok] if o.only else None
+    only = [int(tok) for tok in o.only.split(",") if tok] if o.only is not None else None
     t0 = time.perf_counter()
     results = run_acceptance(profile=o.profile, seed=o.seed, only=only)
     payload = {

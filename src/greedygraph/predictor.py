@@ -164,7 +164,8 @@ def compare_with_gnm(pattern: PatternGraph, ctx: RoundContext, trials: int,
         "m": m,
         "mean": gmean,
         "sd": gsd,
-        "ratio_vs_process": gmean / report.empirical_mean if report.empirical_mean else float("nan"),
+        # JSON has no NaN: with no process copies the ratio is null
+        "ratio_vs_process": gmean / report.empirical_mean if report.empirical_mean else None,
         "samples_with_triangle": with_triangle,
         "samples": trials,
         "counts": [int(c) for c in gnm_counts],

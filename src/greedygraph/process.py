@@ -6,11 +6,9 @@ and its birth time within the round make one aggregate birth time, uniform
 in [0, 1) and independent across pairs, so one draw per trial gives a whole
 run: the pairs whose time falls below the run's share, in increasing time
 order, cut into rounds at the rounds' bounds.  The draw keeps each pair
-independently with that share and orders the kept pairs by uniform times,
-so it costs the pairs kept, not C(n,2).  The order is that of a stable
-sort: the faster default argsort gives it whenever the times are distinct,
-and an exact tie falls back to the stable sort, so tied pairs go in
-pair-index order.  Two forms share it:
+independently with that share, shuffles the kept pairs into uniform order
+and draws the rounds' sizes, so it costs the pairs kept, not C(n,2).  Two
+forms share it:
 
 ``run_exact`` is the birth-order form: a single round, below 1 (every
 pair, in a uniform permutation) or below an optional cutoff.
@@ -104,27 +102,6 @@ class RunTrace:
         }
 
 
-# Sorted times a tie check reads at a time
-_CHUNK = 1 << 16
-
-
-def _birth_order(times: np.ndarray) -> np.ndarray:
-    """The permutation that sorts ``times`` stably.
-
-    The default (unstable) argsort is several times faster than the stable
-    mergesort, and with distinct times every sort gives the same order; an
-    exact tie, rare among 53-bit draws, falls back to the stable sort, so
-    tied pairs keep their pair-index order on every machine.  The sorted
-    times are checked for ties ``_CHUNK`` at a time.
-    """
-    order = np.argsort(times)
-    for s in range(0, len(order), _CHUNK):
-        ranked = times[order[s:s + _CHUNK + 1]]
-        if (ranked[1:] == ranked[:-1]).any():
-            return np.argsort(times, kind="stable")
-    return order
-
-
 def _schedule(params: ProcessParams):
     """The stream purpose of a run, the share of the pairs it traverses and
     the bounds between its rounds, on the scale of a pair's aggregate birth
@@ -151,65 +128,66 @@ def _draw(streams: rng.Streams, params: ProcessParams, trial: int):
     One stream cell per trial: (seed, trial, 0, the form's purpose).  A
     pair's round and its time within the round make one aggregate birth
     time, uniform in [0, 1) and independent across pairs, so a run traverses
-    each pair with its share (``_schedule``) independently, in uniform order,
-    and its rounds cut that order at the bounds.  The kept ids are drawn
-    ascending by geometric gaps, ``_cap`` gaps at a time until they pass
-    C(n,2); each gets a uniform time in [0, share), and they go in
-    ``_birth_order`` of their times, so the draw costs the pairs kept, not
-    C(n,2).  An uncut run keeps every pair, in a uniform permutation.
+    each pair with its share (``_schedule``) independently, in uniform order.
+    The kept ids are drawn ascending by geometric gaps, ``_cap`` gaps at a
+    time until they pass C(n,2), so the draw costs the pairs kept, not
+    C(n,2); an uncut run keeps every pair.  One in-place shuffle puts them
+    in uniform order.  The rounds' sizes are one multinomial draw over the
+    kept count, round i's probability being its share of [0, share): i.i.d.
+    (round, time) keys give a uniform order and multinomial round sizes
+    that do not depend on it.
     """
     m = num_pairs(params.ctx.n)
     purpose, share, bounds = _schedule(params)
     gen = streams.rekey(params.seed, trial, 0, purpose)
     if share >= 1.0:
-        return gen.permutation(m), []
-    block = _cap(m, share)
-    ids = np.cumsum(gen.geometric(share, block)) - 1
-    while ids[-1] < m:
-        ids = np.concatenate([ids, ids[-1] + np.cumsum(gen.geometric(share, block))])
-    ids = ids[:np.searchsorted(ids, m)]
-    times = gen.random(len(ids))
-    times *= share
-    order = _birth_order(times)
-    ends = np.searchsorted(times[order], bounds).tolist() if bounds else []
-    del times
-    return ids[order], ends
+        ids = np.arange(m)
+    else:
+        block = _cap(m, share)
+        ids = gen.geometric(share, block)
+        np.cumsum(ids, out=ids)
+        ids -= 1
+        while ids[-1] < m:
+            more = gen.geometric(share, block)
+            np.cumsum(more, out=more)
+            more += ids[-1]
+            ids = np.concatenate([ids, more])
+        ids = ids[:np.searchsorted(ids, m)]
+    gen.shuffle(ids)
+    if not bounds:
+        return ids, []
+    sizes = gen.multinomial(len(ids), np.diff([0.0, *bounds, share]) / share)
+    return ids, np.cumsum(sizes[:-1]).tolist()
 
 
-def _round_bytes(n: int, share: float, rounds: int = 1, snapshots: int = 0) -> int:
+def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
     """Bytes of address space a run on n vertices maps at its peak, beyond
     what was mapped before it, when it keeps a ``share`` of the m = C(n,2)
-    pairs (``_cap`` of them at most) in ``rounds`` rounds and keeps
-    ``snapshots`` copies of the graph; the larger of two phases, plus the
-    snapshots:
+    pairs (``_cap`` of them at most) and keeps ``snapshots`` copies of the
+    graph.  The draw holds only the ids, 8 bytes per pair kept, shuffled in
+    place, so the insertion sets the peak:
 
-    - the draw: 8 per pair of K_n for an uncut run's permutation; else, per
-      pair kept, 8 each for the ids, the times, their order and the sorted
-      ids (a run of several rounds also sorts the times, for 8 more), and
-      24 per time of one tie check (``_CHUNK``: two chunks of sorted times,
-      as one replaces the other, and their comparison);
-    - the insertion: 8 per pair kept for the ids, 1.25 per pair of K_n (a
-      quarter each, n**2/8 bytes, for the graph's adjacency and ledger
-      rows, two for the insertion's word mirror and its marks or its build
-      buffer, and one to spare) and 64 per pair of the slice being decoded
-      and inserted;
+    - 8 per pair kept for the ids;
+    - 1.25 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
+      adjacency and ledger rows, two for the insertion's word mirror and
+      its marks or its build buffer, and one to spare;
+    - 64 per pair of the slice being decoded and inserted;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
     On x86_64 Linux with glibc malloc and numpy 2.4, under a 1,000,000 KiB
-    RLIMIT_AS with 109 MiB mapped (867.4 MiB left) and the memory check
+    RLIMIT_AS with 109 MiB mapped (867.5 MiB left) and the memory check
     switched off, the last n that completes and the first that fails an
-    allocation are 14144 and 14145 uncut, 15885 and 15886 at cutoff 0.3,
-    11233 and 11234 at 0.6 and 9171 and 9172 at 0.9.  This figure accepts
-    up to n = 13894, 15874, 11224 and 9165, and each completes: it
-    overstates the need at the last n that completes by 3.6% uncut and by
-    0.1% at each cutoff, where the draw sets the peak."""
+    allocation are 14144 and 14145 uncut, 22947 and 22948 at cutoff 0.3,
+    17599 and 17600 at 0.6 and 14823 and 14824 at 0.9.  This figure
+    accepts up to n = 13895, 22112, 17175 and 14533 (a few more when a
+    few hundred KiB less is mapped), and each completes: it overstates the
+    need at the last n that completes by 3.5% uncut, 7.5% at cutoff 0.3,
+    4.9% at 0.6 and 3.9% at 0.9."""
     m = num_pairs(n)
     kept = _cap(m, share)
-    draw = (8 * m if share >= 1.0
-            else (24 + 8 * (rounds > 1)) * kept + 24 * min(kept, _CHUNK))
-    insert = 8 * kept + 1.25 * m + 64 * min(kept, _SLICE)
-    return ceil(max(draw, insert) + snapshots * n * (n / 4 + 80))
+    return ceil(8 * kept + 1.25 * m + 64 * min(kept, _SLICE)
+                + snapshots * n * (n / 4 + 80))
 
 
 def _run(params: ProcessParams, trial: int) -> RunTrace:
@@ -225,7 +203,7 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
-    check_memory(_round_bytes(n, share, rounds, (rounds + 1) * params.record_snapshots),
+    check_memory(_round_bytes(n, share, (rounds + 1) * params.record_snapshots),
                  f"a run at n={n}")
     ids, ends = _draw(streams, params, trial)
     g = EvolvingGraph(n)
@@ -243,8 +221,8 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
 
 
 def run_exact(params: ProcessParams, trial: int = 0) -> RunTrace:
-    """Birth-order process: all pairs sorted by uniform birth times, in one
-    round (two snapshots, when recorded: the empty graph and the final one)."""
+    """Birth-order process: every pair, or each with the cutoff's share, in
+    uniform order, in one round (two snapshots, when recorded: the empty graph and the final one)."""
     return _run(replace(params, mode="exact"), trial)
 
 
@@ -427,7 +405,7 @@ def _final_blocks(params: ProcessParams, trials: int):
     block = max(1, min(trials, _BLOCK_BYTES // per_trial))
     # a trial's draw (``_round_bytes``, which also covers a run's graph and
     # insertion), the table and the block
-    check_memory(_round_bytes(n, share, len(bounds) + 1) + _TABLE_BYTES * m
+    check_memory(_round_bytes(n, share) + _TABLE_BYTES * m
                  + block * per_trial, f"a campaign at n={n}")
     table = _pair_table(n)
     # one matrix serves every block, so two are never alive at once

@@ -261,6 +261,21 @@ class TestPredictCommands:
         payload = json.loads(out)
         assert payload["gnm"]["samples"] == 3
 
+    def test_report_is_strict_json_with_no_process_copies(self, capsys):
+        # the round-form graphs of this run hold no 6-cycle, so the
+        # uniform/process ratio has no value: null, not NaN, which strict
+        # JSON parsers reject
+        code, out = run_cli(["compare-gnm", "--n", "6", "--pattern", "C6",
+                             "--trials", "2"], capsys)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["empirical_mean"] == 0
+        assert payload["gnm"]["ratio_vs_process"] is None
+
     def test_unknown_pattern_usage_error(self, capsys):
         code, _ = run_cli(["predict", "--pattern", "Q9", "--n", "100"], capsys)
         assert code == 2
@@ -391,12 +406,12 @@ class TestMemoryBound:
         assert "an allocation failed" not in proc.stderr
 
     def test_cut_run_that_would_run_out_of_address_space_is_refused(self):
-        # with cutoff 0.3 the draw holds the kept ids, their times, their
-        # order and the sorted ids at once: under a 1,000,000 KiB soft
-        # limit, with one OpenBLAS thread (about 109 MiB mapped before the
-        # run), a run at n=15900 fails an allocation when the check is off
-        # (the last n that completes is 15885); the check must refuse it
-        # before its draw
+        # with cutoff 0.3 the insertion holds the kept ids, 8 bytes each,
+        # beside the graph's rows and the insertion's mirror: under a
+        # 1,000,000 KiB soft limit, with one OpenBLAS thread (about 109 MiB
+        # mapped before the run), a run at n=23000 fails an allocation when
+        # the check is off (the last n that completes is 22947); the check
+        # must refuse it before its draw
         limit = 1_000_000 * 1024
 
         def lower_limit():
@@ -404,12 +419,12 @@ class TestMemoryBound:
                                (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "15900", "--cutoff", "0.3", "--trials", "1"],
+                               "--n", "23000", "--cutoff", "0.3", "--trials", "1"],
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_limit,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2
-        assert "memory bound: a run at n=15900 needs about" in proc.stderr
+        assert "memory bound: a run at n=23000 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
 
     @pytest.mark.full
@@ -456,7 +471,7 @@ class TestLambdaCommand:
         assert csv.read_text().startswith("round,u,v,")
         # the rows file pinned byte for byte: 40 pairs in each of 10 rounds
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == \
-            "a50750a322ea7428c11925b576e16feb23947fcdeed5657fa6f2fd20419603a5"
+            "36408945ce198f6f25e6b7f479f259d3e3b374ceb7edc80f8e8a8671bb2e6376"
 
 
 class TestAcceptCommand:
@@ -488,6 +503,15 @@ class TestAcceptCommand:
         out, err = capsys.readouterr()
         assert "criteria passed" not in out
         assert "unknown criterion ids" in err
+        assert "valid ids are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14" in err
+
+    @pytest.mark.parametrize("only", ["", ","])
+    def test_empty_criterion_list_is_usage_error(self, capsys, only):
+        # an empty list names no criterion; it must not run the whole profile
+        assert main(["accept", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        assert "criteria passed" not in out
+        assert "no criterion id given" in err
         assert "valid ids are 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14" in err
 
 

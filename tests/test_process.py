@@ -16,8 +16,7 @@ from greedygraph import graphcore, process, rng
 from greedygraph.graphcore import EvolvingGraph, bitset_ints, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
-                                 _birth_order, _class_name, _final_blocks,
-                                 aggregate_cutoff,
+                                 _class_name, _final_blocks, aggregate_cutoff,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
@@ -118,14 +117,6 @@ class TestRunExact:
         assert trace.graph.birthed_count < 40 * 39 // 2
         assert trace.graph.audit_triangle_free()
 
-    @pytest.mark.parametrize("levels", [3, 2 ** 53])
-    def test_birth_order_is_stable(self, levels):
-        # times on a grid of `levels` values: exact ties everywhere (3), or
-        # almost none, as with real 53-bit draws; tied pairs keep index order
-        times = np.random.default_rng(0).integers(0, levels, size=5000) / levels
-        expect = sorted(range(len(times)), key=lambda j: (times[j], j))
-        assert _birth_order(times).tolist() == expect
-
     @pytest.mark.parametrize("cutoff", [None, 0.3])
     def test_snapshots(self, cutoff):
         # one round: the empty graph, then the final graph and ledger
@@ -212,7 +203,7 @@ def draw_round(gen, m, threshold, seen):
         ids.append(kept + s)
         times.append(t[kept])
     ids, times = np.concatenate(ids), np.concatenate(times)
-    return ids[_birth_order(times)]
+    return ids[np.argsort(times, kind="stable")]
 
 
 def one_shot_draw(gen, m, threshold, seen):
@@ -222,7 +213,7 @@ def one_shot_draw(gen, m, threshold, seen):
     fresh = (t < threshold) & ~seen
     seen |= fresh
     ids = np.nonzero(fresh)[0]
-    return ids[_birth_order(t[ids])]
+    return ids[np.argsort(t[ids], kind="stable")]
 
 
 def reference_draw(streams, params, trial):
@@ -297,10 +288,10 @@ class TestStreamedRound:
             assert calls[0] == num_pairs(n) > 2 * graphcore._SLICE
 
     @pytest.mark.parametrize("mode, cutoff, snapshots", [
-        ("rounds", None, 0), ("exact", 0.3, 0), ("exact", None, 0),
+        ("rounds", None, 0), ("exact", 0.3, 0), ("exact", 0.9, 0), ("exact", None, 0),
         # k = 2: the empty graph and one copy per round, 5 in all
         ("rounds", None, 5)],
-        ids=["rounds-None", "exact-0.3", "exact-None", "rounds-None-snapshots"])
+        ids=["rounds-None", "exact-0.3", "exact-0.9", "exact-None", "rounds-None-snapshots"])
     def test_estimate_bounds_traced_peak(self, mode, cutoff, snapshots):
         n = 1500
         params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff,
@@ -317,8 +308,8 @@ class TestStreamedRound:
 
 def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
     """``process._round_bytes`` for a run of these parameters."""
-    _, share, bounds = process._schedule(params)
-    return process._round_bytes(params.ctx.n, share, len(bounds) + 1, snapshots)
+    _, share, _ = process._schedule(params)
+    return process._round_bytes(params.ctx.n, share, snapshots)
 
 
 def _forbid_streams(monkeypatch):
@@ -430,9 +421,10 @@ class TestDistributionHelpers:
         assert predicted_final_edges(ctx) == pytest.approx(expect)
 
 
-class _GridStream:
-    """A stream that keeps every pair (each gap 1) and whose times lie on
-    {0, 1/3, 2/3}: exact ties everywhere, and more pairs than the share."""
+class _KeepAllStream:
+    """A stream that keeps every pair (each gap 1), so a cut run keeps more
+    pairs than its share; the shuffle and the round sizes come from the
+    wrapped generator."""
 
     def __init__(self, gen):
         self.gen = gen
@@ -440,18 +432,18 @@ class _GridStream:
     def geometric(self, p, size):
         return np.ones(size, dtype=np.int64)
 
-    def random(self, size):
-        return self.gen.integers(0, 3, size=size) / 3
+    def shuffle(self, x):
+        self.gen.shuffle(x)
 
-    def permutation(self, m):
-        return self.gen.permutation(m)
+    def multinomial(self, n, pvals):
+        return self.gen.multinomial(n, pvals)
 
 
 def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
-                              classify: bool = False, ties: bool = False) -> None:
+                              classify: bool = False, keep_all: bool = False) -> None:
     """The campaign path, in blocks of at most ``budget`` bytes, against
     ``run`` trial by trial: adjacency rows, edge counter and class counter;
-    with ``ties``, both draw from ``_GridStream``s."""
+    with ``keep_all``, both draw from ``_KeepAllStream``s."""
     n = params.ctx.n
     real = rng.Streams.rekey
     cells = []
@@ -459,7 +451,7 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
     def rekey(self, *args, **kwargs):
         cells.append(args)
         gen = real(self, *args, **kwargs)
-        return _GridStream(gen) if ties else gen
+        return _KeepAllStream(gen) if keep_all else gen
 
     with mock.patch.object(process, "_BLOCK_BYTES", budget), \
             mock.patch.object(rng.Streams, "rekey", rekey):
@@ -484,27 +476,26 @@ def _check_batch_against_runs(params: ProcessParams, trials: int, budget: int,
        trials=st.integers(min_value=1, max_value=40),
        budget=st.integers(min_value=0, max_value=20_000),
        seed=st.integers(min_value=0, max_value=2 ** 32),
-       ties=st.booleans())
+       keep_all=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, ties):
+def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, keep_all):
     # blocks of any size from 1 trial up, so the trial count need not divide
-    # it; with ``ties`` a cut run keeps every pair and its times repeat, so
-    # the stable order rules
+    # it; with ``keep_all`` a cut run keeps every pair, past its column length
     params = ProcessParams(ctx=RoundContext(n, eps), seed=seed, mode=mode, cutoff=cutoff)
-    _check_batch_against_runs(params, trials, budget, classify=n <= 6, ties=ties)
+    _check_batch_against_runs(params, trials, budget, classify=n <= 6, keep_all=keep_all)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 20])
-@pytest.mark.parametrize("mode, cutoff, ties", [
+@pytest.mark.parametrize("mode, cutoff, keep_all", [
     ("exact", None, False), ("exact", 0.3, False), ("rounds", None, False),
     # every pair is kept, far past the expected share of 0.34: the
     # sequences outgrow the column length the block was sized for
     ("exact", 0.34, True),
 ])
-def test_campaign_path_matches_runs_multiword(mode, cutoff, ties, budget):
+def test_campaign_path_matches_runs_multiword(mode, cutoff, keep_all, budget):
     # rows of three 64-bit words, in blocks of one trial or one block of all
     params = ProcessParams(ctx=RoundContext(130, 0.2), seed=8, mode=mode, cutoff=cutoff)
-    _check_batch_against_runs(params, 5, budget, ties=ties)
+    _check_batch_against_runs(params, 5, budget, keep_all=keep_all)
 
 
 def _graph_state(g: EvolvingGraph) -> list:
@@ -521,7 +512,19 @@ def _trace_digest(trace: RunTrace) -> str:
 
 class TestAggregateDraw:
     """The law of the one draw per trial: each pair kept independently with
-    the run's share, in uniform order, cut into rounds by birth time."""
+    the run's share, in uniform order, cut into rounds of multinomial
+    sizes."""
+
+    @pytest.mark.parametrize("n", [5, 100, 2000])
+    def test_uncut_draw_is_the_cells_permutation(self, n):
+        # an uncut run traverses its stream cell's permutation of C(n,2),
+        # bit for bit
+        params = ProcessParams(ctx=RoundContext(n, 0.2), seed=9, mode="exact")
+        streams = rng.Streams()
+        for t in range(3):
+            ids, ends = process._draw(streams, params, t)
+            assert ends == []
+            assert np.array_equal(ids, rng.stream(9, t, 0, rng.EXACT).permutation(num_pairs(n)))
 
     @pytest.mark.parametrize("mode, cutoff", [("rounds", None), ("exact", 0.3)])
     def test_kept_count_and_round_sizes(self, mode, cutoff):
@@ -617,10 +620,10 @@ class TestGolden:
 
 @pytest.mark.parametrize("case, digest", [
     ("exact", "71983c84d0d5e2d0e4aaf0f43a654134c9b3a5ccab4b5d5c2e0a36ae58708185"),
-    ("exact_cutoff", "15bcddf8e02ec417d6fbbd887fd25d83220322fe4f2fff368f9e471c983c0690"),
-    ("rounds_snapshots", "126299f35f864a952027dd2a987e44262b01e1fd80b53bf1994c30afad930f08"),
-    ("campaign_exact", "cdd64470658814f46326d61f6a93cd24a74626e6974885cd3544461cf7c78a80"),
-    ("campaign_rounds", "27c553bd4f06475eb1d67c6a03a47dcf39ef36d1d11e1197ecf274267383825f"),
+    ("exact_cutoff", "223f95646282090461264d3a932d91034c9552cc6ef56f8b3edb2116190ad55e"),
+    ("rounds_snapshots", "c39ccee9ef3e32860dc692ccb60a3c26f4a534cdee788f7a308ce57e1127b338"),
+    ("campaign_exact", "7c827123e7216e851f2312f5f0a362b8a54336bb380151c8f0a3605db98d20b3"),
+    ("campaign_rounds", "3accb419dd8861147d29118664c4c6f0168fb7ddc4af0bc0beeeb47d13c21f05"),
 ])
 def test_golden_aggregate_draw(case, digest):
     # the same outputs through the aggregate draw, one stream cell per trial

@@ -268,7 +268,7 @@ class TestCheckTrajectories:
         trace, ctx = self._trace(n=200, eps=0.25, seed=7)
         rep = check_trajectories(trace, ctx, sample_size=300, seed=7)
         assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == \
-            "1253ce9fe82d08f19ee53e2621714f4954450e3fe826a570d6edbb4b82329f97"
+            "21bd73cc0d687865d03e50256862cc97d2b7d45d8005b5b5ae9eb3e515dc559c"
 
     def test_report_golden_negative_seed(self):
         # pinned report over 17 sample rounds, keyed by a negative seed
@@ -276,4 +276,4 @@ class TestCheckTrajectories:
         rep = check_trajectories(trace, ctx, sample_size=250, seed=-5)
         assert len(rep.rounds) == 17
         assert hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest() == \
-            "d4cb6ad7922303b1f514cd7548f5b412f83d66d1d21b13e1e4e3de2923ee7788"
+            "928aed09fbeca876c69c9a79640f2e0f6e13c46ade705f113dbceb7999f36228"
