@@ -168,7 +168,10 @@ def criterion_03(ck: _Check, seed: int) -> dict:
 
 @_criterion(4, "round/birth-order distributional equivalence", "quick", 120.0)
 def criterion_04(ck: _Check, seed: int) -> dict:
-    """Round form vs birth-order form with the matching cutoff (n=100, k=2)."""
+    """Round form vs birth-order form with the matching cutoff (n=100, k=2).
+    Both go through ``process._draw`` with one share, so the TV compares two
+    samples of one law; ``test_round_form_campaign_matches_reference_route``
+    checks the round form against the per-round draw it replaced."""
     ctx = RoundContext(100, 0.2)
     ck.expect(ctx.k == 2,
               f"RoundContext(100, 0.2) has k={ctx.k}; the criterion is stated for k=2")

@@ -342,7 +342,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except MemoryError as exc:
-        sys.stderr.write(f"error: memory bound: an allocation failed ({exc})\n")
+        sys.stderr.write(f"error: memory bound: an allocation failed{f' ({exc})' if str(exc) else ''}\n")
         return USAGE_ERROR
 
 

@@ -121,11 +121,14 @@ def iter_bits(x: int) -> Iterator[int]:
 
 
 def bitset_words(rows, n: int) -> np.ndarray:
-    """n-bit masks as a read-only (len(rows), ceil(n/64)) array of
-    little-endian uint64 words: bit v of row r is bit v % 64 of word v // 64."""
-    width = 8 * ((n + 63) // 64)
-    buf = b"".join(r.to_bytes(width, "little") for r in rows)
-    return np.frombuffer(buf, dtype="<u8").reshape(-1, width // 8)
+    """n-bit masks as a writable (len(rows), ceil(n/64)) array of little-endian
+    uint64 words, bit v of row r in bit v % 64 of word v // 64, written in place."""
+    words = np.empty((len(rows), (n + 63) // 64), dtype="<u8")
+    width = 8 * words.shape[1]
+    buf = memoryview(words.reshape(-1).view(np.uint8))
+    for i, r in enumerate(rows):
+        buf[i * width:(i + 1) * width] = r.to_bytes(width, "little")
+    return words
 
 
 def bitset_ints(words: np.ndarray) -> Iterator[int]:
@@ -148,12 +151,27 @@ def row_bit_counts(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
+def neighbours(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits of each row of a C-contiguous ``bitset_words`` array as a
+    CSR, row r's ascending in indices[indptr[r]:indptr[r + 1]], unpacking only
+    the nonzero bytes: the build holds 32 bytes a set bit and 1 a word byte."""
+    octets = words.reshape(-1).view(np.uint8)
+    at = np.flatnonzero(octets != 0)
+    hit = np.flatnonzero(np.unpackbits(octets[at], bitorder="little").view(bool))
+    # bit hit & 7 of flat byte at[hit >> 3], placed within its row of bytes
+    indices = at[hit >> 3] % (8 * words.shape[1]) << 3
+    indices |= hit & 7
+    return np.concatenate([[0], np.cumsum(row_bit_counts(words))]), indices
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """Rows of a ``bitset_words`` array as 0/1 bytes, n to a row."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
 def bit_indices(x: int, n: int) -> np.ndarray:
     """Set-bit indices of an n-bit mask as an int64 array."""
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(packed, bitorder="little", count=n)
-    return np.nonzero(bits)[0].astype(np.int64)
+    return neighbours(bitset_words([x], n))[1]
 
 
 class EvolvingGraph:
@@ -300,7 +318,7 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     ids = np.asarray(ids, dtype=np.int64)
     adj = g.adj
     added = 0
-    mirror = bitset_words(adj, g.n).copy()
+    mirror = bitset_words(adj, g.n)
     marks = np.zeros_like(mirror)
     for d in range(0, len(ids), _SLICE):
         us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphcore import (EvolvingGraph, bitset_words, check_memory, iter_bits,
-                        row_bit_counts)
+                        neighbours, row_bit_counts, unpack_rows)
 
 MAX_PATTERN_VERTICES = 8
 
@@ -304,11 +304,6 @@ def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
     return _Spasm(tuple(comps), tuple((mu, ids) for ids, mu in terms.items() if mu))
 
 
-def _dense_adjacency(words: np.ndarray, n: int) -> np.ndarray:
-    """Rows of ``bitset_words`` as 0/1 bytes: those rows of the adjacency."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
-
-
 def _scattered(m: _Msg) -> bool:
     """Whether m is the row block A[rows] alone, pushed by the CSR scatter."""
     return m.axes == (0,) and not m.children
@@ -331,7 +326,7 @@ class _Walks:
 
     def _adjacency(self, i: int, j: int, ndim: int) -> np.ndarray:
         """A[x_i, x_j] for axes i < j, broadcast to ndim axes."""
-        src = _dense_adjacency(self.words[self.rows], self.n) if i == 0 else self.bits
+        src = unpack_rows(self.words[self.rows], self.n) if i == 0 else self.bits
         shape = [1] * ndim
         shape[i], shape[j] = src.shape
         return src.reshape(shape)
@@ -405,7 +400,8 @@ class _Walks:
 
 
 def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
-    """hom(Q, host) for each component Q of the spasm."""
+    """hom(Q, host) for each component Q of the spasm, on the host's CSR,
+    built by ``neighbours`` ``_BLOCK_CELLS // n`` rows at a time."""
     n = host.n
     comps = spasm.components
     degrees = [m.bit_count() for m in host.adj]
@@ -438,12 +434,12 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
             for m in _pushed(trees) if m.deps))
     # What a count holds at once: the dense adjacency when built (n**2
     # bytes, and n**2 floats for a dense push); the bit words, the CSR and
-    # its copy while joined, and one unpacked row step; the scatter's 40
-    # bytes per CSR entry of a block's rows and 16 per triple of one run;
-    # and int64 arrays for the quotients with k free vertices, for the k
-    # that needs most (each k runs in turn): their pushes that vary with a
-    # free vertex, each at its shape, and one or two row blocks for the
-    # product.
+    # its copy while joined, one row block unpacked; the scatter's 40 bytes
+    # per CSR entry of a block's rows (the CSR build holds 32) and 16 per
+    # triple of one run; and int64 arrays for the quotients with k free
+    # vertices, for the k that needs most (each k runs in turn): their
+    # pushes that vary with a free vertex, each at its shape, and one or two
+    # row blocks for the product.
     check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
                  + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
                  + min(n * n, max(n, _BLOCK_CELLS))
@@ -451,12 +447,10 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
                  + 16 * min(_TRIPLES, sum(d * d for d in degrees))
                  + 8 * cells, f"a count at n={n}")
     words = bitset_words(host.adj, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_bit_counts(words), out=indptr[1:])
+    indptr = np.concatenate([[0], np.cumsum(row_bit_counts(words))])
     step = max(1, _BLOCK_CELLS // n)
-    indices = np.concatenate([np.flatnonzero(_dense_adjacency(words[s:s + step], n).view(bool))
-                              % n for s in range(0, n, step)])
-    bits = _dense_adjacency(words, n) if built else None
+    indices = np.concatenate([neighbours(words[s:s + step])[1] for s in range(0, n, step)])
+    bits = unpack_rows(words, n) if built else None
     host_arrays = (words, indptr, indices, bits, bits.astype(dtype) if dense else None)
     counts = [0] * len(comps)
     for k in sorted({c.roots for c in comps}):

@@ -169,21 +169,18 @@ def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
 
     - 8 per pair kept for the ids;
     - 1.25 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
-      adjacency and ledger rows, two for the insertion's word mirror and
-      its marks or its build buffer, and one to spare;
+      adjacency and ledger rows, two for the insertion's word mirror, built
+      in place, and its marks, and one to spare;
     - 64 per pair of the slice being decoded and inserted;
     - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
       each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
 
-    On x86_64 Linux with glibc malloc and numpy 2.4, under a 1,000,000 KiB
-    RLIMIT_AS with 109 MiB mapped (867.5 MiB left) and the memory check
-    switched off, the last n that completes and the first that fails an
-    allocation are 14144 and 14145 uncut, 22947 and 22948 at cutoff 0.3,
-    17599 and 17600 at 0.6 and 14823 and 14824 at 0.9.  This figure
-    accepts up to n = 13895, 22112, 17175 and 14533 (a few more when a
-    few hundred KiB less is mapped), and each completes: it overstates the
-    need at the last n that completes by 3.5% uncut, 7.5% at cutoff 0.3,
-    4.9% at 0.6 and 3.9% at 0.9."""
+    On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB
+    RLIMIT_AS with about 109 MiB mapped and the check off, the last n that
+    completes (the next fails) is 14146 uncut, 22946 at cutoff 0.3, 17599
+    at 0.6 and 14823 at 0.9.  This figure accepts up to n = 13895, 22112,
+    17175 and 14533, and overstates the need at the last n that completes
+    by 3.6%, 7.5%, 4.9% and 3.9%."""
     m = num_pairs(n)
     kept = _cap(m, share)
     return ceil(8 * kept + 1.25 * m + 64 * min(kept, _SLICE)

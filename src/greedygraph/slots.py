@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .graphcore import (EvolvingGraph, bitset_words, check_memory, choice_bytes,
-                        decode_edge_ids, iter_bits, num_pairs, row_bit_counts)
+                        decode_edge_ids, iter_bits, neighbours, num_pairs, row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -92,29 +92,17 @@ def _addable_rows(graph: EvolvingGraph, ends: list[int]) -> tuple[np.ndarray, np
     """The adjacency rows of the vertices ``ends`` and their addable rows, as
     ``bitset_words`` arrays.  Vertex x's addable row holds each w != x whose
     pair {x, w} is not traversed and would close no triangle (w is no
-    neighbour of a neighbour of x).  The neighbours of ``_ENDS_CHUNK``
-    rows at a time come from their nonzero bytes, unpacked together, and
-    each row's neighbours' rows are OR-ed as ints."""
-    n = graph.n
-    adj = graph.adj
-    birthed = graph.birthed_adj
+    neighbour of a neighbour of x): ``neighbours`` reads ``_ENDS_CHUNK``
+    rows at a time, and each row's neighbours' rows are OR-ed as ints."""
+    n, adj, birthed = graph.n, graph.adj, graph.birthed_adj
     rows = bitset_words([adj[x] for x in ends], n)
-    width = 8 * rows.shape[1]
-    addable = np.empty_like(rows)
-    out = memoryview(addable.reshape(-1).view(np.uint8))
+    blocked = []
     for c in range(0, len(ends), _ENDS_CHUNK):
-        chunk = rows[c:c + _ENDS_CHUNK]
-        # the chunk's set bits, row after row
-        octets = chunk.view(np.uint8).reshape(-1)
-        at = np.flatnonzero(octets != 0)
-        hit = np.flatnonzero(np.unpackbits(octets[at], bitorder="little").view(bool))
-        nbrs = (((at[hit >> 3] % width) << 3) | (hit & 7)).tolist()
-        start = 0
-        for j, stop in enumerate(np.cumsum(row_bit_counts(chunk)).tolist(), start=c):
-            x = ends[j]
-            blocked = reduce(or_, map(adj.__getitem__, nbrs[start:stop]), birthed[x] | 1 << x)
-            out[j * width:(j + 1) * width] = blocked.to_bytes(width, "little")
-            start = stop
+        indptr, indices = neighbours(rows[c:c + _ENDS_CHUNK])
+        bounds, nbrs = indptr.tolist(), indices.tolist()
+        blocked += [reduce(or_, map(adj.__getitem__, nbrs[a:b]), birthed[x] | 1 << x)
+                    for x, a, b in zip(ends[c:c + _ENDS_CHUNK], bounds, bounds[1:])]
+    addable = bitset_words(blocked, n)
     np.invert(addable, out=addable)
     addable &= bitset_words([(1 << n) - 1], n)
     return rows, addable
@@ -133,10 +121,10 @@ def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
     - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
       their endpoints, row indices and counts;
     - per endpoint, of at most min(n, 2 * pairs): 3 rows of ceil(n/64)
-      words (the adjacency rows, twice while they are built, and the
-      addable rows) and 40 bytes;
+      words (the adjacency rows, the blocked rows as ints and the addable
+      rows) and 40 bytes;
     - 72 per neighbour of one chunk of ``_ENDS_CHUNK`` endpoints (their
-      unpacked indices and the list of them), the chunk taken at the
+      ``neighbours`` build, then the list of them), the chunk taken at the
       largest degrees of ``graph``, which holds every snapshot;
     - ``_BLOCK_BYTES`` for one block of pairs;
     - 300 per kept row.

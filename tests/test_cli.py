@@ -458,6 +458,18 @@ class TestMemoryBound:
         err = capsys.readouterr().err
         assert "memory bound" in err and "Unable to allocate" in err
 
+    def test_bare_allocation_failure_prints_no_empty_parentheses(self, capsys, monkeypatch):
+        # the int ledger's merge near the memory limit raises MemoryError()
+        import greedygraph.cli as cli
+
+        def fail(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "map_trials", fail)
+        assert main(["simulate", "--n", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: memory bound: an allocation failed\n"
+
 
 class TestLambdaCommand:
     def test_report_and_csv(self, capsys, tmp_path):

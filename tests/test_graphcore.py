@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from greedygraph import graphcore, rng
 from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset_ints,
                                    bitset_words, decode_edge_ids, edge_endpoints,
-                                   edge_index, greedy_insert, iter_bits, num_pairs,
-                                   row_bit_counts)
+                                   edge_index, greedy_insert, iter_bits, neighbours,
+                                   num_pairs, row_bit_counts, unpack_rows)
 
 
 class TestEdgeIndex:
@@ -63,7 +64,49 @@ class TestBits:
         words = bitset_words(rows, 130)
         assert words.shape == (3, 3)
         assert words.tolist() == [[1 | 1 << 63, 1, 2], [0, 0, 0], [32, 0, 0]]
-        assert bitset_words([], 10).shape == (0, 1)
+        empty = bitset_words([], 10)
+        assert empty.shape == (0, 1) and empty.flags.writeable
+
+    def test_bitset_words_is_written_in_place(self):
+        # a writable array, built with one row's bytes beyond it at a time
+        n = 5000
+        gen = rng.stream(7)
+        rows = [int.from_bytes(gen.bytes(n // 8), "little") for _ in range(n)]
+        tracemalloc.start()
+        try:
+            words = bitset_words(rows, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.flags.writeable
+        assert peak <= 1.1 * words.nbytes
+        assert list(bitset_ints(words)) == rows
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 200])
+    def test_neighbours_match_iter_bits(self, n):
+        # random rows of density 1/2 and 1/8, an empty row, a full row and
+        # a row whose only bit is in the last word
+        gen = rng.stream(n)
+
+        def draw():
+            return int.from_bytes(gen.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+
+        rows = [draw() for _ in range(6)] + [draw() & draw() & draw() for _ in range(6)]
+        rows += [0, 1 << (n - 1), (1 << n) - 1, 0]
+        indptr, indices = neighbours(bitset_words(rows, n))
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr[0] == 0 and len(indptr) == len(rows) + 1
+        for r, row in enumerate(rows):
+            assert indices[indptr[r]:indptr[r + 1]].tolist() == list(iter_bits(row))
+        # the same bits from the dense 0/1 rows
+        dense = unpack_rows(bitset_words(rows, n), n)
+        assert dense.shape == (len(rows), n)
+        assert [np.flatnonzero(d).tolist() for d in dense] == [list(iter_bits(r)) for r in rows]
+
+    @pytest.mark.parametrize("words", [1, 3])
+    def test_neighbours_of_no_rows(self, words):
+        indptr, indices = neighbours(np.zeros((0, words), dtype=np.uint64))
+        assert indptr.tolist() == [0] and indices.shape == (0,)
 
     def test_bitset_ints_and_bit_slots(self):
         rows = [(1 << 0) | (1 << 63) | (1 << 64) | (1 << 129), 0, 1 << 5]

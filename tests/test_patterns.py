@@ -229,6 +229,30 @@ class TestCountCopies:
             if pattern.v == 8:
                 assert needs[0] <= 2 * peak
 
+    def test_estimate_bounds_the_csr_build(self, monkeypatch):
+        # P3 on a dense host pushes only vectors over the CSR, so the CSR
+        # build, about 32 bytes per entry in one row step, is the largest
+        # transient: the traced peak is reached by the end of the build
+        host = random_host(400, 0.5, seed=1)
+        needs, built = [], []
+        check, build = patterns.check_memory, patterns.neighbours
+
+        def traced_build(words):
+            csr = build(words)
+            built.append(tracemalloc.get_traced_memory()[1])
+            return csr
+
+        monkeypatch.setattr(patterns, "check_memory",
+                            lambda need, what: needs.append(need) or check(need, what))
+        monkeypatch.setattr(patterns, "neighbours", traced_build)
+        tracemalloc.start()
+        try:
+            count_copies(host, path_graph(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == built[-1] <= needs[0]
+
 
 def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:
     """Literal double enumeration over (vertex subset, edge subset) pairs."""
@@ -397,13 +421,13 @@ def test_forests_and_c4_never_build_the_dense_adjacency(monkeypatch):
     # n=600 process host, row blocks of 50 rows and CSR steps of 50 rows
     host = run_rounds(ProcessParams(ctx=RoundContext(600, 0.1), seed=5)).graph
 
-    unpack = patterns._dense_adjacency
+    unpack = patterns.unpack_rows
 
     def rows_only(words, n):
         assert len(words) < n, "dense n x n adjacency built"
         return unpack(words, n)
 
-    monkeypatch.setattr(patterns, "_dense_adjacency", rows_only)
+    monkeypatch.setattr(patterns, "unpack_rows", rows_only)
     monkeypatch.setattr(patterns, "_BLOCK_CELLS", 600 * 50)
     for name, expected in closed_forms(host).items():
         assert count_copies(host, CATALOG[name]) == expected
