@@ -3,7 +3,7 @@
 Vertices are dense integers 0..n-1.  Adjacency is one Python int bitmask
 per vertex, so the innermost query, "do u and v share a neighbour", is a
 single big-int AND that runs word-at-a-time in C and short-circuits on
-the first nonzero word.  The traversed-pair ledger is kept the same way.
+the first nonzero word.  The traversed pairs are kept as their pair ids.
 Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 """
 
@@ -175,25 +175,39 @@ def bit_indices(x: int, n: int) -> np.ndarray:
 
 
 class EvolvingGraph:
-    """Adjacency bitsets for the current graph plus the traversed-pair ledger.
+    """Adjacency bitsets for the current graph plus the traversed pairs.
 
     ``add_edge_if_open`` enforces the triangle-free insertion rule; the
     global invariant is re-checkable with ``audit_triangle_free`` (it is not
     re-verified per insert).  ``insert_edge`` bypasses the rule, so hosts
     that are allowed to contain triangles (uniform random graphs, injected
-    counterexamples) use the same representation.
+    counterexamples) use the same representation.  ``traversed`` holds the
+    traversed pairs' ids; it is replaced, never written in place.
     """
 
-    __slots__ = ("n", "adj", "birthed_adj", "edge_count", "birthed_count")
+    __slots__ = ("n", "adj", "edge_count", "traversed", "_ledger")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
         self.adj: list[int] = [0] * n
-        self.birthed_adj: list[int] = [0] * n
         self.edge_count = 0
-        self.birthed_count = 0
+        self.traversed = np.empty(0, dtype=np.int64)
+        self._ledger = None
+
+    @property
+    def birthed_count(self) -> int:
+        return len(self.traversed)
+
+    @property
+    def birthed_adj(self) -> list[int]:
+        """``traversed`` as int rows (``pair_rows``), built on first read and
+        kept until ``traversed`` is replaced; only references read them."""
+        if self._ledger is None or self._ledger[0] is not self.traversed:
+            rows = pair_rows(self.traversed, self.n, np.arange(self.n))
+            self._ledger = (self.traversed, list(bitset_ints(rows)))
+        return self._ledger[1]
 
     def _check_pair(self, u: int, v: int) -> tuple[int, int]:
         # coerce numpy integers so bitmask shifts stay arbitrary-precision
@@ -209,15 +223,11 @@ class EvolvingGraph:
         u, v = self._check_pair(u, v)
         return bool((self.adj[u] >> v) & 1)
 
-    def is_birthed(self, u: int, v: int) -> bool:
-        u, v = self._check_pair(u, v)
-        return bool((self.birthed_adj[u] >> v) & 1)
-
     def add_edge_if_open(self, u: int, v: int) -> bool:
         """Insert {u, v} unless it closes a triangle; returns whether added.
 
-        A rejected edge leaves the adjacency bit-identical.  The ledger is
-        not touched here; the process marks traversal separately.
+        A rejected edge leaves the adjacency bit-identical.  ``traversed``
+        is not touched here; the process sets it.
         """
         u, v = self._check_pair(u, v)
         if self.adj[u] & self.adj[v] and not (self.adj[u] >> v) & 1:
@@ -233,14 +243,6 @@ class EvolvingGraph:
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
         self.edge_count += 1
-
-    def mark_birthed(self, u: int, v: int) -> None:
-        u, v = self._check_pair(u, v)
-        if (self.birthed_adj[u] >> v) & 1:
-            raise ValueError(f"pair ({u}, {v}) already traversed")
-        self.birthed_adj[u] |= 1 << v
-        self.birthed_adj[v] |= 1 << u
-        self.birthed_count += 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, lexicographic."""
@@ -261,22 +263,23 @@ class EvolvingGraph:
         return True
 
     def copy(self) -> "EvolvingGraph":
-        """Cheap frozen-state copy: bitmask ints are immutable and shared."""
+        """Cheap frozen-state copy: bitmask ints and ``traversed`` are shared."""
         g = EvolvingGraph.__new__(EvolvingGraph)
         g.n = self.n
         g.adj = list(self.adj)
-        g.birthed_adj = list(self.birthed_adj)
         g.edge_count = self.edge_count
-        g.birthed_count = self.birthed_count
+        g.traversed = self.traversed
+        g._ledger = self._ledger
         return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "EvolvingGraph":
         """The graph on n vertices with these edges, each also traversed."""
+        edges = list(edges)
         g = cls(n)
         for u, v in edges:
             g.insert_edge(u, v)
-            g.mark_birthed(u, v)
+        g.traversed = np.array([edge_index(u, v, n) for u, v in edges], dtype=np.int64)
         return g
 
     def __repr__(self):
@@ -290,21 +293,30 @@ _CHUNK = 1024
 _SLICE = 1 << 18
 
 
-def set_pair_bits(words: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
-    """Set bits (us[j], vs[j]) and (vs[j], us[j]) in a bitset_words array."""
-    flat = words.reshape(-1)
-    for a, b in ((us, vs), (vs, us)):
-        np.bitwise_or.at(flat, *bit_slots(a, b, words.shape[1]))
+def pair_rows(ids, n: int, ends) -> np.ndarray:
+    """Rows of the distinct vertices ``ends`` of the graph whose edges are the
+    pairs with these ``edge_index`` ids, as a ``bitset_words`` array; the ids
+    are decoded ``_SLICE`` at a time."""
+    ends = np.asarray(ends, dtype=np.int64)
+    words = np.zeros((len(ends), (n + 63) // 64), dtype="<u8")
+    at = np.full(n, -1, dtype=np.int64)
+    at[ends] = np.arange(len(ends))
+    for d in range(0, len(ids), _SLICE):
+        us, vs = decode_edge_ids(ids[d:d + _SLICE], n)
+        for a, b in ((us, vs), (vs, us)):
+            hit = at[a] >= 0
+            np.bitwise_or.at(words.reshape(-1), *bit_slots(at[a[hit]], b[hit], words.shape[1]))
+    return words
 
 
 def greedy_insert(g: EvolvingGraph, ids) -> int:
     """Traverse the pairs with these ``edge_index`` ids in order; returns how
     many were added.
 
-    Each pair is recorded in the ledger and added unless its endpoints
-    already share a neighbour.  This is the process's inner loop, so the
-    ids are not checked: they must be distinct, in range and not yet
-    traversed (``add_edge_if_open`` with ``mark_birthed`` is the checked
+    Each pair is added unless its endpoints already share a neighbour; the
+    caller keeps the ids (``EvolvingGraph.traversed``).  This is the
+    process's inner loop, so the ids are not checked: they must be distinct,
+    in range and not yet traversed (``add_edge_if_open`` is the checked
     per-pair equivalent).
 
     The ids are decoded ``_SLICE`` at a time.  A numpy word mirror of the
@@ -313,16 +325,14 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     rows traverses the rest.  Dropping is exact because edges are never
     removed, so a closed pair stays closed; the mirror lags the graph by at
     most one chunk, which only lets a closed pair through to the scalar
-    loop.  The mirror is built and the ledger merged once per call.
+    loop.  The mirror is built once per call.
     """
     ids = np.asarray(ids, dtype=np.int64)
     adj = g.adj
     added = 0
     mirror = bitset_words(adj, g.n)
-    marks = np.zeros_like(mirror)
     for d in range(0, len(ids), _SLICE):
         us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)
-        set_pair_bits(marks, us, vs)
         for s in range(0, len(us), _CHUNK):
             cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
             common = mirror[cu]
@@ -338,12 +348,9 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
                 push(u)
                 push(v)
             if new:
-                pairs = np.array(new, dtype=np.int64)
-                set_pair_bits(mirror, pairs[0::2], pairs[1::2])
+                ends = np.array(new, dtype=np.int64)
+                for a, b in ((ends[0::2], ends[1::2]), (ends[1::2], ends[0::2])):
+                    np.bitwise_or.at(mirror.reshape(-1), *bit_slots(a, b, mirror.shape[1]))
                 added += len(new) // 2
-    birthed = g.birthed_adj
-    for r, mask in enumerate(bitset_ints(marks)):
-        birthed[r] |= mask
     g.edge_count += added
-    g.birthed_count += len(ids)
     return added

@@ -420,6 +420,7 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
                              f"exceeds {_BLOCK_CELLS}")
     wide = [m for m in _pushed(t for c in comps for t in c.trees) if m.deps]
     dense = [m.size for m in wide if not _scattered(m)]
+    scattered = len(dense) < len(wide)
     dtype = np.dtype(np.float32 if delta ** max(dense, default=0) < 2 ** 24 else np.float64)
     built = dense or max(c.roots for c in comps) >= 2
     cells = 0
@@ -434,21 +435,22 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
             for m in _pushed(trees) if m.deps))
     # What a count holds at once: the dense adjacency when built (n**2
     # bytes, and n**2 floats for a dense push); the bit words, the CSR and
-    # its copy while joined, one row block unpacked; the scatter's 40 bytes
-    # per CSR entry of a block's rows (the CSR build holds 32) and 16 per
-    # triple of one run; and int64 arrays for the quotients with k free
-    # vertices, for the k that needs most (each k runs in turn): their
-    # pushes that vary with a free vertex, each at its shape, and one or two
-    # row blocks for the product.
+    # its copy while joined, one row block unpacked; the CSR build's 32
+    # bytes per entry of its widest row step, or with a scattered push the
+    # scatter's 40 per entry of a block's rows and 16 per triple of one run;
+    # and int64 arrays for the quotients with k free vertices, for the k
+    # that needs most (each k runs in turn): their pushes that vary with a
+    # free vertex, each at its shape, and one or two row blocks for the product.
+    step = max(1, _BLOCK_CELLS // n)
+    build = 32 * max(sum(degrees[s:s + step]) for s in range(0, n, step))
     check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
                  + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
                  + min(n * n, max(n, _BLOCK_CELLS))
-                 + 40 * min(n, _BLOCK_CELLS // n) * delta
-                 + 16 * min(_TRIPLES, sum(d * d for d in degrees))
+                 + max(build, scattered * 40 * min(n, step) * delta)
+                 + scattered * 16 * min(_TRIPLES, sum(d * d for d in degrees))
                  + 8 * cells, f"a count at n={n}")
     words = bitset_words(host.adj, n)
     indptr = np.concatenate([[0], np.cumsum(row_bit_counts(words))])
-    step = max(1, _BLOCK_CELLS // n)
     indices = np.concatenate([neighbours(words[s:s + step])[1] for s in range(0, n, step)])
     bits = unpack_rows(words, n) if built else None
     host_arrays = (words, indptr, indices, bits, bits.astype(dtype) if dense else None)

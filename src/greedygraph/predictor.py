@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bitset_ints, check_memory, choice_bytes,
-                        decode_edge_ids, num_pairs, set_pair_bits)
+from .graphcore import (EvolvingGraph, bitset_ints, check_memory, choice_bytes, num_pairs,
+                        pair_rows)
 from .numerics import RoundContext
 from .patterns import PatternGraph, count_copies
 from .process import ProcessParams, run_rounds
@@ -73,16 +73,15 @@ def _gnm_bytes(n: int, m: int) -> int:
 
 
 def sample_gnm(n: int, m: int, gen: np.random.Generator) -> EvolvingGraph:
-    """Uniform graph with exactly m edges on n labelled vertices, its ledger
-    empty.  The memory bound is checked before any draw; the sampled pairs
-    are set in a word array in one vectorised pass and read back as rows."""
+    """Uniform graph with exactly m edges on n labelled vertices, none of its
+    pairs traversed.  The memory bound is checked before any draw; the
+    sampled pairs are set in a word array (``pair_rows``) and read back as
+    rows."""
     total = num_pairs(n)
     if not 0 <= m <= total:
         raise ValueError(f"m={m} outside [0, {total}]")
     check_memory(_gnm_bytes(n, m), f"a G(n, m) sample at n={n}, m={m}")
-    us, vs = decode_edge_ids(gen.choice(total, size=m, replace=False), n)
-    words = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    set_pair_bits(words, us, vs)
+    words = pair_rows(gen.choice(total, size=m, replace=False), n, np.arange(n))
     g = EvolvingGraph(n)
     g.adj = list(bitset_ints(words))
     g.edge_count = m

@@ -167,32 +167,32 @@ def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
     graph.  The draw holds only the ids, 8 bytes per pair kept, shuffled in
     place, so the insertion sets the peak:
 
-    - 8 per pair kept for the ids;
-    - 1.25 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
-      adjacency and ledger rows, two for the insertion's word mirror, built
-      in place, and its marks, and one to spare;
+    - 8 per pair kept for the ids, which are also the traversed pairs;
+    - 0.75 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
+      rows, the insertion's word mirror, built in place, and one to spare;
     - 64 per pair of the slice being decoded and inserted;
-    - n**2/4 + 80n per snapshot: its adjacency and ledger rows, n bits
-      each, as ints (about 32 bytes of header) in lists (8 bytes a slot).
+    - n**2/8 + 40n per snapshot: its rows, n bits each, as ints (about 32
+      bytes of header) in a list (8 bytes a slot), beside a view of the ids.
 
     On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB
     RLIMIT_AS with about 109 MiB mapped and the check off, the last n that
-    completes (the next fails) is 14146 uncut, 22946 at cutoff 0.3, 17599
-    at 0.6 and 14823 at 0.9.  This figure accepts up to n = 13895, 22112,
-    17175 and 14533, and overstates the need at the last n that completes
-    by 3.6%, 7.5%, 4.9% and 3.9%."""
+    completes (the next fails) is 14452 uncut, 24648 at cutoff 0.3, 18288
+    at 0.6 and 15160 at 0.9.  This figure accepts up to n = 14287, 23802,
+    17932 and 14982, and overstates the need at the last n that completes
+    by 2.3%, 7.1%, 3.9% and 2.3%."""
     m = num_pairs(n)
     kept = _cap(m, share)
-    return ceil(8 * kept + 1.25 * m + 64 * min(kept, _SLICE)
-                + snapshots * n * (n / 4 + 80))
+    return ceil(8 * kept + 0.75 * m + 64 * min(kept, _SLICE)
+                + snapshots * n * (n / 8 + 40))
 
 
 def _run(params: ProcessParams, trial: int) -> RunTrace:
     """Trial ``trial`` of the form ``params.mode`` on an empty graph: one
     ``_draw``, then each of its rounds traversed in one ``greedy_insert``
-    call.  When recorded, the snapshots are a copy of the empty graph and
-    one after each round.  Raises ValueError, before any draw, when the run
-    would not fit in memory (``check_memory``).
+    call, the graph's ``traversed`` then being a view of the draw up to the
+    round's end.  When recorded, the snapshots are a copy of the empty graph
+    and one after each round.  Raises ValueError, before any draw, when the
+    run would not fit in memory (``check_memory``).
     """
     n = params.ctx.n
     _, share, bounds = _schedule(params)
@@ -208,6 +208,7 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
     snapshots = [g.copy()] if params.record_snapshots else None
     for i, (a, b) in enumerate(zip([0, *ends], [*ends, len(ids)]), start=1):
         added = greedy_insert(g, ids[a:b])
+        g.traversed = ids[:b]
         per_round.append(RoundRecord(i=i, birthed=b - a, added=added,
                                      total_edges=g.edge_count))
         if snapshots is not None:

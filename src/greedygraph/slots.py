@@ -23,8 +23,8 @@ from operator import or_
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bitset_words, check_memory, choice_bytes,
-                        decode_edge_ids, iter_bits, neighbours, num_pairs, row_bit_counts)
+from .graphcore import (_SLICE, EvolvingGraph, bit_slots, bitset_words, check_memory, choice_bytes,
+                        decode_edge_ids, iter_bits, neighbours, num_pairs, pair_rows, row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -88,24 +88,27 @@ def classify_pair(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext) -> Sl
 _ENDS_CHUNK = 512
 
 
-def _addable_rows(graph: EvolvingGraph, ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacency rows of the vertices ``ends`` and their addable rows, as
-    ``bitset_words`` arrays.  Vertex x's addable row holds each w != x whose
-    pair {x, w} is not traversed and would close no triangle (w is no
-    neighbour of a neighbour of x): ``neighbours`` reads ``_ENDS_CHUNK``
-    rows at a time, and each row's neighbours' rows are OR-ed as ints."""
-    n, adj, birthed = graph.n, graph.adj, graph.birthed_adj
+def _addable_rows(graph: EvolvingGraph, ends: list[int]) -> tuple[np.ndarray, ...]:
+    """The adjacency, addable and traversed rows (``pair_rows``) of the
+    vertices ``ends``, as ``bitset_words`` arrays.  Vertex x's addable row
+    holds each w != x whose pair {x, w} is not traversed and would close no
+    triangle (w is no neighbour of a neighbour of x): ``neighbours`` reads
+    ``_ENDS_CHUNK`` rows at a time, and each row's neighbours' rows are
+    OR-ed as ints."""
+    n, adj = graph.n, graph.adj
     rows = bitset_words([adj[x] for x in ends], n)
+    traversed = pair_rows(graph.traversed, n, ends)
     blocked = []
     for c in range(0, len(ends), _ENDS_CHUNK):
         indptr, indices = neighbours(rows[c:c + _ENDS_CHUNK])
         bounds, nbrs = indptr.tolist(), indices.tolist()
-        blocked += [reduce(or_, map(adj.__getitem__, nbrs[a:b]), birthed[x] | 1 << x)
+        blocked += [reduce(or_, map(adj.__getitem__, nbrs[a:b]), 1 << x)
                     for x, a, b in zip(ends[c:c + _ENDS_CHUNK], bounds, bounds[1:])]
     addable = bitset_words(blocked, n)
+    addable |= traversed
     np.invert(addable, out=addable)
     addable &= bitset_words([(1 << n) - 1], n)
-    return rows, addable
+    return rows, addable, traversed
 
 
 # Bytes of word rows that classify_pairs gathers and combines for one block
@@ -120,12 +123,13 @@ def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
 
     - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
       their endpoints, row indices and counts;
-    - per endpoint, of at most min(n, 2 * pairs): 3 rows of ceil(n/64)
-      words (the adjacency rows, the blocked rows as ints and the addable
-      rows) and 40 bytes;
+    - per endpoint, of at most min(n, 2 * pairs): 4 rows of ceil(n/64)
+      words (the adjacency, traversed and addable rows and the blocked rows
+      as ints) and 40 bytes;
     - 72 per neighbour of one chunk of ``_ENDS_CHUNK`` endpoints (their
       ``neighbours`` build, then the list of them), the chunk taken at the
       largest degrees of ``graph``, which holds every snapshot;
+    - 64 per pair of one slice of traversed ids decoded, and 8 per vertex;
     - ``_BLOCK_BYTES`` for one block of pairs;
     - 300 per kept row.
     """
@@ -133,28 +137,30 @@ def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
     degrees = sorted((row.bit_count() for row in graph.adj), reverse=True)
     ends = min(n, 2 * pairs)
     return (choice_bytes(num_pairs(n), pairs) + 96 * pairs
-            + ends * (24 * ((n + 63) // 64) + 40) + 72 * sum(degrees[:_ENDS_CHUNK])
+            + ends * (32 * ((n + 63) // 64) + 40) + 72 * sum(degrees[:_ENDS_CHUNK])
+            + 64 * min(graph.birthed_count, _SLICE) + 8 * n
             + _BLOCK_BYTES + 300 * kept)
 
 
-def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, ...]:
     """The closed, half-open and fully-open counts of the pairs
     (us[j], vs[j]) against the snapshot held in ``graph``, as int64 arrays,
-    equal to ``classify_pair``'s.  The pairs are not checked: each must have
+    equal to ``classify_pair``'s, and whether each pair is not yet
+    traversed, as a bool array.  The pairs are not checked: each must have
     distinct endpoints in range.
 
-    Each distinct endpoint's adjacency and addable rows are built once
-    (``_addable_rows``), and the pairs are counted a block at a time
-    (``_BLOCK_BYTES``) with popcounts over their gathered rows.  With a, b the adjacency
-    rows of u and v and p, q their addable rows: closed a & b, half open
-    (a & ~b & q) + (b & ~a & p), fully open p & q & ~(a | b).  No other
-    mask is needed: every count ANDs a row of u, which lacks bit u, with a
-    row of v, which lacks bit v, and no row holds a bit at or past n.
+    Each distinct endpoint's adjacency, addable and traversed rows are
+    built once (``_addable_rows``), and the pairs are counted a block at a
+    time (``_BLOCK_BYTES``) with popcounts over their gathered rows.  With
+    a, b the adjacency rows of u and v and p, q their addable rows: closed
+    a & b, half open (a & ~b & q) + (b & ~a & p), fully open p & q & ~(a | b).
+    No other mask is needed: every count ANDs a row of u, which lacks bit u,
+    with a row of v, which lacks bit v, and no row holds a bit at or past n.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     ends = np.unique(np.concatenate([us, vs]))
-    rows, addable = _addable_rows(graph, ends.tolist())
+    rows, addable, traversed = _addable_rows(graph, ends.tolist())
     iu = np.searchsorted(ends, us)
     iv = np.searchsorted(ends, vs)
     counts = np.empty((3, len(us)), dtype=np.int64)
@@ -165,7 +171,9 @@ def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, np.ndarray
         counts[0, s:s + step] = row_bit_counts(a & b)
         counts[1, s:s + step] = row_bit_counts(a & ~b & q) + row_bit_counts(b & ~a & p)
         counts[2, s:s + step] = row_bit_counts(p & q & ~(a | b))
-    return counts[0], counts[1], counts[2]
+    at, bit = bit_slots(iu, vs, traversed.shape[1])
+    fresh = traversed.reshape(-1)[at] & bit == 0
+    return counts[0], counts[1], counts[2], fresh
 
 
 @dataclass
@@ -279,18 +287,15 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
         graph = trace.snapshots[i]
         gen = streams.rekey(seed, 0, round_=i, purpose=rng.SAMPLE)
         us, vs = decode_edge_ids(gen.choice(m, size=size, replace=False), n)
-        closed, half, fully = classify_pairs(graph, us, vs)
+        closed, half, fully, fresh = classify_pairs(graph, us, vs)
         half_c, fully_c, window = _centres(n, ctx.with_round(i))
-        pairs = list(zip(us.tolist(), vs.tolist()))
         if keep_rows:
             report.rows.extend(
                 SlotCounts(u=u, v=v, round=i, closed=c, half_open=h, fully_open=f,
                            half_open_center=half_c, fully_open_center=fully_c,
                            window=window)
-                for (u, v), c, h, f in zip(pairs, closed.tolist(), half.tolist(),
-                                           fully.tolist()))
-        birthed = graph.birthed_adj
-        fresh = np.array([not (birthed[u] >> v) & 1 for u, v in pairs], dtype=bool)
+                for u, v, c, h, f in zip(us.tolist(), vs.tolist(), closed.tolist(),
+                                         half.tolist(), fully.tolist()))
         closed_cap = i * float(n) ** (5.0 * ctx.eps)
         half_cap = i * n ** 0.5
         report.rounds.append(RoundWindowReport(

@@ -245,11 +245,14 @@ class TestEvolvingGraph:
         assert hits >= 99
 
     def test_ledger_independent_of_adjacency(self):
+        # the ledger rows follow the traversed ids, and are rebuilt when the
+        # ids are replaced
         g = EvolvingGraph(4)
-        g.mark_birthed(0, 1)
-        assert g.is_birthed(0, 1) and not g.has_edge(0, 1)
-        with pytest.raises(ValueError):
-            g.mark_birthed(1, 0)
+        g.traversed = np.array([edge_index(0, 1, 4)])
+        assert g.birthed_adj == [0b10, 0b01, 0, 0] and g.birthed_count == 1
+        assert not g.has_edge(0, 1)
+        g.traversed = np.array([edge_index(3, 1, 4), edge_index(0, 2, 4)])
+        assert g.birthed_adj == [0b100, 0b1000, 0b1, 0b10] and g.birthed_count == 2
 
     def test_copy_is_frozen_snapshot(self):
         g = EvolvingGraph.from_edges(5, [(0, 1)])
@@ -267,7 +270,7 @@ class TestEvolvingGraph:
 @given(st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_greedy_insert_matches_checked_replay(n, data):
-    # the kernel against the checked per-pair insert and ledger, on a random
+    # the kernel against the checked per-pair insert, on a random
     # prefix of a random pair order, applied in two calls to a graph that
     # is not empty
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -281,12 +284,10 @@ def test_greedy_insert_matches_checked_replay(n, data):
         added += greedy_insert(fast, [edge_index(u, v, n) for u, v in chunk])
     expect = 0
     for u, v in order[:cut]:
-        slow.mark_birthed(u, v)
         expect += slow.add_edge_if_open(u, v)
     assert added == expect
     assert fast.adj == slow.adj
-    assert fast.birthed_adj == slow.birthed_adj
-    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
+    assert fast.edge_count == slow.edge_count
 
 
 @pytest.mark.parametrize("chunk, slice_", [(1, 3), (4, 10)], ids=["1", "4"])
@@ -310,12 +311,10 @@ def test_bulk_path_matches_checked_replay_multiword():
         added = sum(greedy_insert(fast, part) for part in np.array_split(ids, 3))
     slow = EvolvingGraph(n)
     for u, v in zip(us.tolist(), vs.tolist()):
-        slow.mark_birthed(u, v)
         slow.add_edge_if_open(u, v)
     assert added == slow.edge_count
     assert fast.adj == slow.adj
-    assert fast.birthed_adj == slow.birthed_adj
-    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
+    assert fast.edge_count == slow.edge_count
 
 
 def test_short_batch_matches_checked_replay_multiword():
@@ -330,9 +329,7 @@ def test_short_batch_matches_checked_replay_multiword():
     slow = EvolvingGraph.from_edges(n, edges)
     expect = 0
     for u, v in batch:
-        slow.mark_birthed(u, v)
         expect += slow.add_edge_if_open(u, v)
     assert added == expect == 1
     assert fast.adj == slow.adj
-    assert fast.birthed_adj == slow.birthed_adj
-    assert (fast.edge_count, fast.birthed_count) == (slow.edge_count, slow.birthed_count)
+    assert fast.edge_count == slow.edge_count

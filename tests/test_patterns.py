@@ -232,7 +232,8 @@ class TestCountCopies:
     def test_estimate_bounds_the_csr_build(self, monkeypatch):
         # P3 on a dense host pushes only vectors over the CSR, so the CSR
         # build, about 32 bytes per entry in one row step, is the largest
-        # transient: the traced peak is reached by the end of the build
+        # transient: the traced peak is reached by the end of the build, and
+        # the estimate, which charges no scatter, is within twice of it
         host = random_host(400, 0.5, seed=1)
         needs, built = [], []
         check, build = patterns.check_memory, patterns.neighbours
@@ -251,7 +252,7 @@ class TestCountCopies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak == built[-1] <= needs[0]
+        assert peak == built[-1] <= needs[0] <= 2 * peak
 
 
 def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, rng, slots
-from greedygraph.graphcore import EvolvingGraph
+from greedygraph.graphcore import EvolvingGraph, edge_endpoints, edge_index, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
 from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
@@ -20,8 +20,10 @@ from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
 
 def brute_classify(graph: EvolvingGraph, u: int, v: int) -> tuple[int, int, int, int]:
     """Independent per-vertex re-derivation; returns (closed, half, fully, none)."""
+    traversed = set(graph.traversed.tolist())
+
     def addable(a, b):
-        if graph.is_birthed(a, b):
+        if edge_index(a, b, graph.n) in traversed:
             return False
         return not any(graph.has_edge(a, z) and graph.has_edge(b, z)
                        for z in range(graph.n) if z not in (a, b))
@@ -93,9 +95,10 @@ class TestClassifyPair:
         # if {u,w} and {v,w} are both free+addable for pair (u,v), and (u,v)
         # itself is free+addable, then (v,w) plays the same role for (u,w)
         snap, ctx = random_snapshot(26, 0.25, seed=9, upto_round=1)
+        traversed = set(snap.traversed.tolist())
 
         def addable(a, b):
-            return (not snap.is_birthed(a, b)) and \
+            return edge_index(a, b, 26) not in traversed and \
                 not (snap.adj[a] & snap.adj[b])
 
         checked = 0
@@ -139,11 +142,14 @@ class TestClassifyPairs:
         gen = np.random.default_rng(seed)
         g = EvolvingGraph(n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        ledger = []
         for (u, v), e, b in zip(pairs, gen.random(len(pairs)), gen.random(len(pairs))):
             if e < p_edge:
                 g.insert_edge(u, v)
             if b < p_ledger:
-                g.mark_birthed(u, v)
+                ledger.append(edge_index(u, v, n))
+        g.traversed = gen.permutation(np.array(ledger, dtype=np.int64))
+        ledger = set(ledger)
         picked = [pairs[j] for j in gen.choice(len(pairs), size=min(len(pairs), 150),
                                                replace=False)]
         # the edges and traversed pairs among them, and either orientation
@@ -152,23 +158,25 @@ class TestClassifyPairs:
         ctx = RoundContext(max(n, 3), 0.2)
         with mock.patch.object(slots, "_ENDS_CHUNK", chunk), \
                 mock.patch.object(slots, "_BLOCK_BYTES", 64 * ((n + 63) // 64) * block):
-            closed, half, fully = classify_pairs(g, us, vs)
+            closed, half, fully, fresh = classify_pairs(g, us, vs)
         for j, (u, v) in enumerate(picked):
             sc = classify_pair(g, u, v, ctx)
             assert (closed[j], half[j], fully[j]) == (sc.closed, sc.half_open, sc.fully_open)
+            assert fresh[j] == (edge_index(u, v, n) not in ledger)
 
     def test_no_pairs(self):
         counts = classify_pairs(EvolvingGraph(70), [], [])
-        assert [c.tolist() for c in counts] == [[], [], []]
+        assert [c.tolist() for c in counts] == [[], [], [], []]
 
     def test_isolated_endpoints_and_round_zero(self):
         # in the empty graph every third vertex is fully open; beside a
         # single edge {0, 1}, an isolated pair's slots at 0 and 1 stay open
         n = 67
         assert [c.tolist() for c in classify_pairs(EvolvingGraph(n), [0, 5], [66, 64])] == \
-            [[0, 0], [0, 0], [n - 2, n - 2]]
+            [[0, 0], [0, 0], [n - 2, n - 2], [True, True]]
         g = EvolvingGraph.from_edges(n, [(0, 1)])
-        closed, half, fully = classify_pairs(g, [2, 0, 0], [3, 1, 2])
+        closed, half, fully, fresh = classify_pairs(g, [2, 0, 0], [3, 1, 2])
+        assert fresh.tolist() == [True, False, True]
         assert closed.tolist() == [0, 0, 0]
         assert half.tolist() == [0, 0, 1]
         assert fully.tolist() == [n - 2, n - 2, n - 3]
@@ -220,6 +228,35 @@ class TestCheckTrajectories:
         rep = check_trajectories(trace, ctx, sample_size=40 * 39 // 2, seed=1)
         for i, r in enumerate(rep.rounds):
             assert r.non_birthed == r.sampled - trace.snapshots[i].birthed_count
+
+    def test_snapshot_ledgers_are_prefixes_of_the_draw(self, monkeypatch):
+        # every snapshot's traversed ids are a prefix of the final graph's,
+        # held in the same memory; its int ledger rows and the report's
+        # non-traversed counts agree with plain set arithmetic over them,
+        # and the report builds no snapshot's full ledger rows
+        trace, ctx = self._trace(n=60, eps=0.25, seed=5)
+        final = trace.graph.traversed
+        size = 400
+        with monkeypatch.context() as patch:
+            patch.setattr(EvolvingGraph, "birthed_adj", property(
+                lambda g: pytest.fail("the report read a full ledger")))
+            rep = check_trajectories(trace, ctx, sample_size=size, seed=2)
+        ends = np.cumsum([0] + [r.birthed for r in trace.per_round])
+        for i, snap in enumerate(trace.snapshots):
+            ids = snap.traversed
+            assert len(ids) == ends[i] and np.array_equal(ids, final[:len(ids)])
+            assert len(ids) == 0 or np.shares_memory(ids, final)
+            rows = [0] * 60
+            for u, v in (edge_endpoints(idx, 60) for idx in ids.tolist()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            assert snap.birthed_adj == rows
+            sample = rng.stream(2, 0, round_=i, purpose=rng.SAMPLE).choice(
+                num_pairs(60), size=size, replace=False)
+            traversed = set(ids.tolist())
+            assert rep.rounds[i].non_birthed == sum(idx not in traversed
+                                                    for idx in sample.tolist())
+        assert len(final) == ends[-1] > 0
 
     def test_refused_before_any_draw(self, monkeypatch):
         trace, ctx = self._trace(n=60)
