@@ -1,9 +1,9 @@
 """Compact K_n subgraph representation with word-parallel triangle queries.
 
 Vertices are dense integers 0..n-1.  Adjacency is one Python int bitmask
-per vertex, so the innermost query, "do u and v share a neighbour", is a
-single big-int AND that runs word-at-a-time in C and short-circuits on
-the first nonzero word.  The traversed pairs are kept as their pair ids.
+per vertex; the insertion works on the same rows as uint64 words, where "do
+u and v share a neighbour" is one AND of two rows, asked for many pairs in
+one numpy call.  The traversed pairs are kept as their pair ids.
 Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 """
 
@@ -287,10 +287,12 @@ class EvolvingGraph:
                 f"birthed={self.birthed_count})")
 
 
-# pairs greedy_insert filters against its word mirror at a time
+# pairs greedy_insert filters, then decides in dependency rounds, at a time
 _CHUNK = 1024
 # pair ids greedy_insert decodes at a time
 _SLICE = 1 << 18
+# bytes of rows _open gathers at a time, so that they stay in cache
+_GATHER = 1 << 18
 
 
 def pair_rows(ids, n: int, ends) -> np.ndarray:
@@ -309,6 +311,17 @@ def pair_rows(ids, n: int, ends) -> np.ndarray:
     return words
 
 
+def _open(words: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Whether the endpoints of each (u, v) row of ``pairs`` share no neighbour."""
+    step = max(1, _GATHER // (8 * words.shape[1]))
+    keep = np.empty(len(pairs), dtype=bool)
+    for b in range(0, len(pairs), step):
+        common = words[pairs[b:b + step, 0]]
+        common &= words[pairs[b:b + step, 1]]
+        np.equal(np.bitwise_or.reduce(common, axis=1), 0, out=keep[b:b + step])
+    return keep
+
+
 def greedy_insert(g: EvolvingGraph, ids) -> int:
     """Traverse the pairs with these ``edge_index`` ids in order; returns how
     many were added.
@@ -319,38 +332,38 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     in range and not yet traversed (``add_edge_if_open`` is the checked
     per-pair equivalent).
 
-    The ids are decoded ``_SLICE`` at a time.  A numpy word mirror of the
-    adjacency drops, ``_CHUNK`` pairs at a time, every pair whose endpoints
-    already share a neighbour in the mirror, and a scalar loop on the int
-    rows traverses the rest.  Dropping is exact because edges are never
-    removed, so a closed pair stays closed; the mirror lags the graph by at
-    most one chunk, which only lets a closed pair through to the scalar
-    loop.  The mirror is built once per call.
+    The ids are decoded ``_SLICE`` at a time and decided ``_CHUNK`` at a time
+    on word rows of the graph, built once per call and written back to the
+    int rows, row by row.  A chunk drops its closed pairs (they stay closed)
+    and decides the rest in dependency rounds, the random-order greedy scheme
+    of Blelloch, Fineman and Shun (SPAA 2012): adding {a, b} changes only rows
+    a and b, so each round adds every pending pair that is first at both its
+    endpoints and, its rows ANDed again from the second round on, still open.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    adj = g.adj
+    words = bitset_words(g.adj, g.n)
+    first = np.empty(g.n, dtype=np.int64)  # each vertex's first pending pair
+    pair = np.arange(2 * _CHUNK) >> 1      # the pair of each of (u0, v0, u1, ...)
     added = 0
-    mirror = bitset_words(adj, g.n)
     for d in range(0, len(ids), _SLICE):
         us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)
         for s in range(0, len(us), _CHUNK):
-            cu, cv = us[s:s + _CHUNK], vs[s:s + _CHUNK]
-            common = mirror[cu]
-            common &= mirror[cv]
-            keep = np.bitwise_or.reduce(common, axis=1) == 0
-            new: list[int] = []
-            push = new.append
-            for u, v in zip(cu[keep].tolist(), cv[keep].tolist()):
-                if adj[u] & adj[v]:
-                    continue
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                push(u)
-                push(v)
-            if new:
-                ends = np.array(new, dtype=np.int64)
-                for a, b in ((ends[0::2], ends[1::2]), (ends[1::2], ends[0::2])):
-                    np.bitwise_or.at(mirror.reshape(-1), *bit_slots(a, b, mirror.shape[1]))
-                added += len(new) // 2
+            chunk = np.stack((us[s:s + _CHUNK], vs[s:s + _CHUNK]), axis=1)
+            pend = chunk[_open(words, chunk)]
+            recheck = False
+            while len(pend):
+                ends = pend.reshape(-1)
+                first[ends] = len(pend)
+                np.minimum.at(first, ends, pair[:len(ends)])
+                hit = first[ends] == pair[:len(ends)]
+                ready = hit[0::2] & hit[1::2]
+                new = pend[ready]
+                new = new[_open(words, new)] if recheck else new
+                at, bits = bit_slots(new.reshape(-1), new[:, ::-1].reshape(-1), words.shape[1])
+                words.reshape(-1)[at] |= bits
+                added += len(new)
+                pend, recheck = pend[~ready], True
+    for i, row in enumerate(bitset_ints(words)):
+        g.adj[i] = row
     g.edge_count += added
     return added

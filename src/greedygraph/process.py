@@ -168,21 +168,22 @@ def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
     place, so the insertion sets the peak:
 
     - 8 per pair kept for the ids, which are also the traversed pairs;
-    - 0.75 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
-      rows, the insertion's word mirror, built in place, and one to spare;
-    - 64 per pair of the slice being decoded and inserted;
+    - 0.5 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
+      int rows and the insertion's word rows, written back row by row;
+    - 64 per pair of the slice being decoded and inserted, which also
+      covers a chunk's gathered rows, and 8 per vertex;
     - n**2/8 + 40n per snapshot: its rows, n bits each, as ints (about 32
       bytes of header) in a list (8 bytes a slot), beside a view of the ids.
 
     On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB
     RLIMIT_AS with about 109 MiB mapped and the check off, the last n that
-    completes (the next fails) is 14452 uncut, 24648 at cutoff 0.3, 18288
-    at 0.6 and 15160 at 0.9.  This figure accepts up to n = 14287, 23802,
-    17932 and 14982, and overstates the need at the last n that completes
-    by 2.3%, 7.1%, 3.9% and 2.3%."""
+    completes (the next fails, in the write-back) is 14584 uncut, 24900 at
+    cutoff 0.3, 18467 at 0.6 and 15316 at 0.9.  This figure accepts up to
+    n = 14493, 24805, 18348 and 15223, and overstates the need at the last
+    n that completes by 1.2%, 0.8%, 1.3% and 1.2%."""
     m = num_pairs(n)
     kept = _cap(m, share)
-    return ceil(8 * kept + 0.75 * m + 64 * min(kept, _SLICE)
+    return ceil(8 * kept + 0.5 * m + 64 * min(kept, _SLICE) + 8 * n
                 + snapshots * n * (n / 8 + 40))
 
 

@@ -367,7 +367,7 @@ class TestMemoryBound:
         assert "Traceback" not in err
 
     def test_simulate_past_address_space_limit_is_usage_error(self):
-        # an uncut run at n=20000 needs about 1.7 GiB; the soft limit is
+        # an uncut run at n=20000 needs about 1.6 GiB; the soft limit is
         # lowered in the child process only
         limit = 1_000_000 * 1024
 
@@ -388,8 +388,8 @@ class TestMemoryBound:
         # an uncut run keeps a permutation of all C(n,2) pair ids, 8 bytes
         # each, through its insertion; under a 1,000,000 KiB soft limit,
         # with 100-150 MiB mapped by the interpreter and numpy, a run at
-        # n=14500 fails an allocation when the check is off (the last n
-        # that completes, with 109 MiB mapped, is 14452), so the check must
+        # n=14600 fails an allocation when the check is off (the last n
+        # that completes, with 109 MiB mapped, is 14584), so the check must
         # refuse it before it starts
         limit = 1_000_000 * 1024
 
@@ -398,19 +398,19 @@ class TestMemoryBound:
                                (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
         proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "14500", "--trials", "1"],
+                               "--n", "14600", "--trials", "1"],
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_limit)
         assert proc.returncode == 2
-        assert "memory bound: a run at n=14500 needs about" in proc.stderr
+        assert "memory bound: a run at n=14600 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
 
     def test_cut_run_that_would_run_out_of_address_space_is_refused(self):
         # with cutoff 0.3 the insertion holds the kept ids, 8 bytes each,
-        # beside the graph's rows and the insertion's mirror: under a
+        # beside the graph's rows and the insertion's word rows: under a
         # 1,000,000 KiB soft limit, with one OpenBLAS thread (about 109 MiB
         # mapped before the run), a run at n=25000 fails an allocation when
-        # the check is off (the last n that completes is 24648); the check
+        # the check is off (the last n that completes is 24900); the check
         # must refuse it before its draw
         limit = 1_000_000 * 1024
 
@@ -430,8 +430,8 @@ class TestMemoryBound:
     @pytest.mark.full
     def test_rounds_at_n20000_runs_in_one_gib(self):
         # the round form draws only the pairs it keeps, so a run at n=20000
-        # holds about 0.75 bytes per pair of K_n: on a 2-core x86_64 host it
-        # took 9-11 s and peaked at 177 MiB resident.  Under a 1 GiB soft
+        # holds about 0.5 bytes per pair of K_n: on a 2-core x86_64 host it
+        # took 2.7-3.2 s and peaked at 173 MiB resident.  Under a 1 GiB soft
         # limit it must pass the memory check and finish, which also bounds
         # its resident peak by 1 GiB
         limit = 1 << 30

@@ -292,8 +292,9 @@ def test_greedy_insert_matches_checked_replay(n, data):
 
 @pytest.mark.parametrize("chunk, slice_", [(1, 3), (4, 10)], ids=["1", "4"])
 def test_bulk_path_matches_checked_replay(chunk, slice_):
-    # the same property with decode blocks and pre-pass chunks small enough
-    # that a call spans several of each
+    # the same property with decode blocks and chunks (each filtered, then
+    # decided in dependency rounds) small enough that a call spans several of
+    # each
     with mock.patch.object(graphcore, "_CHUNK", chunk), \
             mock.patch.object(graphcore, "_SLICE", slice_):
         test_greedy_insert_matches_checked_replay()
@@ -333,3 +334,37 @@ def test_short_batch_matches_checked_replay_multiword():
     assert added == expect == 1
     assert fast.adj == slow.adj
     assert fast.edge_count == slow.edge_count
+
+
+def _matches_replay(n, batch):
+    """One greedy_insert call on an empty graph at n against the checked
+    per-pair insert; returns how many pairs were added."""
+    fast = EvolvingGraph(n)
+    added = greedy_insert(fast, [edge_index(u, v, n) for u, v in batch])
+    slow = EvolvingGraph(n)
+    expect = sum(slow.add_edge_if_open(u, v) for u, v in batch)
+    assert added == expect
+    assert fast.adj == slow.adj
+    assert fast.edge_count == slow.edge_count
+    return added
+
+
+class TestDependencyRounds:
+    # one chunk each at n = 200, so rows span four words; every pair passes
+    # the chunk's filter on the empty graph and is decided in rounds
+
+    def test_pair_closed_by_two_earlier_survivors_of_its_chunk(self):
+        # (3, 199) is open when the chunk starts and is closed only by
+        # (3, 130) and (130, 199), added in the first and second rounds; the
+        # closing neighbour 130 is in word 2, the endpoints in words 0 and 3
+        assert _matches_replay(200, [(3, 130), (130, 199), (3, 199)]) == 2
+
+    def test_star_chunk_is_added_whole(self):
+        # every pair shares vertex 0, so each is decided in a round of its
+        # own, and no two of them close a third
+        order = np.random.default_rng(5).permutation(np.arange(1, 200))
+        assert _matches_replay(200, [(0, int(v)) for v in order]) == 199
+
+    def test_endpoint_disjoint_chunk_is_added_whole(self):
+        # no two pairs share an endpoint, so one round decides them all
+        assert _matches_replay(200, [(i, 199 - i) for i in range(100)]) == 100
