@@ -3,7 +3,8 @@
 Vertices are dense integers 0..n-1.  Adjacency is one Python int bitmask
 per vertex; the insertion works on the same rows as uint64 words, where "do
 u and v share a neighbour" is one AND of two rows, asked for many pairs in
-one numpy call.  The traversed pairs are kept as their pair ids.
+one numpy call, or bit v of u's reach row (the OR of its neighbours' rows)
+once those are built.  The traversed pairs are kept as their pair ids.
 Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 """
 
@@ -96,19 +97,15 @@ def decode_edge_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized edge_endpoints for an array of indices."""
     ids = np.asarray(ids, dtype=np.int64)
     b = 2 * n - 1
-    u = ((b - np.sqrt(b * b - 8.0 * ids)) // 2).astype(np.int64)
+    # the root is at most b, so truncation floors; u * (b - u), twice row u's first id, is even
+    u = ((b - np.sqrt(b * b - 8.0 * ids)) * 0.5).astype(np.int64)
     np.clip(u, 0, n - 2, out=u)
-    row = u * (2 * n - u - 1) // 2
-    # one exact correction pass in each direction
-    over = row > ids
-    if over.any():
-        u[over] -= 1
-        row = u * (2 * n - u - 1) // 2
-    under = (u + 1) * (2 * n - u - 2) // 2 <= ids
-    if under.any():
-        u[under] += 1
-        row = u * (2 * n - u - 1) // 2
-    v = ids - row + u + 1
+    v = ids - (u * (b - u) >> 1) + u + 1
+    # float slop near row boundaries: one exact step in either direction
+    for fix, step in ((v <= u, -1), (v >= n, 1)):
+        if fix.any():
+            u[fix] += step
+            v[fix] = ids[fix] - (u[fix] * (b - u[fix]) >> 1) + u[fix] + 1
     return u, v
 
 
@@ -205,7 +202,7 @@ class EvolvingGraph:
         """``traversed`` as int rows (``pair_rows``), built on first read and
         kept until ``traversed`` is replaced; only references read them."""
         if self._ledger is None or self._ledger[0] is not self.traversed:
-            rows = pair_rows(self.traversed, self.n, np.arange(self.n))
+            rows = pair_rows(self.traversed, self.n)
             self._ledger = (self.traversed, list(bitset_ints(rows)))
         return self._ledger[1]
 
@@ -291,24 +288,41 @@ class EvolvingGraph:
 _CHUNK = 1024
 # pair ids greedy_insert decodes at a time
 _SLICE = 1 << 18
-# bytes of rows _open gathers at a time, so that they stay in cache
+# bytes of rows _open and reach_rows gather at a time, so that they stay in cache
 _GATHER = 1 << 18
 
 
-def pair_rows(ids, n: int, ends) -> np.ndarray:
-    """Rows of the distinct vertices ``ends`` of the graph whose edges are the
-    pairs with these ``edge_index`` ids, as a ``bitset_words`` array; the ids
-    are decoded ``_SLICE`` at a time."""
-    ends = np.asarray(ends, dtype=np.int64)
-    words = np.zeros((len(ends), (n + 63) // 64), dtype="<u8")
-    at = np.full(n, -1, dtype=np.int64)
-    at[ends] = np.arange(len(ends))
+def pair_rows(ids, n: int, words=None) -> np.ndarray:
+    """The ``bitset_words`` rows of the graph on n vertices whose edges are the
+    pairs with these ``edge_index`` ids, set in ``words`` in place when given;
+    the ids are decoded ``_SLICE`` at a time."""
+    if words is None:
+        words = np.zeros((n, (n + 63) // 64), dtype="<u8")
     for d in range(0, len(ids), _SLICE):
         us, vs = decode_edge_ids(ids[d:d + _SLICE], n)
         for a, b in ((us, vs), (vs, us)):
-            hit = at[a] >= 0
-            np.bitwise_or.at(words.reshape(-1), *bit_slots(at[a[hit]], b[hit], words.shape[1]))
+            np.bitwise_or.at(words.reshape(-1), *bit_slots(a, b, words.shape[1]))
     return words
+
+
+def reach_rows(words: np.ndarray, ends=None) -> np.ndarray:
+    """Row j ORs a graph's ``bitset_words`` rows at the neighbours of vertex
+    ends[j] (every vertex when ``ends`` is None): bit w is set iff ends[j] and
+    w share a neighbour.  A block of rows (``_GATHER`` bytes and ``_GATHER`` / 8
+    set bits at most) is read at a time, its neighbours' rows gathered
+    ``_GATHER`` bytes at a time and OR-ed by ``reduceat``."""
+    ends = np.arange(len(words)) if ends is None else np.asarray(ends, dtype=np.int64)
+    out = np.zeros((len(ends), words.shape[1]), dtype=words.dtype)
+    step = max(1, _GATHER // (8 * words.shape[1]))
+    span = max(1, min(step, _GATHER // (8 * int(row_bit_counts(words).max(initial=1)))))
+    for b in range(0, len(ends), span):
+        indptr, indices = neighbours(words[ends[b:b + span]])
+        owner = np.repeat(np.arange(b, b + len(indptr) - 1), np.diff(indptr))
+        for a in range(0, len(indices), step):
+            rows = owner[a:a + step]
+            cut = np.flatnonzero(np.diff(rows, prepend=-1))
+            out[rows[cut]] |= np.bitwise_or.reduceat(words[indices[a:a + step]], cut, axis=0)
+    return out
 
 
 def _open(words: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -339,17 +353,33 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     of Blelloch, Fineman and Shun (SPAA 2012): adding {a, b} changes only rows
     a and b, so each round adds every pending pair that is first at both its
     endpoints and, its rows ANDed again from the second round on, still open.
+
+    The filter gathers two rows per closed pair, a sieve (``reach_rows``) two
+    per edge and then one bit per pair.  So at a slice boundary where the
+    previous slice's share of pairs the filter dropped, times the pairs left,
+    exceeds the edges so far, the reach rows are rebuilt and drop the closed
+    pairs of the rest of the call; a call of one slice never sieves.
     """
     ids = np.asarray(ids, dtype=np.int64)
     words = bitset_words(g.adj, g.n)
     first = np.empty(g.n, dtype=np.int64)  # each vertex's first pending pair
     pair = np.arange(2 * _CHUNK) >> 1      # the pair of each of (u0, v0, u1, ...)
-    added = 0
+    added, closed, reach = 0, 0, None
     for d in range(0, len(ids), _SLICE):
+        if closed * (len(ids) - d) > _SLICE * (g.edge_count + added):
+            reach = None  # freed before the new rows are built
+            reach = reach_rows(words).reshape(-1)
         us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)
+        if reach is not None:
+            at, bits = bit_slots(us, vs, words.shape[1])
+            keep = reach[at] & bits == 0
+            us, vs = us[keep], vs[keep]
+        closed = 0
         for s in range(0, len(us), _CHUNK):
             chunk = np.stack((us[s:s + _CHUNK], vs[s:s + _CHUNK]), axis=1)
-            pend = chunk[_open(words, chunk)]
+            keep = _open(words, chunk)
+            closed += len(chunk) - np.count_nonzero(keep)
+            pend = chunk[keep]
             recheck = False
             while len(pend):
                 ends = pend.reshape(-1)
@@ -363,6 +393,7 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
                 words.reshape(-1)[at] |= bits
                 added += len(new)
                 pend, recheck = pend[~ready], True
+    del reach  # before the int rows are made
     for i, row in enumerate(bitset_ints(words)):
         g.adj[i] = row
     g.edge_count += added

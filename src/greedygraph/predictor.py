@@ -81,7 +81,7 @@ def sample_gnm(n: int, m: int, gen: np.random.Generator) -> EvolvingGraph:
     if not 0 <= m <= total:
         raise ValueError(f"m={m} outside [0, {total}]")
     check_memory(_gnm_bytes(n, m), f"a G(n, m) sample at n={n}, m={m}")
-    words = pair_rows(gen.choice(total, size=m, replace=False), n, np.arange(n))
+    words = pair_rows(gen.choice(total, size=m, replace=False), n)
     g = EvolvingGraph(n)
     g.adj = list(bitset_ints(words))
     g.edge_count = m

@@ -160,31 +160,33 @@ def _draw(streams: rng.Streams, params: ProcessParams, trial: int):
     return ids, np.cumsum(sizes[:-1]).tolist()
 
 
-def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
-    """Bytes of address space a run on n vertices maps at its peak, beyond
-    what was mapped before it, when it keeps a ``share`` of the m = C(n,2)
-    pairs (``_cap`` of them at most) and keeps ``snapshots`` copies of the
+def _round_bytes(n: int, share: float, snapshots: int = 0, rounds: int = 1) -> int:
+    """Bytes of address space a run on n vertices in ``rounds`` calls maps at
+    its peak, beyond what was mapped before it, when it keeps a ``share`` of
+    the m = C(n,2) pairs (``_cap`` at most) and ``snapshots`` copies of the
     graph.  The draw holds only the ids, 8 bytes per pair kept, shuffled in
     place, so the insertion sets the peak:
 
     - 8 per pair kept for the ids, which are also the traversed pairs;
-    - 0.5 per pair of K_n: a quarter each, n**2/8 bytes, for the graph's
-      int rows and the insertion's word rows, written back row by row;
+    - 0.5 per pair of K_n, a quarter each, n**2/8 bytes: the insertion's
+      word rows, and its reach rows (``reach_rows``) or the graph's int
+      rows, written back row by row; 0.75 for the three in a run of several
+      rounds, where a later call may sieve beside nonempty int rows;
     - 64 per pair of the slice being decoded and inserted, which also
-      covers a chunk's gathered rows, and 8 per vertex;
+      covers a chunk's gathered rows, or the last slice's arrays and a
+      sieve's 1.5 MiB block, and 8 per vertex; n**2/64 for a sieve's degrees;
     - n**2/8 + 40n per snapshot: its rows, n bits each, as ints (about 32
       bytes of header) in a list (8 bytes a slot), beside a view of the ids.
 
-    On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB
-    RLIMIT_AS with about 109 MiB mapped and the check off, the last n that
-    completes (the next fails, in the write-back) is 14584 uncut, 24900 at
-    cutoff 0.3, 18467 at 0.6 and 15316 at 0.9.  This figure accepts up to
-    n = 14493, 24805, 18348 and 15223, and overstates the need at the last
-    n that completes by 1.2%, 0.8%, 1.3% and 1.2%."""
+    On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB RLIMIT_AS
+    with about 109 MiB mapped and the check off, the last n that completes
+    is 14524 uncut, 24722 at cutoff 0.3, 18375 at 0.6 and 15257 at 0.9; this
+    figure accepts up to n = 14466, 24672, 18295 and 15192, and overstates
+    the need of the last n that completes by 0.8%, 0.4%, 0.9% and 0.8%."""
     m = num_pairs(n)
     kept = _cap(m, share)
-    return ceil(8 * kept + 0.5 * m + 64 * min(kept, _SLICE) + 8 * n
-                + snapshots * n * (n / 8 + 40))
+    return ceil(8 * kept + (0.5 if rounds == 1 else 0.75) * m + 64 * min(kept, _SLICE) + 8 * n
+                + n * n / 64 + snapshots * n * (n / 8 + 40))
 
 
 def _run(params: ProcessParams, trial: int) -> RunTrace:
@@ -201,7 +203,7 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
-    check_memory(_round_bytes(n, share, (rounds + 1) * params.record_snapshots),
+    check_memory(_round_bytes(n, share, (rounds + 1) * params.record_snapshots, rounds),
                  f"a run at n={n}")
     ids, ends = _draw(streams, params, trial)
     g = EvolvingGraph(n)

@@ -23,8 +23,9 @@ from operator import or_
 import numpy as np
 
 from . import rng
-from .graphcore import (_SLICE, EvolvingGraph, bit_slots, bitset_words, check_memory, choice_bytes,
-                        decode_edge_ids, iter_bits, neighbours, num_pairs, pair_rows, row_bit_counts)
+from .graphcore import (_GATHER, _SLICE, EvolvingGraph, bit_slots, bitset_words, check_memory,
+                        choice_bytes, decode_edge_ids, iter_bits, num_pairs, pair_rows,
+                        reach_rows, row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -84,31 +85,22 @@ def classify_pair(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext) -> Sl
                       fully_open_center=fully_c, window=window)
 
 
-# Endpoints whose neighbours _addable_rows unpacks at a time
-_ENDS_CHUNK = 512
-
-
-def _addable_rows(graph: EvolvingGraph, ends: list[int]) -> tuple[np.ndarray, ...]:
-    """The adjacency, addable and traversed rows (``pair_rows``) of the
-    vertices ``ends``, as ``bitset_words`` arrays.  Vertex x's addable row
-    holds each w != x whose pair {x, w} is not traversed and would close no
-    triangle (w is no neighbour of a neighbour of x): ``neighbours`` reads
-    ``_ENDS_CHUNK`` rows at a time, and each row's neighbours' rows are
-    OR-ed as ints."""
-    n, adj = graph.n, graph.adj
-    rows = bitset_words([adj[x] for x in ends], n)
-    traversed = pair_rows(graph.traversed, n, ends)
-    blocked = []
-    for c in range(0, len(ends), _ENDS_CHUNK):
-        indptr, indices = neighbours(rows[c:c + _ENDS_CHUNK])
-        bounds, nbrs = indptr.tolist(), indices.tolist()
-        blocked += [reduce(or_, map(adj.__getitem__, nbrs[a:b]), 1 << x)
-                    for x, a, b in zip(ends[c:c + _ENDS_CHUNK], bounds, bounds[1:])]
-    addable = bitset_words(blocked, n)
+def _addable_rows(graph: EvolvingGraph, ends: np.ndarray,
+                  traversed: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The adjacency, addable and traversed rows of the vertices ``ends``, as
+    ``bitset_words`` arrays, given ``traversed``, all n traversed rows.  Vertex
+    x's addable row holds each w != x whose pair {x, w} is not traversed and
+    would close no triangle: w shares no neighbour with x (``reach_rows``)."""
+    n = graph.n
+    words = bitset_words(graph.adj, n)
+    addable = reach_rows(words, ends)
+    traversed = traversed[ends]
     addable |= traversed
+    at, bits = bit_slots(np.arange(len(ends)), ends, words.shape[1])
+    addable.reshape(-1)[at] |= bits
     np.invert(addable, out=addable)
     addable &= bitset_words([(1 << n) - 1], n)
-    return rows, addable, traversed
+    return words[ends], addable, traversed
 
 
 # Bytes of word rows that classify_pairs gathers and combines for one block
@@ -123,31 +115,33 @@ def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
 
     - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
       their endpoints, row indices and counts;
-    - per endpoint, of at most min(n, 2 * pairs): 4 rows of ceil(n/64)
-      words (the adjacency, traversed and addable rows and the blocked rows
-      as ints) and 40 bytes;
-    - 72 per neighbour of one chunk of ``_ENDS_CHUNK`` endpoints (their
-      ``neighbours`` build, then the list of them), the chunk taken at the
-      largest degrees of ``graph``, which holds every snapshot;
+    - the traversed rows, grown snapshot by snapshot, and the snapshot's
+      word rows: 2n rows of ceil(n/64) words, and a byte a word for degrees;
+    - per endpoint, of at most min(n, 2 * pairs): 3 rows (the adjacency,
+      traversed and addable rows) and 40 bytes;
+    - 6 * ``_GATHER`` for a ``reach_rows`` block (its rows, its CSR of up to
+      ``_GATHER`` / 8 set bits at 32 bytes each, the gathered rows and their
+      OR), or 48 bytes per pair of vertices at small n;
     - 64 per pair of one slice of traversed ids decoded, and 8 per vertex;
     - ``_BLOCK_BYTES`` for one block of pairs;
     - 300 per kept row.
     """
     n = graph.n
-    degrees = sorted((row.bit_count() for row in graph.adj), reverse=True)
+    row = 8 * ((n + 63) // 64)
     ends = min(n, 2 * pairs)
-    return (choice_bytes(num_pairs(n), pairs) + 96 * pairs
-            + ends * (32 * ((n + 63) // 64) + 40) + 72 * sum(degrees[:_ENDS_CHUNK])
+    return (choice_bytes(num_pairs(n), pairs) + 96 * pairs + 2 * n * row + n * row // 8
+            + ends * (3 * row + 40) + 6 * min(_GATHER, 8 * n * n)
             + 64 * min(graph.birthed_count, _SLICE) + 8 * n
             + _BLOCK_BYTES + 300 * kept)
 
 
-def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, ...]:
+def classify_pairs(graph: EvolvingGraph, traversed: np.ndarray, us, vs) -> tuple[np.ndarray, ...]:
     """The closed, half-open and fully-open counts of the pairs
-    (us[j], vs[j]) against the snapshot held in ``graph``, as int64 arrays,
-    equal to ``classify_pair``'s, and whether each pair is not yet
-    traversed, as a bool array.  The pairs are not checked: each must have
-    distinct endpoints in range.
+    (us[j], vs[j]) against the snapshot held in ``graph``, whose traversed
+    pairs set the rows ``traversed`` of all n vertices (``pair_rows``), as
+    int64 arrays, equal to ``classify_pair``'s, and whether each pair is not
+    yet traversed, as a bool array.  The pairs are not checked: each must
+    have distinct endpoints in range.
 
     Each distinct endpoint's adjacency, addable and traversed rows are
     built once (``_addable_rows``), and the pairs are counted a block at a
@@ -160,7 +154,7 @@ def classify_pairs(graph: EvolvingGraph, us, vs) -> tuple[np.ndarray, ...]:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     ends = np.unique(np.concatenate([us, vs]))
-    rows, addable, traversed = _addable_rows(graph, ends.tolist())
+    rows, addable, traversed = _addable_rows(graph, ends, traversed)
     iu = np.searchsorted(ends, us)
     iv = np.searchsorted(ends, vs)
     counts = np.empty((3, len(us)), dtype=np.int64)
@@ -283,11 +277,14 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
     check_memory(_check_bytes(trace.graph, size, size * (ctx.rounds_total + 1) * keep_rows),
                  f"the trajectory check at n={n}")
     report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
+    traversed = pair_rows([], n)
     for i in range(0, ctx.rounds_total + 1):
         graph = trace.snapshots[i]
+        # each snapshot's traversed ids extend the one before it
+        pair_rows(graph.traversed[trace.snapshots[max(i - 1, 0)].birthed_count:], n, traversed)
         gen = streams.rekey(seed, 0, round_=i, purpose=rng.SAMPLE)
         us, vs = decode_edge_ids(gen.choice(m, size=size, replace=False), n)
-        closed, half, fully, fresh = classify_pairs(graph, us, vs)
+        closed, half, fully, fresh = classify_pairs(graph, traversed, us, vs)
         half_c, fully_c, window = _centres(n, ctx.with_round(i))
         if keep_rows:
             report.rows.extend(

@@ -10,7 +10,7 @@ from greedygraph import graphcore, rng
 from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset_ints,
                                    bitset_words, decode_edge_ids, edge_endpoints,
                                    edge_index, greedy_insert, iter_bits, neighbours,
-                                   num_pairs, row_bit_counts, unpack_rows)
+                                   num_pairs, reach_rows, row_bit_counts, unpack_rows)
 
 
 class TestEdgeIndex:
@@ -40,6 +40,17 @@ class TestEdgeIndex:
         for idx, u, v in zip(ids.tolist(), us.tolist(), vs.tolist()):
             assert 0 <= u < v < n
             assert edge_index(u, v, n) == idx
+
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    def test_row_boundaries_at_large_n(self, n):
+        # the first and last id of sampled rows, where the float root is
+        # closest to an integer, against the exact scalar decode
+        us = np.random.default_rng(n).integers(0, n - 1, size=200)
+        first = us * (2 * n - us - 1) // 2
+        for ids in (first, first + (n - 2 - us)):
+            got = decode_edge_ids(ids, n)
+            assert list(zip(*(x.tolist() for x in got))) == \
+                [edge_endpoints(idx, n) for idx in ids.tolist()]
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
@@ -368,3 +379,68 @@ class TestDependencyRounds:
     def test_endpoint_disjoint_chunk_is_added_whole(self):
         # no two pairs share an endpoint, so one round decides them all
         assert _matches_replay(200, [(i, 199 - i) for i in range(100)]) == 100
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_reach_rows_match_int_rows(n):
+    # a random graph with isolated vertices, every row and a subset of rows,
+    # in gathers of 256 KiB and of one row
+    gen = np.random.default_rng(n)
+    g = EvolvingGraph(n)
+    live = gen.permutation(n)[:max(1, 3 * n // 4)]
+    for u in live.tolist():
+        for v in live.tolist():
+            if u < v and gen.random() < 0.1:
+                g.insert_edge(u, v)
+    words = bitset_words(g.adj, n)
+    expect = [0] * n
+    for x in range(n):
+        for w in iter_bits(g.adj[x]):
+            expect[x] |= g.adj[w]
+    ends = gen.choice(n, size=(n + 1) // 2, replace=False)
+    for gather in (graphcore._GATHER, 8):
+        with mock.patch.object(graphcore, "_GATHER", gather):
+            assert list(bitset_ints(reach_rows(words))) == expect
+            assert list(bitset_ints(reach_rows(words, ends))) == [expect[x] for x in ends]
+    assert 0 in g.adj and (n == 1 or any(expect))
+
+
+def test_uncut_call_sieves_closed_pairs(monkeypatch):
+    # every pair at n = 200 in one call, in slices of 1000 pairs: closed
+    # pairs soon dominate, so the call sieves; the chunk filter sees no pair
+    # that the last sieve before it marks closed, and fewer pairs in all than
+    # the call traverses; the graph equals the checked replay's
+    n = 200
+    ids = np.random.default_rng(11).permutation(num_pairs(n))
+    log = []
+    real_reach, real_open = graphcore.reach_rows, graphcore._open
+
+    def reach_spy(words, ends=None):
+        reach = real_reach(words, ends)
+        log.append(("reach", list(bitset_ints(reach))))
+        return reach
+
+    def open_spy(words, pairs):
+        log.append(("open", pairs.tolist()))
+        return real_open(words, pairs)
+
+    monkeypatch.setattr(graphcore, "reach_rows", reach_spy)
+    monkeypatch.setattr(graphcore, "_open", open_spy)
+    monkeypatch.setattr(graphcore, "_SLICE", 1000)
+    fast = EvolvingGraph(n)
+    added = greedy_insert(fast, ids)
+    reach, seen = None, set()
+    for kind, entry in log:
+        if kind == "reach":
+            reach = entry
+            continue
+        seen.update(map(tuple, entry))
+        assert reach is None or not any((reach[u] >> v) & 1 for u, v in entry)
+    assert sum(kind == "reach" for kind, _ in log) >= 1
+    assert len(seen) < len(ids)
+    slow = EvolvingGraph(n)
+    us, vs = decode_edge_ids(ids, n)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        slow.add_edge_if_open(u, v)
+    assert added == slow.edge_count == fast.edge_count
+    assert fast.adj == slow.adj

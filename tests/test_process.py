@@ -308,8 +308,8 @@ class TestStreamedRound:
 
 def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
     """``process._round_bytes`` for a run of these parameters."""
-    _, share, _ = process._schedule(params)
-    return process._round_bytes(params.ctx.n, share, snapshots)
+    _, share, bounds = process._schedule(params)
+    return process._round_bytes(params.ctx.n, share, snapshots, len(bounds) + 1)
 
 
 def _forbid_streams(monkeypatch):

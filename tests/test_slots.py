@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, rng, slots
-from greedygraph.graphcore import EvolvingGraph, edge_endpoints, edge_index, num_pairs
+from greedygraph.graphcore import (EvolvingGraph, edge_endpoints, edge_index, num_pairs,
+                                   pair_rows)
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
 from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
@@ -127,18 +128,24 @@ class TestClassifyPair:
         assert a == b
 
 
+def _classify(g: EvolvingGraph, us, vs):
+    """``classify_pairs`` with the traversed rows of ``g`` built from scratch."""
+    return classify_pairs(g, pair_rows(g.traversed, g.n), us, vs)
+
+
 class TestClassifyPairs:
     @given(n=st.integers(min_value=2, max_value=130),
            p_edge=st.sampled_from([0.0, 0.03, 0.15, 0.5]),
            p_ledger=st.sampled_from([0.0, 0.2, 0.7]),
-           chunk=st.integers(min_value=1, max_value=40),
+           gather=st.integers(min_value=1, max_value=40),
            block=st.integers(min_value=1, max_value=50),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_classify_pair(self, n, p_edge, p_ledger, chunk, block, seed):
+    def test_matches_classify_pair(self, n, p_edge, p_ledger, gather, block, seed):
         # random hosts (triangles allowed) with an independent random ledger;
         # n up to 130 covers one- and multi-word rows with n % 64 != 0, and
-        # small chunk and block sizes cross every chunk and block boundary
+        # gathers of a few rows and small blocks cross every reach_rows block,
+        # gather and counting block boundary
         gen = np.random.default_rng(seed)
         g = EvolvingGraph(n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -156,26 +163,26 @@ class TestClassifyPairs:
         picked += list(g.edges())[:20] + [(v, u) for u, v in picked[:30]]
         us, vs = (list(ends) for ends in zip(*picked))
         ctx = RoundContext(max(n, 3), 0.2)
-        with mock.patch.object(slots, "_ENDS_CHUNK", chunk), \
+        with mock.patch.object(graphcore, "_GATHER", 8 * ((n + 63) // 64) * gather), \
                 mock.patch.object(slots, "_BLOCK_BYTES", 64 * ((n + 63) // 64) * block):
-            closed, half, fully, fresh = classify_pairs(g, us, vs)
+            closed, half, fully, fresh = _classify(g, us, vs)
         for j, (u, v) in enumerate(picked):
             sc = classify_pair(g, u, v, ctx)
             assert (closed[j], half[j], fully[j]) == (sc.closed, sc.half_open, sc.fully_open)
             assert fresh[j] == (edge_index(u, v, n) not in ledger)
 
     def test_no_pairs(self):
-        counts = classify_pairs(EvolvingGraph(70), [], [])
+        counts = _classify(EvolvingGraph(70), [], [])
         assert [c.tolist() for c in counts] == [[], [], [], []]
 
     def test_isolated_endpoints_and_round_zero(self):
         # in the empty graph every third vertex is fully open; beside a
         # single edge {0, 1}, an isolated pair's slots at 0 and 1 stay open
         n = 67
-        assert [c.tolist() for c in classify_pairs(EvolvingGraph(n), [0, 5], [66, 64])] == \
+        assert [c.tolist() for c in _classify(EvolvingGraph(n), [0, 5], [66, 64])] == \
             [[0, 0], [0, 0], [n - 2, n - 2], [True, True]]
         g = EvolvingGraph.from_edges(n, [(0, 1)])
-        closed, half, fully, fresh = classify_pairs(g, [2, 0, 0], [3, 1, 2])
+        closed, half, fully, fresh = _classify(g, [2, 0, 0], [3, 1, 2])
         assert fresh.tolist() == [True, False, True]
         assert closed.tolist() == [0, 0, 0]
         assert half.tolist() == [0, 0, 1]
@@ -233,7 +240,8 @@ class TestCheckTrajectories:
         # every snapshot's traversed ids are a prefix of the final graph's,
         # held in the same memory; its int ledger rows and the report's
         # non-traversed counts agree with plain set arithmetic over them,
-        # and the report builds no snapshot's full ledger rows
+        # and the report reads no snapshot's int ledger rows (it grows its
+        # own word rows from the ids new at each snapshot)
         trace, ctx = self._trace(n=60, eps=0.25, seed=5)
         final = trace.graph.traversed
         size = 400
