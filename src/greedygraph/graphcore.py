@@ -97,16 +97,11 @@ def decode_edge_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized edge_endpoints for an array of indices."""
     ids = np.asarray(ids, dtype=np.int64)
     b = 2 * n - 1
-    # the root is at most b, so truncation floors; u * (b - u), twice row u's first id, is even
+    # the root is at most b, so truncation floors; exact at a row's first id and about 2/(b - 2u)
+    # inside the row at its last, it puts no id past a row end; u * (b - u) is twice row u's start
     u = ((b - np.sqrt(b * b - 8.0 * ids)) * 0.5).astype(np.int64)
     np.clip(u, 0, n - 2, out=u)
-    v = ids - (u * (b - u) >> 1) + u + 1
-    # float slop near row boundaries: one exact step in either direction
-    for fix, step in ((v <= u, -1), (v >= n, 1)):
-        if fix.any():
-            u[fix] += step
-            v[fix] = ids[fix] - (u[fix] * (b - u[fix]) >> 1) + u[fix] + 1
-    return u, v
+    return u, ids - (u * (b - u) >> 1) + u + 1
 
 
 def iter_bits(x: int) -> Iterator[int]:

@@ -121,34 +121,34 @@ def _cap(m: int, share: float) -> int:
     return min(m, ceil(share * m + 6 * sqrt(share * m)))
 
 
-def _draw(streams: rng.Streams, params: ProcessParams, trial: int):
+def _draw(streams: rng.Streams, params: ProcessParams, trial: int, schedule, cap: int):
     """Trial ``trial``'s traversed pair ids in traversal order, and where in
-    them each round but the last ends.
+    them each round but the last ends, given ``_schedule(params)`` and its ``_cap``.
 
     One stream cell per trial: (seed, trial, 0, the form's purpose).  A
     pair's round and its time within the round make one aggregate birth
     time, uniform in [0, 1) and independent across pairs, so a run traverses
-    each pair with its share (``_schedule``) independently, in uniform order.
-    The kept ids are drawn ascending by geometric gaps, ``_cap`` gaps at a
-    time until they pass C(n,2), so the draw costs the pairs kept, not
-    C(n,2); an uncut run keeps every pair.  One in-place shuffle puts them
-    in uniform order.  The rounds' sizes are one multinomial draw over the
-    kept count, round i's probability being its share of [0, share): i.i.d.
-    (round, time) keys give a uniform order and multinomial round sizes
-    that do not depend on it.
+    each pair with its share independently, in uniform order.  The kept ids
+    are drawn ascending by geometric gaps, ``cap`` gaps at a time until they
+    pass C(n,2), so the draw costs the pairs kept, not C(n,2); an uncut run
+    keeps every pair.  One in-place shuffle puts them in uniform order.  The
+    rounds' sizes are one multinomial draw over the kept count, round i's
+    probability being its share of [0, share): i.i.d. (round, time) keys
+    give a uniform order and multinomial round sizes that do not depend on
+    it.  A schedule without bounds draws no sizes; since they come after the
+    shuffle, the ids are the same.
     """
     m = num_pairs(params.ctx.n)
-    purpose, share, bounds = _schedule(params)
+    purpose, share, bounds = schedule
     gen = streams.rekey(params.seed, trial, 0, purpose)
     if share >= 1.0:
         ids = np.arange(m)
     else:
-        block = _cap(m, share)
-        ids = gen.geometric(share, block)
+        ids = gen.geometric(share, cap)
         np.cumsum(ids, out=ids)
         ids -= 1
         while ids[-1] < m:
-            more = gen.geometric(share, block)
+            more = gen.geometric(share, cap)
             np.cumsum(more, out=more)
             more += ids[-1]
             ids = np.concatenate([ids, more])
@@ -198,14 +198,14 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
     run would not fit in memory (``check_memory``).
     """
     n = params.ctx.n
-    _, share, bounds = _schedule(params)
+    _, share, bounds = schedule = _schedule(params)
     rounds = len(bounds) + 1
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
     check_memory(_round_bytes(n, share, (rounds + 1) * params.record_snapshots, rounds),
                  f"a run at n={n}")
-    ids, ends = _draw(streams, params, trial)
+    ids, ends = _draw(streams, params, trial, schedule, _cap(num_pairs(n), share))
     g = EvolvingGraph(n)
     per_round: list[RoundRecord] = []
     snapshots = [g.copy()] if params.record_snapshots else None
@@ -327,9 +327,10 @@ def exhaustive_oracle(n: int) -> OracleDistribution:
 # campaign helpers
 
 
-# Byte budget of one block of trials in the campaign path: its adjacency
-# words and its padded pair sequences.
-_BLOCK_BYTES = 1 << 20
+# Byte budget of one block of trials in the campaign path, its adjacency words
+# and padded pair sequences: a step makes a dozen numpy calls at any width, so
+# wide blocks amortise them (500 trials of C4's setting at n = 100 are one).
+_BLOCK_BYTES = 4 << 20
 # Bytes per pair of the campaign path's pair table.
 _TABLE_BYTES = 64
 
@@ -391,18 +392,21 @@ def _final_blocks(params: ProcessParams, trials: int):
     Each trial of a block takes its pair sequence from ``_draw``, as ``run``
     does, into a column of one padded matrix, and ``_lockstep`` traverses
     the columns together: a round ends where the next begins, so the whole
-    sequence needs no split.  So trial t's rows are
-    ``run(params, t).graph.adj``.  The block size comes from
-    ``_BLOCK_BYTES`` and a column length of ``_cap`` pairs; a longer
+    sequence needs no split, and the draw skips the rounds' sizes.  So trial
+    t's rows are ``run(params, t).graph.adj``.  The matrix has the narrowest
+    signed type that holds the padding id C(n,2); the block size comes from
+    ``_BLOCK_BYTES`` and a column length of ``_cap`` pairs, and a longer
     sequence grows the matrix.  Raises ValueError, before any draw, when the
     work would not fit in memory (``check_memory``).
     """
     n = params.ctx.n
     m = num_pairs(n)
-    _, share, bounds = _schedule(params)
+    purpose, share, _ = _schedule(params)
     cap = _cap(m, share)
-    dtype = np.int32 if m < 2 ** 31 else np.int64
-    per_trial = 8 * n * ((n + 63) // 64) + dtype().itemsize * cap
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+    # a trial's rows and a byte a word for their degree count, its column of
+    # the matrix, and its share of a step's gathered rows and index arrays
+    per_trial = (9 * n + 24) * ((n + 63) // 64) + dtype().itemsize * cap + 128
     block = max(1, min(trials, _BLOCK_BYTES // per_trial))
     # a trial's draw (``_round_bytes``, which also covers a run's graph and
     # insertion), the table and the block
@@ -417,7 +421,7 @@ def _final_blocks(params: ProcessParams, trials: int):
         seq.fill(m)
         longest = 0
         for col in range(cols):
-            ids, _ = _draw(streams, params, start + col)
+            ids, _ = _draw(streams, params, start + col, (purpose, share, []), cap)
             if len(ids) > len(seq):
                 seq = np.vstack([seq, np.full((len(ids) - len(seq), block), m, dtype=dtype)])
             seq[:len(ids), col] = ids
@@ -442,13 +446,12 @@ def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
         degree_sums = row_bit_counts(rows.reshape(-1, n * rows.shape[1]))
         edge_counter.update((degree_sums // 2).tolist())
         if classify:
-            masks = list(bitset_ints(rows))
-            for start in range(0, len(masks), n):
-                adj = tuple(masks[start:start + n])
+            for adj in zip(*[bitset_ints(rows)] * n):  # a trial's n int rows
                 name = names.get(adj)
                 if name is None:
                     name = names[adj] = _class_name(adj)
                 class_counter[name] += 1
+        del rows  # before the next block's rows are made
     return edge_counter, class_counter
 
 

@@ -108,10 +108,10 @@ def _addable_rows(graph: EvolvingGraph, ends: np.ndarray,
 _BLOCK_BYTES = 1 << 20
 
 
-def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
+def _check_bytes(trace: RunTrace, pairs: int, kept: int) -> int:
     """Bytes ``check_trajectories`` holds at its peak when it samples
-    ``pairs`` pairs a round from the snapshots of a run whose final graph
-    is ``graph`` and keeps ``kept`` rows for the CSV:
+    ``pairs`` pairs a round from the snapshots of ``trace`` and keeps
+    ``kept`` rows for the CSV:
 
     - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
       their endpoints, row indices and counts;
@@ -122,17 +122,18 @@ def _check_bytes(graph: EvolvingGraph, pairs: int, kept: int) -> int:
     - 6 * ``_GATHER`` for a ``reach_rows`` block (its rows, its CSR of up to
       ``_GATHER`` / 8 set bits at 32 bytes each, the gathered rows and their
       OR), or 48 bytes per pair of vertices at small n;
-    - 64 per pair of one slice of traversed ids decoded, and 8 per vertex;
+    - 64 per pair of the largest slice of traversed ids decoded, those new
+      at one snapshot but at most ``_SLICE``, and 8 per vertex;
     - ``_BLOCK_BYTES`` for one block of pairs;
     - 300 per kept row.
     """
-    n = graph.n
+    n = trace.n
     row = 8 * ((n + 63) // 64)
     ends = min(n, 2 * pairs)
+    new = max(np.diff([0, *(s.birthed_count for s in trace.snapshots)]).tolist())
     return (choice_bytes(num_pairs(n), pairs) + 96 * pairs + 2 * n * row + n * row // 8
             + ends * (3 * row + 40) + 6 * min(_GATHER, 8 * n * n)
-            + 64 * min(graph.birthed_count, _SLICE) + 8 * n
-            + _BLOCK_BYTES + 300 * kept)
+            + 64 * min(new, _SLICE) + 8 * n + _BLOCK_BYTES + 300 * kept)
 
 
 def classify_pairs(graph: EvolvingGraph, traversed: np.ndarray, us, vs) -> tuple[np.ndarray, ...]:
@@ -274,7 +275,7 @@ def check_trajectories(trace: RunTrace, ctx: RoundContext, sample_size: int = 20
     size = min(sample_size, m)
     # made before the check, so that what it maps counts as mapped already
     streams = rng.Streams()
-    check_memory(_check_bytes(trace.graph, size, size * (ctx.rounds_total + 1) * keep_rows),
+    check_memory(_check_bytes(trace, size, size * (ctx.rounds_total + 1) * keep_rows),
                  f"the trajectory check at n={n}")
     report = TrajectoryReport(n=n, eps=ctx.eps, seed=seed, sample_size=sample_size)
     traversed = pair_rows([], n)

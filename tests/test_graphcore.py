@@ -41,16 +41,21 @@ class TestEdgeIndex:
             assert 0 <= u < v < n
             assert edge_index(u, v, n) == idx
 
-    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5, 10 ** 6])
     def test_row_boundaries_at_large_n(self, n):
-        # the first and last id of sampled rows, where the float root is
-        # closest to an integer, against the exact scalar decode
-        us = np.random.default_rng(n).integers(0, n - 1, size=200)
+        # the first and last id of every row (of 200 sampled rows at 10^6),
+        # where the float root is closest to an integer: row u runs from
+        # (u, u + 1) to (u, n - 1), and about 200 of them also against the
+        # exact scalar decode
+        us = np.arange(n - 1) if n <= 10 ** 5 else \
+            np.random.default_rng(n).integers(0, n - 1, size=200)
         first = us * (2 * n - us - 1) // 2
-        for ids in (first, first + (n - 2 - us)):
-            got = decode_edge_ids(ids, n)
-            assert list(zip(*(x.tolist() for x in got))) == \
-                [edge_endpoints(idx, n) for idx in ids.tolist()]
+        pick = slice(None, None, len(us) // 200)
+        for ids, vs in ((first, us + 1), (first + (n - 2 - us), np.full_like(us, n - 1))):
+            got_u, got_v = decode_edge_ids(ids, n)
+            assert np.array_equal(got_u, us) and np.array_equal(got_v, vs)
+            assert [edge_endpoints(idx, n) for idx in ids[pick].tolist()] == \
+                list(zip(us[pick].tolist(), vs[pick].tolist()))
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):

@@ -216,12 +216,13 @@ def one_shot_draw(gen, m, threshold, seen):
     return ids[np.argsort(t[ids], kind="stable")]
 
 
-def reference_draw(streams, params, trial):
+def reference_draw(streams, params, trial, schedule, cap):
     """The reference route, in place of ``process._draw``: each round draws
     from its own cell (seed, trial, round, purpose), round 0 of the
     birth-order form below the cutoff (or 1), rounds 1..k**2 of the round
-    form below the birth probability, over one ``seen`` mask.  Returns the
-    rounds' ids joined, and where each round but the last ends."""
+    form below the birth probability, over one ``seen`` mask; ``_draw``'s
+    schedule and cap go unused.  Returns the rounds' ids joined, and where
+    each round but the last ends."""
     ctx = params.ctx
     m = num_pairs(ctx.n)
     if params.mode == "exact":
@@ -485,7 +486,7 @@ def test_campaign_path_matches_runs(n, eps, mode, cutoff, trials, budget, seed, 
     _check_batch_against_runs(params, trials, budget, classify=n <= 6, keep_all=keep_all)
 
 
-@pytest.mark.parametrize("budget", [0, 1 << 20])
+@pytest.mark.parametrize("budget", [0, 1 << 20, process._BLOCK_BYTES])
 @pytest.mark.parametrize("mode, cutoff, keep_all", [
     ("exact", None, False), ("exact", 0.3, False), ("rounds", None, False),
     # every pair is kept, far past the expected share of 0.34: the
@@ -496,6 +497,48 @@ def test_campaign_path_matches_runs_multiword(mode, cutoff, keep_all, budget):
     # rows of three 64-bit words, in blocks of one trial or one block of all
     params = ProcessParams(ctx=RoundContext(130, 0.2), seed=8, mode=mode, cutoff=cutoff)
     _check_batch_against_runs(params, 5, budget, keep_all=keep_all)
+
+
+@pytest.mark.parametrize("mode", ["exact", "rounds"])
+@pytest.mark.parametrize("n, dtype", [(256, np.int16), (257, np.int32)])
+def test_campaign_path_matches_runs_at_the_dtype_boundary(monkeypatch, n, dtype, mode):
+    # the padding id C(n,2) is 32,640 at n = 256, the last n whose pair
+    # sequences fit int16, and 32,896 at n = 257
+    ctx = RoundContext(n, 0.2)
+    params = ProcessParams(ctx=ctx, seed=4, mode=mode,
+                           cutoff=aggregate_cutoff(ctx) if mode == "exact" else None)
+    dtypes = set()
+    lockstep = process._lockstep
+
+    def spy(n, table, seq):
+        dtypes.add(seq.dtype)
+        return lockstep(n, table, seq)
+
+    monkeypatch.setattr(process, "_lockstep", spy)
+    _check_batch_against_runs(params, 3, process._BLOCK_BYTES)
+    assert dtypes == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("n, trials, mode, cutoff", [
+    (100, 500, "exact", "aggregate"), (100, 500, "exact", None), (100, 500, "rounds", None),
+    (256, 100, "rounds", None),
+    # three blocks: one block's rows are freed before the next one's are made
+    (100, 2500, "rounds", None)])
+def test_campaign_estimate_bounds_traced_peak(monkeypatch, n, trials, mode, cutoff):
+    # the figure charges a whole block: 500 trials at n = 100 are one block
+    # of C4's setting, two uncut
+    ctx = RoundContext(n, 0.2)
+    cutoff = aggregate_cutoff(ctx) if cutoff else None
+    needs = []
+    monkeypatch.setattr(process, "check_memory", lambda need, what: needs.append(need))
+    final_distribution_sample(ctx, 2, seed=1, mode=mode, cutoff=cutoff)  # warm the caches
+    tracemalloc.start()
+    try:
+        final_distribution_sample(ctx, trials, seed=1, mode=mode, cutoff=cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[-1]
 
 
 def _graph_state(g: EvolvingGraph) -> list:
@@ -510,6 +553,13 @@ def _trace_digest(trace: RunTrace) -> str:
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
 
+def _draw(streams, params: ProcessParams, trial: int):
+    """``process._draw`` with the schedule and cap ``run`` passes it."""
+    schedule = process._schedule(params)
+    return process._draw(streams, params, trial, schedule,
+                         process._cap(num_pairs(params.ctx.n), schedule[1]))
+
+
 class TestAggregateDraw:
     """The law of the one draw per trial: each pair kept independently with
     the run's share, in uniform order, cut into rounds of multinomial
@@ -522,7 +572,7 @@ class TestAggregateDraw:
         params = ProcessParams(ctx=RoundContext(n, 0.2), seed=9, mode="exact")
         streams = rng.Streams()
         for t in range(3):
-            ids, ends = process._draw(streams, params, t)
+            ids, ends = _draw(streams, params, t)
             assert ends == []
             assert np.array_equal(ids, rng.stream(9, t, 0, rng.EXACT).permutation(num_pairs(n)))
 
@@ -538,7 +588,7 @@ class TestAggregateDraw:
         streams = rng.Streams()
         sizes = np.zeros(len(bounds) + 1, dtype=np.int64)
         for t in range(trials):
-            ids, ends = process._draw(streams, params, t)
+            ids, ends = _draw(streams, params, t)
             assert len(np.unique(ids)) == len(ids) and 0 <= ids.min() and ids.max() < m
             sizes += np.diff([0, *ends, len(ids)])
         kept = int(sizes.sum())
