@@ -1,10 +1,11 @@
 """Compact K_n subgraph representation with word-parallel triangle queries.
 
-Vertices are dense integers 0..n-1.  Adjacency is one Python int bitmask
-per vertex; the insertion works on the same rows as uint64 words, where "do
-u and v share a neighbour" is one AND of two rows, asked for many pairs in
-one numpy call, or bit v of u's reach row (the OR of its neighbours' rows)
-once those are built.  The traversed pairs are kept as their pair ids.
+Vertices are dense integers 0..n-1.  Adjacency is one row of ceil(n/64)
+uint64 words per vertex (``bitset_words``), where "do u and v share a
+neighbour" is one AND of two rows, asked for many pairs in one numpy call,
+or bit v of u's reach row (the OR of its neighbours' rows) once those are
+built; references read the rows as int bitmasks (``adj``).  The traversed
+pairs are kept as their pair ids.
 Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 """
 
@@ -167,26 +168,27 @@ def bit_indices(x: int, n: int) -> np.ndarray:
 
 
 class EvolvingGraph:
-    """Adjacency bitsets for the current graph plus the traversed pairs.
+    """The current graph as word rows (``words``) plus the traversed pairs.
 
     ``add_edge_if_open`` enforces the triangle-free insertion rule; the
     global invariant is re-checkable with ``audit_triangle_free`` (it is not
     re-verified per insert).  ``insert_edge`` bypasses the rule, so hosts
     that are allowed to contain triangles (uniform random graphs, injected
     counterexamples) use the same representation.  ``traversed`` holds the
-    traversed pairs' ids; it is replaced, never written in place.
+    traversed pairs' ids.  ``copy`` shares both arrays, so writers replace them.
     """
 
-    __slots__ = ("n", "adj", "edge_count", "traversed", "_ledger")
+    __slots__ = ("n", "words", "edge_count", "traversed", "_ledger", "_rows")
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
-        self.adj: list[int] = [0] * n
+        self.words = np.zeros((n, (n + 63) // 64), dtype="<u8")
         self.edge_count = 0
         self.traversed = np.empty(0, dtype=np.int64)
         self._ledger = None
+        self._rows = None
 
     @property
     def birthed_count(self) -> int:
@@ -201,10 +203,20 @@ class EvolvingGraph:
             self._ledger = (self.traversed, list(bitset_ints(rows)))
         return self._ledger[1]
 
+    @property
+    def adj(self) -> list[int]:
+        """``words`` as int masks, built on first read and kept until ``words``
+        is replaced; only references read them.  Assigning int rows sets ``words``."""
+        if self._rows is None or self._rows[0] is not self.words:
+            self._rows = (self.words, list(bitset_ints(self.words)))
+        return self._rows[1]
+
+    @adj.setter
+    def adj(self, rows) -> None:
+        self.words = bitset_words(rows, self.n)
+
     def _check_pair(self, u: int, v: int) -> tuple[int, int]:
-        # coerce numpy integers so bitmask shifts stay arbitrary-precision
-        u = int(u)
-        v = int(v)
+        u, v = int(u), int(v)  # numpy integers would overflow a shift
         if u == v:
             raise ValueError(f"self-loop ({u}, {v})")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -213,7 +225,7 @@ class EvolvingGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = self._check_pair(u, v)
-        return bool((self.adj[u] >> v) & 1)
+        return bool(self.words.item(u, v >> 6) >> (v & 63) & 1)
 
     def add_edge_if_open(self, u: int, v: int) -> bool:
         """Insert {u, v} unless it closes a triangle; returns whether added.
@@ -222,7 +234,7 @@ class EvolvingGraph:
         is not touched here; the process sets it.
         """
         u, v = self._check_pair(u, v)
-        if self.adj[u] & self.adj[v] and not (self.adj[u] >> v) & 1:
+        if np.count_nonzero(self.words[u] & self.words[v]) and not self.has_edge(u, v):
             return False
         self.insert_edge(u, v)
         return True
@@ -230,38 +242,38 @@ class EvolvingGraph:
     def insert_edge(self, u: int, v: int) -> None:
         """Unconditional insert (host construction; no triangle rule)."""
         u, v = self._check_pair(u, v)
-        if (self.adj[u] >> v) & 1:
+        if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
+        self.words = words = self.words.copy()
+        words[u, v >> 6] |= np.uint64(1 << (v & 63))
+        words[v, u >> 6] |= np.uint64(1 << (u & 63))
         self.edge_count += 1
+
+    def _edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Edges (u, v), u < v, lexicographic, as arrays, ``_GATHER`` bytes of rows
+        and ``_GATHER`` / 8 set bits at most at a time."""
+        words = self.words
+        step = max(1, _GATHER // (8 * int(row_bit_counts(words).max(initial=words.shape[1]))))
+        for s in range(0, self.n, step):
+            indptr, vs = neighbours(words[s:s + step])
+            us = np.repeat(np.arange(s, s + len(indptr) - 1), np.diff(indptr))
+            yield us[vs > us], vs[vs > us]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, lexicographic."""
-        for u in range(self.n):
-            high = self.adj[u] >> (u + 1)
-            for off in iter_bits(high):
-                yield u, u + 1 + off
+        for us, vs in self._edge_blocks():
+            yield from zip(us.tolist(), vs.tolist())
 
     def audit_triangle_free(self) -> bool:
-        """True iff no triangle exists; O(sum_u deg(u) * n / wordsize)."""
-        adj = self.adj
-        for u in range(self.n):
-            au = adj[u]
-            high = au >> (u + 1)
-            for off in iter_bits(high):
-                if au & adj[u + 1 + off]:
-                    return False
-        return True
+        """True iff no edge's ends share a neighbour (``_open``)."""
+        return all(_open(self.words, np.stack(block, axis=1)).all()
+                   for block in self._edge_blocks())
 
     def copy(self) -> "EvolvingGraph":
-        """Cheap frozen-state copy: bitmask ints and ``traversed`` are shared."""
+        """Cheap frozen-state copy: every slot, ``words`` included, is shared."""
         g = EvolvingGraph.__new__(EvolvingGraph)
-        g.n = self.n
-        g.adj = list(self.adj)
-        g.edge_count = self.edge_count
-        g.traversed = self.traversed
-        g._ledger = self._ledger
+        for name in self.__slots__:
+            setattr(g, name, getattr(self, name))
         return g
 
     @classmethod
@@ -342,9 +354,9 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     per-pair equivalent).
 
     The ids are decoded ``_SLICE`` at a time and decided ``_CHUNK`` at a time
-    on word rows of the graph, built once per call and written back to the
-    int rows, row by row.  A chunk drops its closed pairs (they stay closed)
-    and decides the rest in dependency rounds, the random-order greedy scheme
+    on the graph's rows, a copy of them per call, since snapshots share the
+    rows (``EvolvingGraph.copy``).  A chunk drops its closed pairs (they stay
+    closed) and decides the rest in dependency rounds, the random-order greedy scheme
     of Blelloch, Fineman and Shun (SPAA 2012): adding {a, b} changes only rows
     a and b, so each round adds every pending pair that is first at both its
     endpoints and, its rows ANDed again from the second round on, still open.
@@ -356,7 +368,7 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     pairs of the rest of the call; a call of one slice never sieves.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    words = bitset_words(g.adj, g.n)
+    g.words = words = g.words.copy()
     first = np.empty(g.n, dtype=np.int64)  # each vertex's first pending pair
     pair = np.arange(2 * _CHUNK) >> 1      # the pair of each of (u0, v0, u1, ...)
     added, closed, reach = 0, 0, None
@@ -388,8 +400,5 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
                 words.reshape(-1)[at] |= bits
                 added += len(new)
                 pend, recheck = pend[~ready], True
-    del reach  # before the int rows are made
-    for i, row in enumerate(bitset_ints(words)):
-        g.adj[i] = row
     g.edge_count += added
     return added

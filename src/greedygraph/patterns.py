@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphcore import (EvolvingGraph, bitset_words, check_memory, iter_bits,
-                        neighbours, row_bit_counts, unpack_rows)
+from .graphcore import (EvolvingGraph, check_memory, iter_bits, neighbours, row_bit_counts,
+                        unpack_rows)
 
 MAX_PATTERN_VERTICES = 8
 
@@ -108,12 +108,12 @@ class PatternGraph:
         if v > MAX_PATTERN_VERTICES:
             raise ValueError(f"pattern too large: {v} vertices, supported up to {MAX_PATTERN_VERTICES}")
         e = len(canon)
-        g = EvolvingGraph.from_edges(v, canon)
+        adj = EvolvingGraph.from_edges(v, canon).adj
         dens = Fraction(e, v)
         balanced = all(Fraction(eh, vh) <= dens for vh, eh in _induced_sizes(v, canon) if eh)
         return cls(name=name or f"v{v}e{e}", v=v, e=e, edges=canon,
-                   aut=isomorphisms(g.adj, g.adj), density=float(dens),
-                   balanced=balanced, triangle_free=g.audit_triangle_free())
+                   aut=isomorphisms(adj, adj), density=float(dens), balanced=balanced,
+                   triangle_free=not any(adj[a] & adj[b] for a, b in canon))
 
     def adjacency(self) -> list[int]:
         return EvolvingGraph.from_edges(self.v, self.edges).adj
@@ -404,7 +404,7 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
     built by ``neighbours`` ``_BLOCK_CELLS // n`` rows at a time."""
     n = host.n
     comps = spasm.components
-    degrees = [m.bit_count() for m in host.adj]
+    degrees = row_bit_counts(host.words).tolist()
     delta = max(degrees)
     # Every int64 partial sum is at most hom(Q) <= n * delta**(v_Q - 1).  A
     # float entry of a dense push of m is at most delta**size(m); with
@@ -433,24 +433,24 @@ def _hom_counts(spasm: _Spasm, host: EvolvingGraph) -> list[int]:
         cells = max(cells, (1 + wide) * block * n ** k + sum(
             (block if 0 in m.deps else n) * n ** len(m.deps)
             for m in _pushed(trees) if m.deps))
-    # What a count holds at once: the dense adjacency when built (n**2
-    # bytes, and n**2 floats for a dense push); the bit words, the CSR and
-    # its copy while joined, one row block unpacked; the CSR build's 32
-    # bytes per entry of its widest row step, or with a scattered push the
-    # scatter's 40 per entry of a block's rows and 16 per triple of one run;
-    # and int64 arrays for the quotients with k free vertices, for the k
-    # that needs most (each k runs in turn): their pushes that vary with a
-    # free vertex, each at its shape, and one or two row blocks for the product.
+    # What a count holds at once (it reads the host's word rows in place):
+    # the dense adjacency when built (n**2 bytes, and n**2 floats for a
+    # dense push); the CSR and its copy while joined, one row block unpacked;
+    # the CSR build's 32 bytes per entry of its widest row step, or with a
+    # scattered push the scatter's 40 per entry of a block's rows and 16 per
+    # triple of one run; and int64 arrays for the quotients with k free
+    # vertices, for the k that needs most (each k runs in turn): their pushes
+    # that vary with a free vertex, each at its shape, and one or two row
+    # blocks for the product.
     step = max(1, _BLOCK_CELLS // n)
     build = 32 * max(sum(degrees[s:s + step]) for s in range(0, n, step))
     check_memory(bool(built) * n * n * (1 + dtype.itemsize * bool(dense))
-                 + n * ((n + 63) // 64) * 8 + 8 * (n + 1) + 16 * sum(degrees)
-                 + min(n * n, max(n, _BLOCK_CELLS))
+                 + 8 * (n + 1) + 16 * sum(degrees) + min(n * n, max(n, _BLOCK_CELLS))
                  + max(build, scattered * 40 * min(n, step) * delta)
                  + scattered * 16 * min(_TRIPLES, sum(d * d for d in degrees))
                  + 8 * cells, f"a count at n={n}")
-    words = bitset_words(host.adj, n)
-    indptr = np.concatenate([[0], np.cumsum(row_bit_counts(words))])
+    words = host.words
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
     indices = np.concatenate([neighbours(words[s:s + step])[1] for s in range(0, n, step)])
     bits = unpack_rows(words, n) if built else None
     host_arrays = (words, indptr, indices, bits, bits.astype(dtype) if dense else None)

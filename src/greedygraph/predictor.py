@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .graphcore import (EvolvingGraph, bitset_ints, check_memory, choice_bytes, num_pairs,
-                        pair_rows)
+from .graphcore import EvolvingGraph, check_memory, choice_bytes, num_pairs, pair_rows
 from .numerics import RoundContext
 from .patterns import PatternGraph, count_copies
 from .process import ProcessParams, run_rounds
@@ -66,24 +65,20 @@ def gnm_edge_target(n: int, eps: float) -> int:
 def _gnm_bytes(n: int, m: int) -> int:
     """Peak bytes of ``sample_gnm(n, m, ...)``: the draw of m distinct pair
     ids (``choice_bytes``), then about 48 bytes per edge for decoding and
-    setting bits, the word array 8 bytes per word and the rows about as
-    much again, plus an int header each."""
-    words = n * ((n + 63) // 64)
-    return choice_bytes(num_pairs(n), m) + 48 * m + 16 * words + 64 * n
+    setting bits, and the graph's word rows, 8 bytes per word."""
+    return choice_bytes(num_pairs(n), m) + 48 * m + 8 * n * ((n + 63) // 64)
 
 
 def sample_gnm(n: int, m: int, gen: np.random.Generator) -> EvolvingGraph:
     """Uniform graph with exactly m edges on n labelled vertices, none of its
     pairs traversed.  The memory bound is checked before any draw; the
-    sampled pairs are set in a word array (``pair_rows``) and read back as
-    rows."""
+    sampled pairs are set in the graph's word rows (``pair_rows``)."""
     total = num_pairs(n)
     if not 0 <= m <= total:
         raise ValueError(f"m={m} outside [0, {total}]")
     check_memory(_gnm_bytes(n, m), f"a G(n, m) sample at n={n}, m={m}")
-    words = pair_rows(gen.choice(total, size=m, replace=False), n)
     g = EvolvingGraph(n)
-    g.adj = list(bitset_ints(words))
+    g.words = pair_rows(gen.choice(total, size=m, replace=False), n)
     g.edge_count = m
     return g
 

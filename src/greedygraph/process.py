@@ -160,33 +160,31 @@ def _draw(streams: rng.Streams, params: ProcessParams, trial: int, schedule, cap
     return ids, np.cumsum(sizes[:-1]).tolist()
 
 
-def _round_bytes(n: int, share: float, snapshots: int = 0, rounds: int = 1) -> int:
-    """Bytes of address space a run on n vertices in ``rounds`` calls maps at
-    its peak, beyond what was mapped before it, when it keeps a ``share`` of
-    the m = C(n,2) pairs (``_cap`` at most) and ``snapshots`` copies of the
-    graph.  The draw holds only the ids, 8 bytes per pair kept, shuffled in
-    place, so the insertion sets the peak:
+def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
+    """Bytes of address space a run on n vertices maps at its peak, beyond
+    what was mapped before it, when it keeps a ``share`` of the m = C(n,2)
+    pairs (``_cap`` at most) and ``snapshots`` copies of the graph.  The
+    draw holds only the ids, 8 bytes per pair kept, shuffled in place, so
+    the insertion sets the peak:
 
     - 8 per pair kept for the ids, which are also the traversed pairs;
-    - 0.5 per pair of K_n, a quarter each, n**2/8 bytes: the insertion's
-      word rows, and its reach rows (``reach_rows``) or the graph's int
-      rows, written back row by row; 0.75 for the three in a run of several
-      rounds, where a later call may sieve beside nonempty int rows;
+    - the graph's word rows, 8n * ceil(n/64) bytes (about n**2/8), twice:
+      a call copies them before it writes, and its reach rows
+      (``reach_rows``) take as much; with snapshots, one set per snapshot
+      (the last is the graph's own) and the reach rows;
     - 64 per pair of the slice being decoded and inserted, which also
       covers a chunk's gathered rows, or the last slice's arrays and a
-      sieve's 1.5 MiB block, and 8 per vertex; n**2/64 for a sieve's degrees;
-    - n**2/8 + 40n per snapshot: its rows, n bits each, as ints (about 32
-      bytes of header) in a list (8 bytes a slot), beside a view of the ids.
+      sieve's 1.5 MiB block, and 8 per vertex; n**2/64 for a sieve's degrees.
 
     On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB RLIMIT_AS
     with about 109 MiB mapped and the check off, the last n that completes
-    is 14524 uncut, 24722 at cutoff 0.3, 18375 at 0.6 and 15257 at 0.9; this
-    figure accepts up to n = 14466, 24672, 18295 and 15192, and overstates
-    the need of the last n that completes by 0.8%, 0.4%, 0.9% and 0.8%."""
+    is 14527 uncut, 24731 at cutoff 0.3, 18380 at 0.6 and 15262 at 0.9; this
+    figure accepts up to n = 14469, 24677, 18300 and 15196, and overstates
+    the need of the last n that completes by 0.8%, 0.4%, 0.9% and 0.9%."""
     m = num_pairs(n)
     kept = _cap(m, share)
-    return ceil(8 * kept + (0.5 if rounds == 1 else 0.75) * m + 64 * min(kept, _SLICE) + 8 * n
-                + n * n / 64 + snapshots * n * (n / 8 + 40))
+    return ceil(8 * kept + (1 + max(1, snapshots)) * 8 * n * ((n + 63) // 64)
+                + 64 * min(kept, _SLICE) + 8 * n + n * n / 64)
 
 
 def _run(params: ProcessParams, trial: int) -> RunTrace:
@@ -199,11 +197,10 @@ def _run(params: ProcessParams, trial: int) -> RunTrace:
     """
     n = params.ctx.n
     _, share, bounds = schedule = _schedule(params)
-    rounds = len(bounds) + 1
     # made before the check, so that what it maps (numpy.random, loaded on
     # first use) counts as mapped already
     streams = rng.Streams()
-    check_memory(_round_bytes(n, share, (rounds + 1) * params.record_snapshots, rounds),
+    check_memory(_round_bytes(n, share, (len(bounds) + 2) * params.record_snapshots),
                  f"a run at n={n}")
     ids, ends = _draw(streams, params, trial, schedule, _cap(num_pairs(n), share))
     g = EvolvingGraph(n)
@@ -333,6 +330,8 @@ def exhaustive_oracle(n: int) -> OracleDistribution:
 _BLOCK_BYTES = 4 << 20
 # Bytes per pair of the campaign path's pair table.
 _TABLE_BYTES = 64
+# Class names a block memoizes at most: one per labelled graph on five vertices.
+_NAMES = 1 << 10
 
 
 def _pair_table(n: int):
@@ -393,7 +392,7 @@ def _final_blocks(params: ProcessParams, trials: int):
     does, into a column of one padded matrix, and ``_lockstep`` traverses
     the columns together: a round ends where the next begins, so the whole
     sequence needs no split, and the draw skips the rounds' sizes.  So trial
-    t's rows are ``run(params, t).graph.adj``.  The matrix has the narrowest
+    t's rows are ``run(params, t).graph.words``.  The matrix has the narrowest
     signed type that holds the padding id C(n,2); the block size comes from
     ``_BLOCK_BYTES`` and a column length of ``_cap`` pairs, and a longer
     sequence grows the matrix.  Raises ValueError, before any draw, when the
@@ -438,20 +437,18 @@ def final_distribution_sample(ctx: RoundContext, trials: int, seed: int, *,
     n = ctx.n
     edge_counter: Counter = Counter()
     class_counter: Counter = Counter()
-    # class names by labelled adjacency, for this campaign only: they repeat
-    # at the few vertices where the classes are few
-    names: dict[tuple, str] = {}
     for rows in _final_blocks(params, trials):
         # a trial's n rows, read as one bitset row, hold its degree sum
-        degree_sums = row_bit_counts(rows.reshape(-1, n * rows.shape[1]))
-        edge_counter.update((degree_sums // 2).tolist())
-        if classify:
-            for adj in zip(*[bitset_ints(rows)] * n):  # a trial's n int rows
-                name = names.get(adj)
-                if name is None:
-                    name = names[adj] = _class_name(adj)
-                class_counter[name] += 1
-        del rows  # before the next block's rows are made
+        trial_rows = rows.reshape(-1, n * rows.shape[1])
+        edge_counter.update((row_bit_counts(trial_rows) // 2).tolist())
+        names: dict[bytes, str] = {}  # by a trial's word bytes, for this block only
+        for words in trial_rows if classify else ():
+            key = words.tobytes()
+            name = names.get(key) or _class_name(list(bitset_ints(words.reshape(n, -1))))
+            if len(names) < _NAMES:
+                names[key] = name
+            class_counter[name] += 1
+        del rows, trial_rows, names  # before the next block's rows are made
     return edge_counter, class_counter
 
 

@@ -23,9 +23,9 @@ from operator import or_
 import numpy as np
 
 from . import rng
-from .graphcore import (_GATHER, _SLICE, EvolvingGraph, bit_slots, bitset_words, check_memory,
-                        choice_bytes, decode_edge_ids, iter_bits, num_pairs, pair_rows,
-                        reach_rows, row_bit_counts)
+from .graphcore import (_GATHER, _SLICE, EvolvingGraph, bit_slots, check_memory, choice_bytes,
+                        decode_edge_ids, iter_bits, num_pairs, pair_rows, reach_rows,
+                        row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -91,15 +91,14 @@ def _addable_rows(graph: EvolvingGraph, ends: np.ndarray,
     ``bitset_words`` arrays, given ``traversed``, all n traversed rows.  Vertex
     x's addable row holds each w != x whose pair {x, w} is not traversed and
     would close no triangle: w shares no neighbour with x (``reach_rows``)."""
-    n = graph.n
-    words = bitset_words(graph.adj, n)
+    words = graph.words
     addable = reach_rows(words, ends)
     traversed = traversed[ends]
     addable |= traversed
     at, bits = bit_slots(np.arange(len(ends)), ends, words.shape[1])
     addable.reshape(-1)[at] |= bits
     np.invert(addable, out=addable)
-    addable &= bitset_words([(1 << n) - 1], n)
+    addable[:, -1] &= np.uint64((1 << (graph.n - 1) % 64 + 1) - 1)  # no bit at or past n
     return words[ends], addable, traversed
 
 
@@ -115,8 +114,8 @@ def _check_bytes(trace: RunTrace, pairs: int, kept: int) -> int:
 
     - the draw of the pairs (``choice_bytes``) and 96 bytes per pair for
       their endpoints, row indices and counts;
-    - the traversed rows, grown snapshot by snapshot, and the snapshot's
-      word rows: 2n rows of ceil(n/64) words, and a byte a word for degrees;
+    - the traversed rows, grown snapshot by snapshot: n rows of ceil(n/64)
+      words, and a byte a word of the snapshot's rows for degrees;
     - per endpoint, of at most min(n, 2 * pairs): 3 rows (the adjacency,
       traversed and addable rows) and 40 bytes;
     - 6 * ``_GATHER`` for a ``reach_rows`` block (its rows, its CSR of up to
@@ -131,7 +130,7 @@ def _check_bytes(trace: RunTrace, pairs: int, kept: int) -> int:
     row = 8 * ((n + 63) // 64)
     ends = min(n, 2 * pairs)
     new = max(np.diff([0, *(s.birthed_count for s in trace.snapshots)]).tolist())
-    return (choice_bytes(num_pairs(n), pairs) + 96 * pairs + 2 * n * row + n * row // 8
+    return (choice_bytes(num_pairs(n), pairs) + 96 * pairs + n * row + n * row // 8
             + ends * (3 * row + 40) + 6 * min(_GATHER, 8 * n * n)
             + 64 * min(new, _SLICE) + 8 * n + _BLOCK_BYTES + 300 * kept)
 

@@ -389,7 +389,7 @@ class TestMemoryBound:
         # each, through its insertion; under a 1,000,000 KiB soft limit,
         # with 100-150 MiB mapped by the interpreter and numpy, a run at
         # n=14600 fails an allocation when the check is off (the last n
-        # that completes, with 109 MiB mapped, is 14524), so the check must
+        # that completes, with 109 MiB mapped, is 14527), so the check must
         # refuse it before it starts
         limit = 1_000_000 * 1024
 
@@ -407,11 +407,11 @@ class TestMemoryBound:
 
     def test_cut_run_that_would_run_out_of_address_space_is_refused(self):
         # with cutoff 0.3 the insertion holds the kept ids, 8 bytes each,
-        # beside the insertion's word rows and its reach rows or the graph's
+        # beside the graph's word rows and its reach rows or a copy of the
         # rows: under a 1,000,000 KiB soft limit, with one OpenBLAS thread
         # (about 109 MiB mapped before the run), a run at n=25000 fails an
         # allocation when the check is off (the last n that completes is
-        # 24722); the check must refuse it before its draw
+        # 24731); the check must refuse it before its draw
         limit = 1_000_000 * 1024
 
         def lower_limit():

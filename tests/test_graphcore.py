@@ -283,6 +283,91 @@ class TestEvolvingGraph:
         assert list(g.edges()) == [(0, 1), (0, 2), (3, 4)]
 
 
+def _random_rows(n: int, p: float, seed: int) -> list[int]:
+    """Int rows of a uniform random graph on n vertices, each pair an edge
+    with probability p."""
+    gen = np.random.default_rng(seed)
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if gen.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def _int_row_audit(rows: list[int]) -> bool:
+    """The audit on int rows, as it ran before the graph kept word rows."""
+    for u, au in enumerate(rows):
+        for off in iter_bits(au >> (u + 1)):
+            if au & rows[u + 1 + off]:
+                return False
+    return True
+
+
+class TestWordRows:
+    """The graph is its ``words``; ``adj`` is built from them on demand."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_adj_round_trips_through_setter_and_getter(self, n):
+        rows = _random_rows(n, 0.2, seed=n)
+        g = EvolvingGraph(n)
+        g.adj = rows
+        assert np.array_equal(g.words, bitset_words(rows, n))
+        assert g.adj == rows
+        assert g.adj is g.adj  # built once, kept while the words are
+        g.adj = list(g.adj)
+        assert g.adj == rows
+
+    def test_adj_follows_an_insert(self):
+        # an insert replaces the words, so the next read builds new int rows
+        g = EvolvingGraph.from_edges(70, [(0, 65)])
+        before = g.adj
+        g.insert_edge(3, 69)
+        assert g.adj[3] == 1 << 69 and g.adj[69] == 1 << 3 and g.adj[0] == 1 << 65
+        assert before[3] == 0
+
+    def test_inserts_leave_copies_frozen(self):
+        # each writer replaces the rows that the copy before it shares
+        g = EvolvingGraph.from_edges(100, [(0, 1)])
+        first = g.copy()
+        g.insert_edge(2, 99)
+        second = g.copy()
+        frozen = [first.words.tobytes(), second.words.tobytes()]
+        greedy_insert(g, [edge_index(5, 80, 100)])
+        assert [first.words.tobytes(), second.words.tobytes()] == frozen
+        assert first.adj[2] == 0 and second.adj[2] == 1 << 99 and second.adj[5] == 0
+        assert g.has_edge(2, 99) and g.has_edge(5, 80)
+
+    @pytest.mark.parametrize("n, p, seed, free", [
+        (1, 0.5, 0, True), (5, 0.5, 1, False), (40, 0.05, 2, False), (64, 0.02, 3, False),
+        (65, 0.1, 4, False), (130, 0.01, 5, True), (130, 0.03, 6, False),
+        (200, 0.004, 7, True), (200, 0.02, 8, False)])
+    def test_audit_matches_int_row_loop(self, n, p, seed, free):
+        # random graphs with and without triangles, and their triangle-free
+        # greedy subgraphs, in gathers of 256 KiB and of one row
+        rows = _random_rows(n, p, seed)
+        g = EvolvingGraph(n)
+        g.adj = rows
+        sub = EvolvingGraph(n)
+        greedy_insert(sub, [edge_index(u, v, n) for u, v in g.edges()])
+        assert _int_row_audit(rows) == free and _int_row_audit(sub.adj)
+        for gather in (graphcore._GATHER, 8):
+            with mock.patch.object(graphcore, "_GATHER", gather):
+                assert g.audit_triangle_free() == free
+                assert sub.audit_triangle_free()
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 200])
+    def test_edges_match_int_rows(self, n):
+        rows = _random_rows(n, 0.05, seed=n)
+        g = EvolvingGraph(n)
+        g.adj = rows
+        expect = [(u, v) for u in range(n) for v in range(u + 1, n) if (rows[u] >> v) & 1]
+        with mock.patch.object(graphcore, "_GATHER", 8):
+            assert list(g.edges()) == expect
+        assert list(g.edges()) == expect
+
+
 @given(st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_greedy_insert_matches_checked_replay(n, data):

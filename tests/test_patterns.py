@@ -155,6 +155,26 @@ class TestCountCopies:
         assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut
         assert count_copies(host, p3) == count_embeddings(host, p3) // p3.aut
 
+    @pytest.mark.parametrize("kind", ["process", "gnm"])
+    def test_host_from_assigned_int_rows(self, kind):
+        # the benchmark's small hosts: the first 40 vertices of an n = 300
+        # host, made by assigning masked int rows to ``adj`` and then the
+        # edge count; counted on their word rows, checked by backtracking
+        ctx = RoundContext(300, 0.1)
+        big = (run_rounds(ProcessParams(ctx=ctx, seed=3)).graph if kind == "process" else
+               sample_gnm(300, 4 * gnm_edge_target(300, 0.1), rng.stream(3, purpose=rng.GNM)))
+        k, mask = 40, (1 << 40) - 1
+        host = EvolvingGraph(k)
+        host.adj = [big.adj[u] & mask for u in range(k)]
+        host.edge_count = sum(x.bit_count() for x in host.adj) // 2
+        assert host.edge_count > 0
+        counts = []
+        for name in ("P3", "C4", "P4", "K13", "C5"):
+            pattern = CATALOG[name]
+            counts.append(count_copies(host, pattern))
+            assert counts[-1] == count_embeddings(host, pattern) // pattern.aut
+        assert all(counts[:2])
+
     def test_isomorphism_invariance(self):
         host = random_host(10, 0.4, seed=21)
         perm = list(np.random.default_rng(4).permutation(10))
@@ -187,21 +207,21 @@ class TestCountCopies:
             count_copies(host, star_graph(7))
 
     def test_dense_adjacency_memory_bound_raises(self, monkeypatch):
-        # one estimate for the whole count.  On this host C4 needs 846,696
+        # one estimate for the whole count.  On this host C4 needs 840,296
         # bytes: the CSR, the scatter and two int64 blocks of 200**2 entries
-        # (its scattered push and the product being formed).  C5 adds the
-        # dense adjacency, 200**2 bits unpacked and 200**2 float32 entries,
-        # and a block for its dense push: 1,366,696 bytes.  So C4 counts
-        # where C5 is refused.
+        # (its scattered push and the product being formed); the host's word
+        # rows are read in place.  C5 adds the dense adjacency, 200**2 bits
+        # unpacked and 200**2 float32 entries, and a block for its dense
+        # push: 1,360,296 bytes.  So C4 counts where C5 is refused.
         host = random_host(200, 0.02, seed=2)
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_366_695)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_360_295)
         with pytest.raises(ValueError, match="memory bound: a count at n=200"):
             count_copies(host, CATALOG["C5"])
         c4 = CATALOG["C4"]
         assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut > 0
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_366_696)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 1_360_296)
         assert count_copies(host, CATALOG["C5"]) >= 0
-        monkeypatch.setattr(graphcore, "physical_memory", lambda: 846_695)
+        monkeypatch.setattr(graphcore, "physical_memory", lambda: 840_295)
         with pytest.raises(ValueError, match="memory bound: a count at n=200"):
             count_copies(host, c4)
 

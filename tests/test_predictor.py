@@ -140,7 +140,7 @@ class TestGnmHost:
         monkeypatch.setattr(rng.Streams, "rekey", made)
         m = gnm_edge_target(2000, 0.1)
         with pytest.raises(ValueError, match=fr"memory bound: a G\(n, m\) sample at "
-                                             fr"n=2000, m={m} needs about 4 MiB"):
+                                             fr"n=2000, m={m} needs about 3 MiB"):
             sample_gnm(2000, m, _NoDraws())
 
 

@@ -309,8 +309,8 @@ class TestStreamedRound:
 
 def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
     """``process._round_bytes`` for a run of these parameters."""
-    _, share, bounds = process._schedule(params)
-    return process._round_bytes(params.ctx.n, share, snapshots, len(bounds) + 1)
+    _, share, _ = process._schedule(params)
+    return process._round_bytes(params.ctx.n, share, snapshots)
 
 
 def _forbid_streams(monkeypatch):
@@ -377,6 +377,47 @@ class TestMemoryBound:
         assert run(ProcessParams(ctx=RoundContext(100, 0.2), seed=1)).final_edges > 0
         edges, _ = final_distribution_sample(RoundContext(100, 0.2), 3, seed=1)
         assert sum(edges.values()) == 3
+
+
+def test_classified_campaign_estimate_bounds_traced_peak(monkeypatch):
+    # class names are memoized per block, at most process._NAMES of them: at
+    # n = 30 the 3,000 trials are one block whose names seldom repeat, and a
+    # memo of them all traced 5.42 MB against this 2.10 MB figure
+    ctx = RoundContext(30, 0.2)
+    needs = []
+    monkeypatch.setattr(process, "check_memory", lambda need, what: needs.append(need))
+    final_distribution_sample(ctx, 2, seed=1, mode="rounds", classify=True)  # warm the caches
+    tracemalloc.start()
+    try:
+        _, classes = final_distribution_sample(ctx, 3000, seed=1, mode="rounds", classify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(classes.values()) == 3000 and len(classes) > 1
+    assert peak <= needs[-1]
+
+
+def test_snapshots_keep_their_words(monkeypatch):
+    # a snapshot shares the graph's word rows; each later round writes a
+    # fresh copy, so every snapshot's bytes stay as they were when it was taken
+    taken = []
+    real_copy = EvolvingGraph.copy
+
+    def spy(self):
+        snap = real_copy(self)
+        taken.append((snap, hashlib.sha256(snap.words.tobytes()).hexdigest()))
+        return snap
+
+    monkeypatch.setattr(EvolvingGraph, "copy", spy)
+    trace = run_rounds(ProcessParams(ctx=RoundContext(300, 0.3), seed=4, record_snapshots=True))
+    assert len(taken) == len(trace.snapshots) == trace.per_round[-1].i + 1
+    assert all(snap is kept for (snap, _), kept in zip(taken, trace.snapshots))
+    assert [hashlib.sha256(s.words.tobytes()).hexdigest() for s in trace.snapshots] \
+        == [digest for _, digest in taken]
+    assert len({digest for _, digest in taken}) == len(taken)  # every round adds edges
+    assert not trace.snapshots[0].words.any()
+    for snap in trace.snapshots:
+        assert graphcore.row_bit_counts(snap.words).sum() == 2 * snap.edge_count
 
 
 def test_campaign_keeps_no_class_names():
