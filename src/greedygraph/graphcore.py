@@ -11,6 +11,7 @@ Unordered pairs {u, v} are indexed row-major: (0,1), (0,2), ..., (1,2), ...
 
 from __future__ import annotations
 
+import functools
 import os
 import resource
 from typing import Iterator
@@ -217,10 +218,7 @@ class EvolvingGraph:
 
     def _check_pair(self, u: int, v: int) -> tuple[int, int]:
         u, v = int(u), int(v)  # numpy integers would overflow a shift
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v})")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range for n={self.n}: ({u}, {v})")
+        edge_index(u, v, self.n)  # raises on a self-loop or a vertex out of range
         return u, v
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -265,9 +263,9 @@ class EvolvingGraph:
             yield from zip(us.tolist(), vs.tolist())
 
     def audit_triangle_free(self) -> bool:
-        """True iff no edge's ends share a neighbour (``_open``)."""
-        return all(_open(self.words, np.stack(block, axis=1)).all()
-                   for block in self._edge_blocks())
+        """True iff no edge's ends share a neighbour (``_open``, ``_CHUNK`` edges at a time)."""
+        return all(_open(self.words, np.stack((us[s:s + _CHUNK], vs[s:s + _CHUNK]), axis=1)).all()
+                   for us, vs in self._edge_blocks() for s in range(0, len(us), _CHUNK))
 
     def copy(self) -> "EvolvingGraph":
         """Cheap frozen-state copy: every slot, ``words`` included, is shared."""
@@ -278,12 +276,15 @@ class EvolvingGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "EvolvingGraph":
-        """The graph on n vertices with these edges, each also traversed."""
-        edges = list(edges)
-        g = cls(n)
+        """The graph on n vertices with these edges, each also traversed, in order."""
+        g, seen = cls(n), {}  # the ids so far, in order
         for u, v in edges:
-            g.insert_edge(u, v)
-        g.traversed = np.array([edge_index(u, v, n) for u, v in edges], dtype=np.int64)
+            i = edge_index(int(u), int(v), n)
+            if i in seen:
+                raise ValueError(f"edge ({u}, {v}) already present")
+            seen[i] = None
+        ids = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        g.words, g.edge_count, g.traversed = pair_rows(ids, n), len(ids), ids
         return g
 
     def __repr__(self):
@@ -297,6 +298,8 @@ _CHUNK = 1024
 _SLICE = 1 << 18
 # bytes of rows _open and reach_rows gather at a time, so that they stay in cache
 _GATHER = 1 << 18
+# widest rows _open ORs word by word, faster there than reduce on chunks of pairs
+_OR_WORDS = 4
 
 
 def pair_rows(ids, n: int, words=None) -> np.ndarray:
@@ -333,13 +336,16 @@ def reach_rows(words: np.ndarray, ends=None) -> np.ndarray:
 
 
 def _open(words: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Whether the endpoints of each (u, v) row of ``pairs`` share no neighbour."""
-    step = max(1, _GATHER // (8 * words.shape[1]))
+    """Whether the ends of each (u, v) row of ``pairs`` share no neighbour: the one open test."""
+    width = words.shape[1]
+    step = max(1, _GATHER // (8 * width))
     keep = np.empty(len(pairs), dtype=bool)
     for b in range(0, len(pairs), step):
-        common = words[pairs[b:b + step, 0]]
-        common &= words[pairs[b:b + step, 1]]
-        np.equal(np.bitwise_or.reduce(common, axis=1), 0, out=keep[b:b + step])
+        common = words.take(pairs[b:b + step, 0], axis=0)
+        common &= words.take(pairs[b:b + step, 1], axis=0)
+        shared = (np.bitwise_or.reduce(common, axis=1) if width > _OR_WORDS
+                  else functools.reduce(np.bitwise_or, common.T))
+        np.equal(shared, 0, out=keep[b:b + step])
     return keep
 
 

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import graphcore, rng
 from .graphcore import (_SLICE, EvolvingGraph, bit_slots, bitset_ints, check_memory,
                         decode_edge_ids, greedy_insert, num_pairs, row_bit_counts)
 from .numerics import RoundContext
@@ -356,10 +356,9 @@ def _lockstep(n: int, table, seq: np.ndarray) -> np.ndarray:
 
     Trial t traverses seq[:, t] in order, as ``greedy_insert`` would; the
     columns are padded with the id C(n,2).  All trials take step j together:
-    gather both endpoint rows, AND them, and set the pair's two bits in
-    every trial where the rows share no bit (a closed pair steps on the
-    padding id instead).  Returns the rows as one (trials * n, ceil(n/64))
-    uint64 word array, row t * n + u.
+    the pair's two bits are set in every trial where ``graphcore._open``
+    finds it open (a closed pair steps on the padding id instead).  Returns
+    the rows as one (trials * n, ceil(n/64)) uint64 word array, row t * n + u.
     """
     ends, offsets, bits = table
     pad = len(ends) - 1
@@ -373,12 +372,7 @@ def _lockstep(n: int, table, seq: np.ndarray) -> np.ndarray:
         p = p.astype(np.intp)
         e = ends.take(p, axis=0)
         e += base
-        g = rows.take(e, axis=0)
-        common = g[:, 0] & g[:, 1]
-        closed = common[:, 0]
-        for w in range(1, words):
-            closed = closed | common[:, w]
-        p = np.where(closed, pad, p)
+        p = np.where(graphcore._open(rows, e), p, pad)
         at = offsets.take(p, axis=0)
         at += base_words
         flat[at] |= bits.take(p, axis=0)

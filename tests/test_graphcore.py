@@ -10,7 +10,8 @@ from greedygraph import graphcore, rng
 from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset_ints,
                                    bitset_words, decode_edge_ids, edge_endpoints,
                                    edge_index, greedy_insert, iter_bits, neighbours,
-                                   num_pairs, reach_rows, row_bit_counts, unpack_rows)
+                                   num_pairs, pair_rows, reach_rows, row_bit_counts,
+                                   unpack_rows)
 
 
 class TestEdgeIndex:
@@ -252,11 +253,8 @@ class TestEvolvingGraph:
         hits = 0
         for t in range(100):
             gen = rng.stream(7, t, purpose=rng.GNM)
-            ids = gen.choice(num_pairs(n), size=m, replace=False)
-            us, vs = decode_edge_ids(ids, n)
             g = EvolvingGraph(n)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                g.insert_edge(u, v)
+            g.words = pair_rows(gen.choice(num_pairs(n), size=m, replace=False), n)
             hits += 0 if g.audit_triangle_free() else 1
         assert hits >= 99
 
@@ -476,12 +474,9 @@ def test_reach_rows_match_int_rows(n):
     # a random graph with isolated vertices, every row and a subset of rows,
     # in gathers of 256 KiB and of one row
     gen = np.random.default_rng(n)
-    g = EvolvingGraph(n)
-    live = gen.permutation(n)[:max(1, 3 * n // 4)]
-    for u in live.tolist():
-        for v in live.tolist():
-            if u < v and gen.random() < 0.1:
-                g.insert_edge(u, v)
+    live = gen.permutation(n)[:max(1, 3 * n // 4)].tolist()
+    g = EvolvingGraph.from_edges(n, [(u, v) for u in live for v in live
+                                     if u < v and gen.random() < 0.1])
     words = bitset_words(g.adj, n)
     expect = [0] * n
     for x in range(n):
@@ -534,3 +529,69 @@ def test_uncut_call_sieves_closed_pairs(monkeypatch):
         slow.add_edge_if_open(u, v)
     assert added == slow.edge_count == fast.edge_count
     assert fast.adj == slow.adj
+
+
+class TestOpen:
+    """``_open`` is the one vectorised open test: the chunk filter and
+    rechecks of ``greedy_insert``, the audit and the campaign's steps ask it."""
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 128, 129, 256, 257, 320, 448])
+    def test_matches_scalar_test(self, n):
+        # 1 to 7 words a row, on both sides of _OR_WORDS; a uniform graph of
+        # about sqrt(n) edges a vertex, so that both answers are common, and
+        # random pairs, repeats and u == v among them; in one gather and in
+        # gathers of 7 pairs
+        gen = np.random.default_rng(n)
+        m = min(num_pairs(n), int(n ** 1.5 / 2))
+        words = pair_rows(gen.choice(num_pairs(n), size=m, replace=False), n)
+        pairs = gen.integers(0, n, size=(600, 2))
+        expect = [np.count_nonzero(words[u] & words[v]) == 0 for u, v in pairs.tolist()]
+        for gather in (graphcore._GATHER, 8 * words.shape[1] * 7):
+            with mock.patch.object(graphcore, "_GATHER", gather):
+                assert graphcore._open(words, pairs).tolist() == expect
+        assert n == 1 or 0 < sum(expect) < len(expect)
+
+    def test_audit_stops_at_the_first_closed_chunk(self, monkeypatch):
+        # n = 200 fits one block of rows; the first edge, (0, 1), closes the
+        # triangle 0-1-2, and the other 1,480 edges are bipartite
+        edges = [(0, 1), (0, 2), (1, 2)] + [(u, v) for u in range(3, 40) for v in range(100, 140)]
+        calls = []
+        real_open = graphcore._open
+
+        def open_spy(words, pairs):
+            calls.append(len(pairs))
+            return real_open(words, pairs)
+
+        monkeypatch.setattr(graphcore, "_open", open_spy)
+        assert not EvolvingGraph.from_edges(200, edges).audit_triangle_free()
+        assert calls == [graphcore._CHUNK]
+        calls.clear()
+        assert EvolvingGraph.from_edges(200, edges[1:]).audit_triangle_free()
+        assert calls == [graphcore._CHUNK, len(edges) - 1 - graphcore._CHUNK]
+
+
+class TestFromEdges:
+    def test_matches_inserts(self):
+        # 2,828 edges at n = 200, in either orientation: the same words as
+        # one insert_edge per edge, traversed in the given order
+        n = 200
+        ids = np.random.default_rng(3).choice(num_pairs(n), size=2828, replace=False)
+        edges = [(v, u) if j % 2 else (u, v)
+                 for j, (u, v) in enumerate(zip(*(e.tolist() for e in decode_edge_ids(ids, n))))]
+        g = EvolvingGraph.from_edges(n, edges)
+        ref = EvolvingGraph(n)
+        for u, v in edges:
+            ref.insert_edge(u, v)
+        assert g.words.tobytes() == ref.words.tobytes()
+        assert g.traversed.tolist() == ids.tolist() and g.traversed.dtype == np.int64
+        assert g.edge_count == ref.edge_count == 2828
+
+    def test_rejects_what_insert_edge_rejects(self):
+        with pytest.raises(ValueError, match=r"edge \(3, 1\) already present"):
+            EvolvingGraph.from_edges(5, [(1, 3), (0, 1), (3, 1)])
+        with pytest.raises(ValueError, match="self-loop"):
+            EvolvingGraph.from_edges(5, [(0, 1), (2, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            EvolvingGraph.from_edges(5, [(0, 5)])
+        g = EvolvingGraph.from_edges(3, [])
+        assert (g.edge_count, g.traversed.tolist(), g.words.any()) == (0, [], False)

@@ -32,12 +32,8 @@ def naive_embeddings(host: EvolvingGraph, pattern: PatternGraph) -> int:
 
 def random_host(n: int, p: float, seed: int) -> EvolvingGraph:
     gen = rng.stream(seed, purpose=rng.GNM)
-    g = EvolvingGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if gen.random() < p:
-                g.insert_edge(u, v)
-    return g
+    return EvolvingGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                        if gen.random() < p])
 
 
 class TestAutomorphisms:
@@ -146,10 +142,7 @@ class TestCountCopies:
         n = 60
         gen = rng.stream(3, purpose=rng.GNM)
         ids = gen.choice(num_pairs(n), size=240, replace=False)
-        us, vs = decode_edge_ids(ids, n)
-        host = EvolvingGraph(n)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            host.insert_edge(u, v)
+        host = EvolvingGraph.from_edges(n, zip(*decode_edge_ids(ids, n)))
         c4 = CATALOG["C4"]
         p3 = CATALOG["P3"]
         assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut

@@ -560,6 +560,28 @@ def test_campaign_path_matches_runs_at_the_dtype_boundary(monkeypatch, n, dtype,
     assert dtypes == {np.dtype(dtype)}
 
 
+def test_campaign_steps_decide_through_open(monkeypatch):
+    # the campaign path has no open test of its own: each lockstep step asks
+    # graphcore._open once, about one pair of every trial of its block
+    ctx = RoundContext(40, 0.2)
+    expect = final_distribution_sample(ctx, 30, 5, mode="rounds")
+    shapes, calls = [], []
+    real_lockstep, real_open = process._lockstep, graphcore._open
+
+    def lockstep_spy(n, table, seq):
+        shapes.append(seq.shape)
+        return real_lockstep(n, table, seq)
+
+    def open_spy(words, pairs):
+        calls.append(len(pairs))
+        return real_open(words, pairs)
+
+    monkeypatch.setattr(process, "_lockstep", lockstep_spy)
+    monkeypatch.setattr(graphcore, "_open", open_spy)
+    assert final_distribution_sample(ctx, 30, 5, mode="rounds") == expect
+    assert shapes and calls == [cols for steps, cols in shapes for _ in range(steps)]
+
+
 @pytest.mark.parametrize("n, trials, mode, cutoff", [
     (100, 500, "exact", "aggregate"), (100, 500, "exact", None), (100, 500, "rounds", None),
     (256, 100, "rounds", None),

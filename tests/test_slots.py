@@ -147,14 +147,14 @@ class TestClassifyPairs:
         # gathers of a few rows and small blocks cross every reach_rows block,
         # gather and counting block boundary
         gen = np.random.default_rng(seed)
-        g = EvolvingGraph(n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        ledger = []
+        edges, ledger = [], []
         for (u, v), e, b in zip(pairs, gen.random(len(pairs)), gen.random(len(pairs))):
             if e < p_edge:
-                g.insert_edge(u, v)
+                edges.append((u, v))
             if b < p_ledger:
                 ledger.append(edge_index(u, v, n))
+        g = EvolvingGraph.from_edges(n, edges)
         g.traversed = gen.permutation(np.array(ledger, dtype=np.int64))
         ledger = set(ledger)
         picked = [pairs[j] for j in gen.choice(len(pairs), size=min(len(pairs), 150),
