@@ -294,8 +294,10 @@ class EvolvingGraph:
 
 # pairs greedy_insert filters, then decides in dependency rounds, at a time
 _CHUNK = 1024
-# pair ids greedy_insert decodes at a time
-_SLICE = 1 << 18
+# pair ids greedy_insert and pair_rows decode at a time
+_SLICE = 1 << 16
+# slices greedy_insert decodes between two decisions whether to sieve
+_SIEVE_SLICES = 4
 # bytes of rows _open and reach_rows gather at a time, so that they stay in cache
 _GATHER = 1 << 18
 # widest rows _open ORs word by word, faster there than reduce on chunks of pairs
@@ -368,26 +370,28 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     endpoints and, its rows ANDed again from the second round on, still open.
 
     The filter gathers two rows per closed pair, a sieve (``reach_rows``) two
-    per edge and then one bit per pair.  So at a slice boundary where the
-    previous slice's share of pairs the filter dropped, times the pairs left,
+    per edge and then one bit per pair.  So every ``_SIEVE_SLICES`` slices,
+    where the share of pairs the filter dropped since, times the pairs left,
     exceeds the edges so far, the reach rows are rebuilt and drop the closed
-    pairs of the rest of the call; a call of one slice never sieves.
+    pairs of the rest of the call; a call of that many or fewer never sieves.
+    Deciding every slice rebuilt them 10 times, not 4, at n = 5,000 uncut.
     """
     ids = np.asarray(ids, dtype=np.int64)
     g.words = words = g.words.copy()
     first = np.empty(g.n, dtype=np.int64)  # each vertex's first pending pair
     pair = np.arange(2 * _CHUNK) >> 1      # the pair of each of (u0, v0, u1, ...)
-    added, closed, reach = 0, 0, None
+    added, closed, reach, period = 0, 0, None, _SIEVE_SLICES * _SLICE
     for d in range(0, len(ids), _SLICE):
-        if closed * (len(ids) - d) > _SLICE * (g.edge_count + added):
-            reach = None  # freed before the new rows are built
-            reach = reach_rows(words).reshape(-1)
+        if d % period == 0:
+            if closed * (len(ids) - d) > period * (g.edge_count + added):
+                reach = None  # freed before the new rows are built
+                reach = reach_rows(words).reshape(-1)
+            closed = 0
         us, vs = decode_edge_ids(ids[d:d + _SLICE], g.n)
         if reach is not None:
             at, bits = bit_slots(us, vs, words.shape[1])
             keep = reach[at] & bits == 0
             us, vs = us[keep], vs[keep]
-        closed = 0
         for s in range(0, len(us), _CHUNK):
             chunk = np.stack((us[s:s + _CHUNK], vs[s:s + _CHUNK]), axis=1)
             keep = _open(words, chunk)

@@ -43,6 +43,15 @@ def _normalize_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
+def _masks(v: int, edges) -> list[int]:
+    """Int adjacency masks on v vertices of edges checked by ``_normalize_edges``."""
+    adj = [0] * v
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 def _induced_sizes(v: int, edges):
     """(v_H, e_H) of the subgraph induced on each non-empty vertex subset."""
     for smask in range(1, 1 << v):
@@ -108,7 +117,7 @@ class PatternGraph:
         if v > MAX_PATTERN_VERTICES:
             raise ValueError(f"pattern too large: {v} vertices, supported up to {MAX_PATTERN_VERTICES}")
         e = len(canon)
-        adj = EvolvingGraph.from_edges(v, canon).adj
+        adj = _masks(v, canon)
         dens = Fraction(e, v)
         balanced = all(Fraction(eh, vh) <= dens for vh, eh in _induced_sizes(v, canon) if eh)
         return cls(name=name or f"v{v}e{e}", v=v, e=e, edges=canon,
@@ -116,7 +125,7 @@ class PatternGraph:
                    triangle_free=not any(adj[a] & adj[b] for a, b in canon))
 
     def adjacency(self) -> list[int]:
-        return EvolvingGraph.from_edges(self.v, self.edges).adj
+        return _masks(self.v, self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +287,13 @@ def _independent_partitions(adj: list[int]):
 def _spasm(edges: tuple[tuple[int, int], ...]) -> _Spasm:
     """The pattern's spasm with isomorphic quotient components merged;
     built on a pattern's first count, not at import."""
-    adj = EvolvingGraph.from_edges(max(b for _, b in edges) + 1, edges).adj
+    adj = _masks(max(b for _, b in edges) + 1, edges)
     comps: list[_Component] = []
     seen: list[list[int]] = []                  # adjacency of comps[i]
     terms: dict[tuple[int, ...], int] = {}
     for labels in _independent_partitions(adj):
         mu = prod((-1) ** (s - 1) * factorial(s - 1) for s in Counter(labels).values())
-        qadj = [0] * (max(labels) + 1)
-        for a, b in edges:
-            qadj[labels[a]] |= 1 << labels[b]
-            qadj[labels[b]] |= 1 << labels[a]
+        qadj = _masks(max(labels) + 1, [(labels[a], labels[b]) for a, b in edges])
         ids = []
         for part in _parts(qadj, (1 << len(qadj)) - 1):
             cadj = induced(qadj, part)

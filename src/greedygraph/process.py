@@ -172,15 +172,15 @@ def _round_bytes(n: int, share: float, snapshots: int = 0) -> int:
       a call copies them before it writes, and its reach rows
       (``reach_rows``) take as much; with snapshots, one set per snapshot
       (the last is the graph's own) and the reach rows;
-    - 64 per pair of the slice being decoded and inserted, which also
-      covers a chunk's gathered rows, or the last slice's arrays and a
-      sieve's 1.5 MiB block, and 8 per vertex; n**2/64 for a sieve's degrees.
+    - 64 per pair of the slice of 2^16 ids being decoded and inserted (about
+      42 traced), which also covers a chunk's gathered rows, or the last slice's
+      arrays and a sieve's 1.5 MiB block, and 8 per vertex; n**2/64 for a sieve's degrees.
 
     On x86_64 Linux (glibc malloc, numpy 2.4) under a 1,000,000 KiB RLIMIT_AS
     with about 109 MiB mapped and the check off, the last n that completes
-    is 14527 uncut, 24731 at cutoff 0.3, 18380 at 0.6 and 15262 at 0.9; this
-    figure accepts up to n = 14469, 24677, 18300 and 15196, and overstates
-    the need of the last n that completes by 0.8%, 0.4%, 0.9% and 0.9%."""
+    is 14579 uncut, 24862 at cutoff 0.3, 18434 at 0.6 and 15308 at 0.9; this
+    figure accepts up to n = 14567, 24839, 18422 and 15296, and overstates
+    the need of the last n that completes by 0.15%, 0.16%, 0.15% and 0.14%."""
     m = num_pairs(n)
     kept = _cap(m, share)
     return ceil(8 * kept + (1 + max(1, snapshots)) * 8 * n * ((n + 63) // 64)

@@ -389,7 +389,7 @@ class TestMemoryBound:
         # each, through its insertion; under a 1,000,000 KiB soft limit,
         # with 100-150 MiB mapped by the interpreter and numpy, a run at
         # n=14600 fails an allocation when the check is off (the last n
-        # that completes, with 109 MiB mapped, is 14527), so the check must
+        # that completes, with 109 MiB mapped, is 14579), so the check must
         # refuse it before it starts
         limit = 1_000_000 * 1024
 
@@ -411,7 +411,7 @@ class TestMemoryBound:
         # rows: under a 1,000,000 KiB soft limit, with one OpenBLAS thread
         # (about 109 MiB mapped before the run), a run at n=25000 fails an
         # allocation when the check is off (the last n that completes is
-        # 24731); the check must refuse it before its draw
+        # 24862); the check must refuse it before its draw
         limit = 1_000_000 * 1024
 
         def lower_limit():

@@ -491,8 +491,9 @@ def test_reach_rows_match_int_rows(n):
 
 
 def test_uncut_call_sieves_closed_pairs(monkeypatch):
-    # every pair at n = 200 in one call, in slices of 1000 pairs: closed
-    # pairs soon dominate, so the call sieves; the chunk filter sees no pair
+    # every pair at n = 200 in one call, in slices of 1000 pairs (a sieve
+    # decided every _SIEVE_SLICES of them): closed pairs soon dominate, so
+    # the call sieves; the chunk filter sees no pair
     # that the last sieve before it marks closed, and fewer pairs in all than
     # the call traverses; the graph equals the checked replay's
     n = 200
@@ -529,6 +530,44 @@ def test_uncut_call_sieves_closed_pairs(monkeypatch):
         slow.add_edge_if_open(u, v)
     assert added == slow.edge_count == fast.edge_count
     assert fast.adj == slow.adj
+
+
+@pytest.mark.parametrize("slice_, chunk", [(7, 7), (1000, 100)], ids=["7", "1000"])
+def test_sieve_is_decided_once_a_period(monkeypatch, slice_, chunk):
+    # every pair at n = 200 in one call, in slices of 7 or 1,000 ids: the
+    # words equal the checked replay's, and the reach rows are built as often
+    # as in a call whose slice is one sieve period long and decides every
+    # slice.  The chunks divide the slices, as _CHUNK divides _SLICE, so
+    # both calls filter the same chunks until they sieve
+    n = 200
+    ids = np.random.default_rng(0).permutation(num_pairs(n))
+    builds = []
+    real_reach = graphcore.reach_rows
+
+    def reach_spy(words, ends=None):
+        builds.append(1)
+        return real_reach(words, ends)
+
+    def call(slice_, slices):
+        monkeypatch.setattr(graphcore, "_SLICE", slice_)
+        monkeypatch.setattr(graphcore, "_SIEVE_SLICES", slices)
+        builds.clear()
+        g = EvolvingGraph(n)
+        greedy_insert(g, ids)
+        return g, len(builds)
+
+    assert graphcore._SLICE % graphcore._CHUNK == 0
+    monkeypatch.setattr(graphcore, "reach_rows", reach_spy)
+    monkeypatch.setattr(graphcore, "_CHUNK", chunk)
+    fast, count = call(slice_, graphcore._SIEVE_SLICES)
+    whole, expect = call(graphcore._SIEVE_SLICES * slice_, 1)
+    slow = EvolvingGraph(n)
+    us, vs = decode_edge_ids(ids, n)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        slow.add_edge_if_open(u, v)
+    assert np.array_equal(fast.words, slow.words)
+    assert np.array_equal(whole.words, slow.words)
+    assert count == expect >= 1
 
 
 class TestOpen:

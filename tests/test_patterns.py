@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -106,6 +108,40 @@ class TestMetadata:
     def test_k22_is_c4_alias(self):
         assert CATALOG["K22"] is not CATALOG["C4"]
         assert isomorphisms(CATALOG["K22"].adjacency(), CATALOG["C4"].adjacency(), first=True)
+
+    def test_masks_match_word_rows_without_building_a_graph(self, monkeypatch):
+        # a pattern's int masks, and those of its spasm, are set bit by bit,
+        # equal to the masks of the graph with its edges
+        expect = {name: EvolvingGraph.from_edges(p.v, p.edges).adj for name, p in CATALOG.items()}
+
+        def built(*args, **kwargs):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(EvolvingGraph, "from_edges", built)
+        for name, p in CATALOG.items():
+            assert p.adjacency() == expect[name]
+            assert PatternGraph.from_edges(p.edges, name=p.name) == p
+            patterns._spasm.__wrapped__(p.edges)
+
+    @pytest.mark.parametrize("edges, match", [
+        ([(0, 1), (2, 2)], r"pattern self-loop \(2, 2\)"),
+        ([(0, 1), (1, 2), (2, 1)], r"duplicate pattern edge \(2, 1\)")],
+        ids=["self-loop", "duplicate"])
+    def test_rejects_bad_edges(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            PatternGraph.from_edges(edges)
+
+    def test_import_builds_no_graph(self):
+        # the catalogue's patterns and the process's shapes take int masks
+        # at import, in every interpreter, so no graph is built there
+        code = ("import cProfile, pstats\n"
+                "prof = cProfile.Profile()\n"
+                "prof.runctx('import greedygraph.cli', {}, {})\n"
+                "print(' '.join(f[2] for f in pstats.Stats(prof).stats if 'greedygraph' in f[0]))\n")
+        called = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True).stdout.split()
+        assert "_masks" in called and "from_edges" in called
+        assert "pair_rows" not in called and "bitset_ints" not in called
 
 
 class TestCountCopies:

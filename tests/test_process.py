@@ -306,6 +306,21 @@ class TestStreamedRound:
             tracemalloc.stop()
         assert peak <= _estimate(params, snapshots)
 
+    def test_uncut_run_peaks_within_one_decode_slice(self):
+        # an uncut run at n = 2,000 holds its draw, 8 bytes a pair, the
+        # graph's rows and their copy or reach rows, and the arrays of one
+        # decode slice of 2^16 ids, under 64 bytes an id, beside 1 MiB
+        n = 2000
+        params = ProcessParams(ctx=RoundContext(n, 0.1), seed=1, mode="exact")
+        run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
+        tracemalloc.start()
+        try:
+            run(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_pairs(n) + 2 * 8 * n * ((n + 63) // 64) + 64 * (1 << 16) + (1 << 20)
+
 
 def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
     """``process._round_bytes`` for a run of these parameters."""
