@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .numerics import RoundContext, erfi, trajectory, open_density, round_slope
-from .graphcore import EvolvingGraph, edge_index, edge_endpoints, num_pairs
+from .graphcore import EvolvingGraph, edge_index, num_pairs
 from .process import (ProcessParams, RunTrace, run_exact, run_rounds,
                       exhaustive_oracle, aggregate_cutoff)
 from .patterns import PatternGraph, count_copies, variance_margin
@@ -15,7 +15,7 @@ from .predictor import predict_copies, compare_with_gnm, PredictionReport
 __all__ = [
     "__version__",
     "RoundContext", "erfi", "trajectory", "open_density", "round_slope",
-    "EvolvingGraph", "edge_index", "edge_endpoints", "num_pairs",
+    "EvolvingGraph", "edge_index", "num_pairs",
     "ProcessParams", "RunTrace", "run_exact", "run_rounds",
     "exhaustive_oracle", "aggregate_cutoff",
     "PatternGraph", "count_copies", "variance_margin",

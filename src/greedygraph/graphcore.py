@@ -80,23 +80,8 @@ def edge_index(u: int, v: int, n: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def edge_endpoints(idx: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    if not 0 <= idx < num_pairs(n):
-        raise ValueError(f"edge index {idx} out of range for n={n}")
-    b = 2 * n - 1
-    u = int((b - (b * b - 8 * idx) ** 0.5) // 2)
-    # float slop near row boundaries: settle with exact integer arithmetic
-    while u * (2 * n - u - 1) // 2 > idx:
-        u -= 1
-    while (u + 1) * (2 * n - u - 2) // 2 <= idx:
-        u += 1
-    v = idx - u * (2 * n - u - 1) // 2 + u + 1
-    return u, v
-
-
 def decode_edge_ids(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized edge_endpoints for an array of indices."""
+    """The pairs (u, v), u < v, with these ``edge_index`` ids, as two arrays."""
     ids = np.asarray(ids, dtype=np.int64)
     b = 2 * n - 1
     # the root is at most b, so truncation floors; exact at a row's first id and about 2/(b - 2u)
@@ -169,14 +154,14 @@ def bit_indices(x: int, n: int) -> np.ndarray:
 
 
 class EvolvingGraph:
-    """The current graph as word rows (``words``) plus the traversed pairs.
+    """The current graph as word rows (``words``) plus the traversed pairs' ids
+    (``traversed``).
 
-    ``add_edge_if_open`` enforces the triangle-free insertion rule; the
-    global invariant is re-checkable with ``audit_triangle_free`` (it is not
-    re-verified per insert).  ``insert_edge`` bypasses the rule, so hosts
-    that are allowed to contain triangles (uniform random graphs, injected
-    counterexamples) use the same representation.  ``traversed`` holds the
-    traversed pairs' ids.  ``copy`` shares both arrays, so writers replace them.
+    ``greedy_insert`` applies the triangle-free insertion rule; hosts that may
+    hold triangles (uniform random graphs) assign their rows to ``words`` or,
+    as int rows, to ``adj``.  Those are the only writers, and the invariant is
+    re-checkable with ``audit_triangle_free``.  ``copy`` shares both arrays,
+    so writers replace them.
     """
 
     __slots__ = ("n", "words", "edge_count", "traversed", "_ledger", "_rows")
@@ -216,37 +201,6 @@ class EvolvingGraph:
     def adj(self, rows) -> None:
         self.words = bitset_words(rows, self.n)
 
-    def _check_pair(self, u: int, v: int) -> tuple[int, int]:
-        u, v = int(u), int(v)  # numpy integers would overflow a shift
-        edge_index(u, v, self.n)  # raises on a self-loop or a vertex out of range
-        return u, v
-
-    def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_pair(u, v)
-        return bool(self.words.item(u, v >> 6) >> (v & 63) & 1)
-
-    def add_edge_if_open(self, u: int, v: int) -> bool:
-        """Insert {u, v} unless it closes a triangle; returns whether added.
-
-        A rejected edge leaves the adjacency bit-identical.  ``traversed``
-        is not touched here; the process sets it.
-        """
-        u, v = self._check_pair(u, v)
-        if np.count_nonzero(self.words[u] & self.words[v]) and not self.has_edge(u, v):
-            return False
-        self.insert_edge(u, v)
-        return True
-
-    def insert_edge(self, u: int, v: int) -> None:
-        """Unconditional insert (host construction; no triangle rule)."""
-        u, v = self._check_pair(u, v)
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        self.words = words = self.words.copy()
-        words[u, v >> 6] |= np.uint64(1 << (v & 63))
-        words[v, u >> 6] |= np.uint64(1 << (u & 63))
-        self.edge_count += 1
-
     def _edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Edges (u, v), u < v, lexicographic, as arrays, ``_GATHER`` bytes of rows
         and ``_GATHER`` / 8 set bits at most at a time."""
@@ -272,19 +226,6 @@ class EvolvingGraph:
         g = EvolvingGraph.__new__(EvolvingGraph)
         for name in self.__slots__:
             setattr(g, name, getattr(self, name))
-        return g
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "EvolvingGraph":
-        """The graph on n vertices with these edges, each also traversed, in order."""
-        g, seen = cls(n), {}  # the ids so far, in order
-        for u, v in edges:
-            i = edge_index(int(u), int(v), n)
-            if i in seen:
-                raise ValueError(f"edge ({u}, {v}) already present")
-            seen[i] = None
-        ids = np.fromiter(seen, dtype=np.int64, count=len(seen))
-        g.words, g.edge_count, g.traversed = pair_rows(ids, n), len(ids), ids
         return g
 
     def __repr__(self):
@@ -358,8 +299,7 @@ def greedy_insert(g: EvolvingGraph, ids) -> int:
     Each pair is added unless its endpoints already share a neighbour; the
     caller keeps the ids (``EvolvingGraph.traversed``).  This is the
     process's inner loop, so the ids are not checked: they must be distinct,
-    in range and not yet traversed (``add_edge_if_open`` is the checked
-    per-pair equivalent).
+    in range and not yet traversed.
 
     The ids are decoded ``_SLICE`` at a time and decided ``_CHUNK`` at a time
     on the graph's rows, a copy of them per call, since snapshots share the

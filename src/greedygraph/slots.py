@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .graphcore import (_GATHER, _SLICE, EvolvingGraph, bit_slots, check_memory, choice_bytes,
-                        decode_edge_ids, iter_bits, num_pairs, pair_rows, reach_rows,
-                        row_bit_counts)
+                        decode_edge_ids, edge_index, iter_bits, num_pairs, pair_rows,
+                        reach_rows, row_bit_counts)
 from .numerics import RoundContext
 from .process import RunTrace
 
@@ -64,8 +64,9 @@ def classify_pair(graph: EvolvingGraph, u: int, v: int, ctx: RoundContext) -> Sl
 
     Pure: recomputing on a stored snapshot always returns the same counts.
     """
-    u, v = graph._check_pair(u, v)
+    u, v = int(u), int(v)  # numpy integers would overflow a shift
     n = graph.n
+    edge_index(u, v, n)  # raises on a self-loop or a vertex out of range
     adj = graph.adj
     birthed = graph.birthed_adj
     full = (1 << n) - 1

@@ -1,8 +1,9 @@
 """The benchmark under perfbench/ reaches into greedygraph by name: the layer
-functions its tracer wraps, and the attributes its workloads and its own
-tests call or patch.  Those tests are not collected here, so this module
-reads the benchmark's sources with ``ast`` and checks that every such name
-resolves, so that removing one fails here and not first in the benchmark.
+functions its tracer wraps, the attributes its workloads and its own tests
+call or patch, and the attributes it reads and assigns on the graphs it gets.
+Those tests are not collected here, so this module reads the benchmark's
+sources with ``ast`` and checks that every such name resolves, so that
+removing one fails here and not first in the benchmark.
 """
 
 import ast
@@ -10,6 +11,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from greedygraph.graphcore import EvolvingGraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the benchmark sources that use greedygraph names
@@ -80,3 +83,31 @@ def test_benchmark_reference_resolves(path):
 def test_scan_finds_the_callers_names(caller):
     # both callers drive the process through greedygraph.process
     assert any(p.startswith("greedygraph.process.") for p in REFERENCED[caller])
+
+
+
+# EvolvingGraph attributes that perfbench/workloads.py reads, and those it
+# assigns, with a value (``_induced`` builds a host from int rows).  They are
+# named here, not found by matching the scan against the class, so that one
+# removed from the class still fails.
+GRAPH_READS = ("adj", "audit_triangle_free", "birthed_adj", "birthed_count", "edge_count", "n")
+GRAPH_WRITES = {"adj": [0b10, 0b01, 0], "edge_count": 1}
+
+
+def test_scan_finds_the_graph_attributes():
+    nodes = [node for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text()))
+             if isinstance(node, ast.Attribute)]
+    assert set(GRAPH_READS) <= {node.attr for node in nodes if isinstance(node.ctx, ast.Load)}
+    assert set(GRAPH_WRITES) <= {node.attr for node in nodes if isinstance(node.ctx, ast.Store)}
+
+
+@pytest.mark.parametrize("name", GRAPH_READS)
+def test_graph_attribute_reads(name):
+    getattr(EvolvingGraph(3), name)
+
+
+@pytest.mark.parametrize("name", GRAPH_WRITES)
+def test_graph_attribute_assigns(name):
+    g = EvolvingGraph(3)
+    setattr(g, name, GRAPH_WRITES[name])
+    assert getattr(g, name) == GRAPH_WRITES[name]

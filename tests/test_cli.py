@@ -486,6 +486,29 @@ class TestLambdaCommand:
             "36408945ce198f6f25e6b7f479f259d3e3b374ceb7edc80f8e8a8671bb2e6376"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("simulate --n 60 --eps 0.2 --trials 3 --seed 5",
+     "051a8a03aa9105686849b4a4281f3100b93e22481cc02327bf311b1b78ff3820"),
+    ("simulate --n 60 --eps 0.2 --trials 3 --seed 5 --cutoff 0.4",
+     "752b79dc4c4e3ba988239ee344f5c2f04e9c78a14bb3688559e7bcd8e7605870"),
+    ("rounds --n 40 --eps 0.3 --trials 2 --rounds-snapshots --seed 1",
+     "f7e3990e3b0c8ebd56b8235fd89d063904976129f43e39978560f2b18a59bfe6"),
+    ("predict --n 150 --eps 0.2 --pattern P3 --trials 3 --seed 4",
+     "ec12e937e35fd8ba09c7cd7c173a10211fc80d043badded5cb8ac9e7c4659916"),
+    ("compare-gnm --n 150 --eps 0.2 --pattern C4 --trials 3 --seed 4",
+     "255a0366570da35b4e8119d279bb474e153206f32e8f79739a80651627fb350b"),
+    ("branching --n 1000000 --eps 0.1 --k 8 --depth 6 --trials 2000 --seed 2",
+     "4e7f1cc55d3fc1401d4f8844bbebc7eecdc51d93df0b64d52b22083767d03618"),
+], ids=["simulate", "simulate-cutoff", "rounds-snapshots", "predict", "compare-gnm", "branching"])
+def test_report_digest(argv, digest, capsys):
+    # each small-n report pinned byte for byte (its meta carries the version):
+    # the snapshots are exported through edges(), the G(n, m) hosts audited
+    # through _edge_blocks
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestAcceptCommand:
     def test_passing_subset_exit_zero(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

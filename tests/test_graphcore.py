@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, rng
 from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset_ints,
-                                   bitset_words, decode_edge_ids, edge_endpoints,
-                                   edge_index, greedy_insert, iter_bits, neighbours,
-                                   num_pairs, pair_rows, reach_rows, row_bit_counts,
-                                   unpack_rows)
+                                   bitset_words, decode_edge_ids, edge_index, greedy_insert,
+                                   iter_bits, neighbours, num_pairs, pair_rows, reach_rows,
+                                   row_bit_counts, unpack_rows)
+from reference import graph, host, int_rows, pairs, replay
 
 
 class TestEdgeIndex:
@@ -26,9 +26,11 @@ class TestEdgeIndex:
         assert np.array_equal(back, ids)
 
     def test_scalar_matches_vector(self):
+        # the row-major enumeration of the pairs defines the index order
         n = 137
-        for idx in range(0, num_pairs(n), 11):
-            u, v = edge_endpoints(idx, n)
+        us, vs = decode_edge_ids(np.arange(num_pairs(n)), n)
+        assert list(zip(us.tolist(), vs.tolist())) == pairs(n)
+        for idx, (u, v) in enumerate(pairs(n)):
             assert edge_index(u, v, n) == idx
             assert edge_index(v, u, n) == idx
 
@@ -47,7 +49,7 @@ class TestEdgeIndex:
         # the first and last id of every row (of 200 sampled rows at 10^6),
         # where the float root is closest to an integer: row u runs from
         # (u, u + 1) to (u, n - 1), and about 200 of them also against the
-        # exact scalar decode
+        # scalar index
         us = np.arange(n - 1) if n <= 10 ** 5 else \
             np.random.default_rng(n).integers(0, n - 1, size=200)
         first = us * (2 * n - us - 1) // 2
@@ -55,16 +57,14 @@ class TestEdgeIndex:
         for ids, vs in ((first, us + 1), (first + (n - 2 - us), np.full_like(us, n - 1))):
             got_u, got_v = decode_edge_ids(ids, n)
             assert np.array_equal(got_u, us) and np.array_equal(got_v, vs)
-            assert [edge_endpoints(idx, n) for idx in ids[pick].tolist()] == \
-                list(zip(us[pick].tolist(), vs[pick].tolist()))
+            assert [edge_index(u, v, n) for u, v in zip(us[pick].tolist(), vs[pick].tolist())] \
+                == ids[pick].tolist()
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
             edge_index(3, 3, 10)
         with pytest.raises(ValueError):
             edge_index(0, 10, 10)
-        with pytest.raises(ValueError):
-            edge_endpoints(45, 10)
 
 
 class TestBits:
@@ -137,17 +137,16 @@ class TestBits:
 
 
 def brute_common_neighbor(g: EvolvingGraph, u: int, v: int) -> bool:
-    return any(g.has_edge(u, w) and g.has_edge(v, w)
-               for w in range(g.n) if w not in (u, v))
+    return any(g.adj[u] >> w & g.adj[v] >> w & 1 for w in range(g.n) if w not in (u, v))
 
 
 def opens(g: EvolvingGraph, u: int, v: int) -> bool:
-    """Whether the insertion rule adds {u, v} to g, tried on a copy by both
-    the checked per-pair insert and the kernel."""
-    by_insert = g.copy().add_edge_if_open(u, v)
+    """Whether the insertion rule adds {u, v} to g, asked of the int-row
+    replay and of the kernel, on a copy."""
+    by_replay = replay(g.n, [(u, v)], g.adj)[0] == 1
     by_kernel = greedy_insert(g.copy(), [edge_index(u, v, g.n)]) == 1
-    assert by_insert == by_kernel
-    return by_insert
+    assert by_replay == by_kernel
+    return by_replay
 
 
 class TestCheckMemory:
@@ -198,53 +197,43 @@ class TestEvolvingGraph:
                 assert opens(g, u, v)
 
     def test_path_closes(self):
-        g = EvolvingGraph.from_edges(5, [(0, 1), (1, 2)])
+        g = host(5, [(0, 1), (1, 2)])
         assert not opens(g, 0, 2)
         assert opens(g, 0, 3)
 
     def test_close_matches_brute_force(self):
         gen = rng.stream(99)
-        g = EvolvingGraph(40)
-        edges = [(u, v) for u in range(40) for v in range(u + 1, 40)]
-        for u, v in edges:
-            if gen.random() < 0.08:
-                if not g.has_edge(u, v):
-                    g.add_edge_if_open(u, v)
+        edges = pairs(40)
+        g = graph(replay(40, [e for e in edges if gen.random() < 0.08])[1])
         for u, v in edges[::7]:
-            if not g.has_edge(u, v):
+            if not g.adj[u] >> v & 1:
                 assert opens(g, u, v) != brute_common_neighbor(g, u, v)
 
     def test_third_triangle_edge_rejected(self):
         g = EvolvingGraph(4)
-        assert g.add_edge_if_open(0, 1)
-        assert g.add_edge_if_open(1, 2)
-        before = list(g.adj)
-        assert not g.add_edge_if_open(0, 2)
-        assert g.adj == before  # rejection leaves adjacency bit-identical
+        assert greedy_insert(g, [edge_index(0, 1, 4), edge_index(1, 2, 4)]) == 2
+        before = g.words.tobytes()
+        assert greedy_insert(g, [edge_index(0, 2, 4)]) == 0
+        assert g.words.tobytes() == before  # rejection leaves adjacency bit-identical
         assert g.edge_count == 2
 
-    def test_add_raises_on_duplicate(self):
-        g = EvolvingGraph(4)
-        g.add_edge_if_open(0, 1)
-        with pytest.raises(ValueError):
-            g.add_edge_if_open(0, 1)
-        with pytest.raises(ValueError):
-            g.add_edge_if_open(2, 2)
-
     def test_replay_fixed_ordering(self):
-        # hand simulation on n=6: greedy inserts in the listed order
+        # hand simulation on n=6: greedy inserts in the listed order, one
+        # call a pair and all in one call
         order = [(0, 1), (2, 3), (1, 2), (0, 2), (0, 3), (4, 5), (1, 4), (2, 4)]
         expect_added = [True, True, True, False, True, True, True, False]
+        expect_edges = [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (4, 5)]
         g = EvolvingGraph(6)
-        got = [g.add_edge_if_open(u, v) for u, v in order]
+        got = [greedy_insert(g, [edge_index(u, v, 6)]) == 1 for u, v in order]
         assert got == expect_added
-        assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (4, 5)]
+        assert list(g.edges()) == expect_edges
+        whole = EvolvingGraph(6)
+        assert greedy_insert(whole, [edge_index(u, v, 6) for u, v in order]) == 6
+        assert list(whole.edges()) == expect_edges
 
     def test_audit(self):
-        g = EvolvingGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
-        assert g.audit_triangle_free()
-        g.insert_edge(0, 2)  # inject a triangle directly
-        assert not g.audit_triangle_free()
+        assert host(5, [(0, 1), (1, 2), (2, 3)]).audit_triangle_free()
+        assert not host(5, [(0, 1), (1, 2), (2, 3), (0, 2)]).audit_triangle_free()
 
     def test_audit_gnm_density(self):
         # at n**1.5 edges a uniform graph almost surely has a triangle
@@ -264,20 +253,20 @@ class TestEvolvingGraph:
         g = EvolvingGraph(4)
         g.traversed = np.array([edge_index(0, 1, 4)])
         assert g.birthed_adj == [0b10, 0b01, 0, 0] and g.birthed_count == 1
-        assert not g.has_edge(0, 1)
+        assert g.adj == [0] * 4
         g.traversed = np.array([edge_index(3, 1, 4), edge_index(0, 2, 4)])
         assert g.birthed_adj == [0b100, 0b1000, 0b1, 0b10] and g.birthed_count == 2
 
     def test_copy_is_frozen_snapshot(self):
-        g = EvolvingGraph.from_edges(5, [(0, 1)])
+        g = host(5, [(0, 1)])
         snap = g.copy()
-        g.add_edge_if_open(2, 3)
+        greedy_insert(g, [edge_index(2, 3, 5)])
         assert snap.edge_count == 1
-        assert not snap.has_edge(2, 3)
+        assert snap.adj == int_rows(5, [(0, 1)])
 
     def test_export_sorted_pairs(self):
         # the --rounds-snapshots report writes edges() as 'u v' lines in this order
-        g = EvolvingGraph.from_edges(5, [(3, 4), (0, 2), (0, 1)])
+        g = host(5, [(3, 4), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (3, 4)]
 
 
@@ -319,23 +308,23 @@ class TestWordRows:
 
     def test_adj_follows_an_insert(self):
         # an insert replaces the words, so the next read builds new int rows
-        g = EvolvingGraph.from_edges(70, [(0, 65)])
+        g = host(70, [(0, 65)])
         before = g.adj
-        g.insert_edge(3, 69)
+        greedy_insert(g, [edge_index(3, 69, 70)])
         assert g.adj[3] == 1 << 69 and g.adj[69] == 1 << 3 and g.adj[0] == 1 << 65
         assert before[3] == 0
 
     def test_inserts_leave_copies_frozen(self):
         # each writer replaces the rows that the copy before it shares
-        g = EvolvingGraph.from_edges(100, [(0, 1)])
+        g = host(100, [(0, 1)])
         first = g.copy()
-        g.insert_edge(2, 99)
+        greedy_insert(g, [edge_index(2, 99, 100)])
         second = g.copy()
         frozen = [first.words.tobytes(), second.words.tobytes()]
         greedy_insert(g, [edge_index(5, 80, 100)])
         assert [first.words.tobytes(), second.words.tobytes()] == frozen
         assert first.adj[2] == 0 and second.adj[2] == 1 << 99 and second.adj[5] == 0
-        assert g.has_edge(2, 99) and g.has_edge(5, 80)
+        assert g.adj == int_rows(100, [(0, 1), (2, 99), (5, 80)])
 
     @pytest.mark.parametrize("n, p, seed, free", [
         (1, 0.5, 0, True), (5, 0.5, 1, False), (40, 0.05, 2, False), (64, 0.02, 3, False),
@@ -369,24 +358,18 @@ class TestWordRows:
 @given(st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_greedy_insert_matches_checked_replay(n, data):
-    # the kernel against the checked per-pair insert, on a random
-    # prefix of a random pair order, applied in two calls to a graph that
-    # is not empty
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    order = data.draw(st.permutations(pairs))
+    # the kernel against the int-row replay, on a random prefix of a random
+    # pair order, applied in two calls to a graph that is not empty
+    order = data.draw(st.permutations(pairs(n)))
     cut = data.draw(st.integers(min_value=0, max_value=len(order)))
     split = data.draw(st.integers(min_value=0, max_value=cut))
     fast = EvolvingGraph(n)
-    slow = EvolvingGraph(n)
     added = 0
     for chunk in (order[:split], order[split:cut]):
         added += greedy_insert(fast, [edge_index(u, v, n) for u, v in chunk])
-    expect = 0
-    for u, v in order[:cut]:
-        expect += slow.add_edge_if_open(u, v)
-    assert added == expect
-    assert fast.adj == slow.adj
-    assert fast.edge_count == slow.edge_count
+    expect, rows = replay(n, order[:cut])
+    assert added == expect == fast.edge_count
+    assert fast.adj == rows
 
 
 @pytest.mark.parametrize("chunk, slice_", [(1, 3), (4, 10)], ids=["1", "4"])
@@ -404,17 +387,13 @@ def test_bulk_path_matches_checked_replay_multiword():
     # blocks of 1000 pairs and chunks of 100
     n = 200
     ids = np.random.default_rng(3).permutation(num_pairs(n))
-    us, vs = decode_edge_ids(ids, n)
     fast = EvolvingGraph(n)
     with mock.patch.object(graphcore, "_CHUNK", 100), \
             mock.patch.object(graphcore, "_SLICE", 1000):
         added = sum(greedy_insert(fast, part) for part in np.array_split(ids, 3))
-    slow = EvolvingGraph(n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        slow.add_edge_if_open(u, v)
-    assert added == slow.edge_count
-    assert fast.adj == slow.adj
-    assert fast.edge_count == slow.edge_count
+    expect, rows = replay(n, map(pairs(n).__getitem__, ids.tolist()))
+    assert added == expect == fast.edge_count
+    assert fast.adj == rows
 
 
 def test_short_batch_matches_checked_replay_multiword():
@@ -424,27 +403,22 @@ def test_short_batch_matches_checked_replay_multiword():
     n = 200
     edges = [(0, 1), (1, 2), (3, 130), (130, 140), (5, 70), (150, 199)]
     batch = [(0, 2), (3, 140), (5, 150)]
-    fast = EvolvingGraph.from_edges(n, edges)
+    fast = host(n, edges)
     added = greedy_insert(fast, [edge_index(u, v, n) for u, v in batch])
-    slow = EvolvingGraph.from_edges(n, edges)
-    expect = 0
-    for u, v in batch:
-        expect += slow.add_edge_if_open(u, v)
+    expect, rows = replay(n, batch, int_rows(n, edges))
     assert added == expect == 1
-    assert fast.adj == slow.adj
-    assert fast.edge_count == slow.edge_count
+    assert fast.adj == rows
+    assert fast.edge_count == len(edges) + 1
 
 
 def _matches_replay(n, batch):
-    """One greedy_insert call on an empty graph at n against the checked
-    per-pair insert; returns how many pairs were added."""
+    """One greedy_insert call on an empty graph at n against the int-row
+    replay; returns how many pairs were added."""
     fast = EvolvingGraph(n)
     added = greedy_insert(fast, [edge_index(u, v, n) for u, v in batch])
-    slow = EvolvingGraph(n)
-    expect = sum(slow.add_edge_if_open(u, v) for u, v in batch)
-    assert added == expect
-    assert fast.adj == slow.adj
-    assert fast.edge_count == slow.edge_count
+    expect, rows = replay(n, batch)
+    assert added == expect == fast.edge_count
+    assert fast.adj == rows
     return added
 
 
@@ -475,19 +449,18 @@ def test_reach_rows_match_int_rows(n):
     # in gathers of 256 KiB and of one row
     gen = np.random.default_rng(n)
     live = gen.permutation(n)[:max(1, 3 * n // 4)].tolist()
-    g = EvolvingGraph.from_edges(n, [(u, v) for u in live for v in live
-                                     if u < v and gen.random() < 0.1])
-    words = bitset_words(g.adj, n)
+    adj = int_rows(n, [(u, v) for u in live for v in live if u < v and gen.random() < 0.1])
+    words = bitset_words(adj, n)
     expect = [0] * n
     for x in range(n):
-        for w in iter_bits(g.adj[x]):
-            expect[x] |= g.adj[w]
+        for w in iter_bits(adj[x]):
+            expect[x] |= adj[w]
     ends = gen.choice(n, size=(n + 1) // 2, replace=False)
     for gather in (graphcore._GATHER, 8):
         with mock.patch.object(graphcore, "_GATHER", gather):
             assert list(bitset_ints(reach_rows(words))) == expect
             assert list(bitset_ints(reach_rows(words, ends))) == [expect[x] for x in ends]
-    assert 0 in g.adj and (n == 1 or any(expect))
+    assert 0 in adj and (n == 1 or any(expect))
 
 
 def test_uncut_call_sieves_closed_pairs(monkeypatch):
@@ -495,7 +468,7 @@ def test_uncut_call_sieves_closed_pairs(monkeypatch):
     # decided every _SIEVE_SLICES of them): closed pairs soon dominate, so
     # the call sieves; the chunk filter sees no pair
     # that the last sieve before it marks closed, and fewer pairs in all than
-    # the call traverses; the graph equals the checked replay's
+    # the call traverses; the graph equals the int-row replay's
     n = 200
     ids = np.random.default_rng(11).permutation(num_pairs(n))
     log = []
@@ -524,18 +497,15 @@ def test_uncut_call_sieves_closed_pairs(monkeypatch):
         assert reach is None or not any((reach[u] >> v) & 1 for u, v in entry)
     assert sum(kind == "reach" for kind, _ in log) >= 1
     assert len(seen) < len(ids)
-    slow = EvolvingGraph(n)
-    us, vs = decode_edge_ids(ids, n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        slow.add_edge_if_open(u, v)
-    assert added == slow.edge_count == fast.edge_count
-    assert fast.adj == slow.adj
+    expect, rows = replay(n, map(pairs(n).__getitem__, ids.tolist()))
+    assert added == expect == fast.edge_count
+    assert fast.adj == rows
 
 
 @pytest.mark.parametrize("slice_, chunk", [(7, 7), (1000, 100)], ids=["7", "1000"])
 def test_sieve_is_decided_once_a_period(monkeypatch, slice_, chunk):
     # every pair at n = 200 in one call, in slices of 7 or 1,000 ids: the
-    # words equal the checked replay's, and the reach rows are built as often
+    # words equal the int-row replay's, and the reach rows are built as often
     # as in a call whose slice is one sieve period long and decides every
     # slice.  The chunks divide the slices, as _CHUNK divides _SLICE, so
     # both calls filter the same chunks until they sieve
@@ -561,12 +531,8 @@ def test_sieve_is_decided_once_a_period(monkeypatch, slice_, chunk):
     monkeypatch.setattr(graphcore, "_CHUNK", chunk)
     fast, count = call(slice_, graphcore._SIEVE_SLICES)
     whole, expect = call(graphcore._SIEVE_SLICES * slice_, 1)
-    slow = EvolvingGraph(n)
-    us, vs = decode_edge_ids(ids, n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        slow.add_edge_if_open(u, v)
-    assert np.array_equal(fast.words, slow.words)
-    assert np.array_equal(whole.words, slow.words)
+    rows = replay(n, map(pairs(n).__getitem__, ids.tolist()))[1]
+    assert fast.adj == whole.adj == rows
     assert count == expect >= 1
 
 
@@ -602,35 +568,9 @@ class TestOpen:
             return real_open(words, pairs)
 
         monkeypatch.setattr(graphcore, "_open", open_spy)
-        assert not EvolvingGraph.from_edges(200, edges).audit_triangle_free()
+        assert not host(200, edges).audit_triangle_free()
         assert calls == [graphcore._CHUNK]
         calls.clear()
-        assert EvolvingGraph.from_edges(200, edges[1:]).audit_triangle_free()
+        assert host(200, edges[1:]).audit_triangle_free()
         assert calls == [graphcore._CHUNK, len(edges) - 1 - graphcore._CHUNK]
 
-
-class TestFromEdges:
-    def test_matches_inserts(self):
-        # 2,828 edges at n = 200, in either orientation: the same words as
-        # one insert_edge per edge, traversed in the given order
-        n = 200
-        ids = np.random.default_rng(3).choice(num_pairs(n), size=2828, replace=False)
-        edges = [(v, u) if j % 2 else (u, v)
-                 for j, (u, v) in enumerate(zip(*(e.tolist() for e in decode_edge_ids(ids, n))))]
-        g = EvolvingGraph.from_edges(n, edges)
-        ref = EvolvingGraph(n)
-        for u, v in edges:
-            ref.insert_edge(u, v)
-        assert g.words.tobytes() == ref.words.tobytes()
-        assert g.traversed.tolist() == ids.tolist() and g.traversed.dtype == np.int64
-        assert g.edge_count == ref.edge_count == 2828
-
-    def test_rejects_what_insert_edge_rejects(self):
-        with pytest.raises(ValueError, match=r"edge \(3, 1\) already present"):
-            EvolvingGraph.from_edges(5, [(1, 3), (0, 1), (3, 1)])
-        with pytest.raises(ValueError, match="self-loop"):
-            EvolvingGraph.from_edges(5, [(0, 1), (2, 2)])
-        with pytest.raises(ValueError, match="out of range"):
-            EvolvingGraph.from_edges(5, [(0, 5)])
-        g = EvolvingGraph.from_edges(3, [])
-        assert (g.edge_count, g.traversed.tolist(), g.words.any()) == (0, [], False)

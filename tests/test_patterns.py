@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, patterns, rng
-from greedygraph.graphcore import EvolvingGraph, decode_edge_ids, num_pairs
+from greedygraph.graphcore import EvolvingGraph, bitset_ints, edge_index, num_pairs, pair_rows
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
                                   complete_bipartite, count_copies,
@@ -19,6 +19,7 @@ from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
                                   path_graph, star_graph, variance_margin)
 from greedygraph.predictor import gnm_edge_target, sample_gnm
 from greedygraph.process import ProcessParams, run_rounds
+from reference import graph, host as make_host, int_rows, pairs, replay
 
 K3 = PatternGraph.from_edges([(0, 1), (1, 2), (0, 2)], name="K3")
 
@@ -27,15 +28,14 @@ def naive_embeddings(host: EvolvingGraph, pattern: PatternGraph) -> int:
     """Independent oracle: try every injective vertex map."""
     count = 0
     for combo in itertools.permutations(range(host.n), pattern.v):
-        if all(host.has_edge(combo[a], combo[b]) for a, b in pattern.edges):
+        if all(host.adj[combo[a]] >> combo[b] & 1 for a, b in pattern.edges):
             count += 1
     return count
 
 
 def random_host(n: int, p: float, seed: int) -> EvolvingGraph:
     gen = rng.stream(seed, purpose=rng.GNM)
-    return EvolvingGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                        if gen.random() < p])
+    return make_host(n, [(u, v) for u, v in pairs(n) if gen.random() < p])
 
 
 class TestAutomorphisms:
@@ -111,13 +111,16 @@ class TestMetadata:
 
     def test_masks_match_word_rows_without_building_a_graph(self, monkeypatch):
         # a pattern's int masks, and those of its spasm, are set bit by bit,
-        # equal to the masks of the graph with its edges
-        expect = {name: EvolvingGraph.from_edges(p.v, p.edges).adj for name, p in CATALOG.items()}
+        # equal to the word rows of the graph with its edges
+        expect = {name: list(bitset_ints(pair_rows([edge_index(a, b, p.v) for a, b in p.edges],
+                                                   p.v)))
+                  for name, p in CATALOG.items()}
 
         def built(*args, **kwargs):
             raise AssertionError("built a graph")
 
-        monkeypatch.setattr(EvolvingGraph, "from_edges", built)
+        monkeypatch.setattr(EvolvingGraph, "__init__", built)
+        monkeypatch.setattr(graphcore, "pair_rows", built)
         for name, p in CATALOG.items():
             assert p.adjacency() == expect[name]
             assert PatternGraph.from_edges(p.edges, name=p.name) == p
@@ -146,11 +149,11 @@ class TestMetadata:
 
 class TestCountCopies:
     def test_k4_contains_three_c4(self):
-        host = EvolvingGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
+        host = make_host(4, pairs(4))
         assert count_copies(host, CATALOG["C4"]) == 3
 
     def test_c5_contains_five_p3(self):
-        host = EvolvingGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        host = make_host(5, [(i, (i + 1) % 5) for i in range(5)])
         assert count_copies(host, CATALOG["P3"]) == 5
 
     @pytest.mark.parametrize("name", ["K2", "P3", "P4", "C4", "C5", "K13"])
@@ -178,7 +181,7 @@ class TestCountCopies:
         n = 60
         gen = rng.stream(3, purpose=rng.GNM)
         ids = gen.choice(num_pairs(n), size=240, replace=False)
-        host = EvolvingGraph.from_edges(n, zip(*decode_edge_ids(ids, n)))
+        host = make_host(n, map(pairs(n).__getitem__, ids.tolist()))
         c4 = CATALOG["C4"]
         p3 = CATALOG["P3"]
         assert count_copies(host, c4) == count_embeddings(host, c4) // c4.aut
@@ -206,15 +209,14 @@ class TestCountCopies:
 
     def test_isomorphism_invariance(self):
         host = random_host(10, 0.4, seed=21)
-        perm = list(np.random.default_rng(4).permutation(10))
-        relabeled = EvolvingGraph.from_edges(
-            10, [(perm[u], perm[v]) for u, v in host.edges()])
+        perm = np.random.default_rng(4).permutation(10).tolist()
+        relabeled = make_host(10, [(perm[u], perm[v]) for u, v in host.edges()])
         for name in ("P3", "C4", "C5"):
             assert count_copies(host, CATALOG[name]) == \
                 count_copies(relabeled, CATALOG[name])
 
     def test_triangle_count(self):
-        host = EvolvingGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
+        host = make_host(4, pairs(4))
         assert count_copies(host, K3) == 4
 
     def test_s7_on_n100_matches_degree_formula(self):
@@ -229,9 +231,9 @@ class TestCountCopies:
         # S7 on a star with max degree 199 stays under 200 * 199**7 < 2**63
         # and runs in int64 on the CSR; at max degree 239 the bound
         # 240 * 239**7 is past 2**63
-        host = EvolvingGraph.from_edges(200, [(0, v) for v in range(1, 200)])
+        host = make_host(200, [(0, v) for v in range(1, 200)])
         assert count_copies(host, star_graph(7)) == comb(199, 7)
-        host = EvolvingGraph.from_edges(240, [(0, v) for v in range(1, 240)])
+        host = make_host(240, [(0, v) for v in range(1, 240)])
         with pytest.raises(ValueError, match="exact-count bound"):
             count_copies(host, star_graph(7))
 
@@ -381,7 +383,7 @@ def subset_oracle_c4(host: EvolvingGraph) -> int:
         for cyc in (((a, b), (b, c), (c, d), (d, a)),
                     ((a, b), (b, d), (d, c), (c, a)),
                     ((a, c), (c, b), (b, d), (d, a))):
-            if all(host.has_edge(u, v) for u, v in cyc):
+            if all(host.adj[u] >> v & 1 for u, v in cyc):
                 total += 1
     return total
 
@@ -391,7 +393,7 @@ def subset_oracle_p3(host: EvolvingGraph) -> int:
     for sub in itertools.combinations(range(host.n), 3):
         for centre in range(3):
             others = [sub[j] for j in range(3) if j != centre]
-            if all(host.has_edge(sub[centre], o) for o in others):
+            if all(host.adj[sub[centre]] >> o & 1 for o in others):
                 total += 1
     return total
 
@@ -413,14 +415,9 @@ def random_pattern_and_host(data) -> tuple[PatternGraph, EvolvingGraph]:
     hpairs = list(itertools.combinations(range(n), 2))
     order = data.draw(st.permutations(hpairs)) if hpairs else []
     keep = data.draw(st.integers(0, len(hpairs)))
-    host = EvolvingGraph(n)
     triangle_free = data.draw(st.booleans())
-    for u, v in order[:keep]:
-        if triangle_free:
-            host.add_edge_if_open(u, v)
-        else:
-            host.insert_edge(u, v)
-    return PatternGraph.from_edges(pick), host
+    rows = replay(n, order[:keep])[1] if triangle_free else int_rows(n, order[:keep])
+    return PatternGraph.from_edges(pick), graph(rows)
 
 
 @settings(max_examples=150, deadline=None)

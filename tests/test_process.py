@@ -20,27 +20,23 @@ from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
+from reference import host, pairs, replay
 
 
 def literal_oracle_n4() -> dict[str, Fraction]:
     """Brute iteration over all 720 orderings of the 6 pairs of K_4."""
-    pairs = list(itertools.combinations(range(4), 2))
     out: Counter = Counter()
-    for order in itertools.permutations(range(6)):
-        g = EvolvingGraph(4)
-        for e in order:
-            u, v = pairs[e]
-            g.add_edge_if_open(u, v)
-        out[_class_name(g.adj)] += 1
+    for order in itertools.permutations(pairs(4)):
+        out[_class_name(replay(4, order)[1])] += 1
     return {k: Fraction(v, 720) for k, v in out.items()}
 
 
 def test_class_names_from_labelled_edges_any_n():
     # a 5-cycle on scattered labels of 12 vertices, and K_{3,3}, which has
     # no named shape; isolated vertices are ignored
-    c5 = EvolvingGraph.from_edges(12, [(11, 3), (3, 7), (7, 0), (0, 9), (9, 11)])
+    c5 = host(12, [(11, 3), (3, 7), (7, 0), (0, 9), (9, 11)])
     assert _class_name(c5.adj) == "C5"
-    k33 = EvolvingGraph.from_edges(10, [(u, v) for u in (1, 4, 8) for v in (0, 5, 9)])
+    k33 = host(10, [(u, v) for u in (1, 4, 8) for v in (0, 5, 9)])
     assert _class_name(k33.adj) == "v6e9"
     assert _class_name(EvolvingGraph(9).adj) == "empty"
 
@@ -107,7 +103,7 @@ class TestRunExact:
         # full exhaustion: every absent pair would close a triangle
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
+                if not g.adj[u] >> v & 1:
                     assert g.adj[u] & g.adj[v]
         assert g.birthed_count == g.n * (g.n - 1) // 2
 

@@ -11,29 +11,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import graphcore, rng, slots
-from greedygraph.graphcore import (EvolvingGraph, edge_endpoints, edge_index, num_pairs,
-                                   pair_rows)
+from greedygraph.graphcore import EvolvingGraph, edge_index, num_pairs, pair_rows
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
 from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
                                classify_pair, classify_pairs, write_rows_csv)
+from reference import host, int_rows, pairs
 
 
 def brute_classify(graph: EvolvingGraph, u: int, v: int) -> tuple[int, int, int, int]:
     """Independent per-vertex re-derivation; returns (closed, half, fully, none)."""
     traversed = set(graph.traversed.tolist())
+    adj = graph.adj
+
+    def has_edge(a, b):
+        return adj[a] >> b & 1
 
     def addable(a, b):
         if edge_index(a, b, graph.n) in traversed:
             return False
-        return not any(graph.has_edge(a, z) and graph.has_edge(b, z)
+        return not any(has_edge(a, z) and has_edge(b, z)
                        for z in range(graph.n) if z not in (a, b))
 
     closed = half = fully = none = 0
     for w in range(graph.n):
         if w in (u, v):
             continue
-        e1, e2 = graph.has_edge(u, w), graph.has_edge(v, w)
+        e1, e2 = has_edge(u, w), has_edge(v, w)
         if e1 and e2:
             closed += 1
         elif e1 and addable(v, w):
@@ -65,7 +69,8 @@ class TestClassifyPair:
 
     def test_hand_built_instance(self):
         # graph {01, 12} on 6 vertices, ledger equal; query pair (0, 2)
-        g = EvolvingGraph.from_edges(6, [(0, 1), (1, 2)])
+        g = host(6, [(0, 1), (1, 2)])
+        g.traversed = np.array([edge_index(0, 1, 6), edge_index(1, 2, 6)])
         ctx = RoundContext(6, 0.2, round=1)
         sc = classify_pair(g, 0, 2, ctx)
         # w=1 gives the closed triangle {01, 12}; w in {3,4,5}: both pairs
@@ -75,6 +80,17 @@ class TestClassifyPair:
         # {3,1} free and addable; w=2 is a none ({0,2} would close 0-1-2)
         sc2 = classify_pair(g, 0, 3, ctx)
         assert (sc2.closed, sc2.half_open, sc2.fully_open) == (0, 1, 2)
+
+    def test_numpy_vertices_and_bad_pairs(self):
+        # numpy vertices past 63 are converted before they are shifted, and a
+        # self-loop or a vertex out of range is refused
+        snap, ctx = random_snapshot(100, 0.25, seed=3, upto_round=1)
+        sc = classify_pair(snap, 2, 97, ctx)
+        assert classify_pair(snap, np.int64(2), np.int64(97), ctx) == sc
+        assert sc.closed + sc.half_open + sc.fully_open > 0
+        for u, v in ((5, 5), (0, 100)):
+            with pytest.raises(ValueError):
+                classify_pair(snap, u, v, ctx)
 
     def test_matches_brute_force_on_random_snapshots(self):
         snap, ctx = random_snapshot(48, 0.25, seed=13, upto_round=2)
@@ -111,7 +127,7 @@ class TestClassifyPair:
             for w in range(26):
                 if w in (u, v):
                     continue
-                if not snap.has_edge(u, w) and not snap.has_edge(v, w) \
+                if not snap.adj[u] >> w & 1 and not snap.adj[v] >> w & 1 \
                         and addable(u, w) and addable(v, w):
                     other = classify_pair(snap, u, w, ctx)
                     # v must be in the fully open class of (u, w): re-derive
@@ -154,7 +170,7 @@ class TestClassifyPairs:
                 edges.append((u, v))
             if b < p_ledger:
                 ledger.append(edge_index(u, v, n))
-        g = EvolvingGraph.from_edges(n, edges)
+        g = host(n, edges)
         g.traversed = gen.permutation(np.array(ledger, dtype=np.int64))
         ledger = set(ledger)
         picked = [pairs[j] for j in gen.choice(len(pairs), size=min(len(pairs), 150),
@@ -181,7 +197,8 @@ class TestClassifyPairs:
         n = 67
         assert [c.tolist() for c in _classify(EvolvingGraph(n), [0, 5], [66, 64])] == \
             [[0, 0], [0, 0], [n - 2, n - 2], [True, True]]
-        g = EvolvingGraph.from_edges(n, [(0, 1)])
+        g = host(n, [(0, 1)])
+        g.traversed = np.array([edge_index(0, 1, n)])
         closed, half, fully, fresh = _classify(g, [2, 0, 0], [3, 1, 2])
         assert fresh.tolist() == [True, False, True]
         assert closed.tolist() == [0, 0, 0]
@@ -254,11 +271,7 @@ class TestCheckTrajectories:
             ids = snap.traversed
             assert len(ids) == ends[i] and np.array_equal(ids, final[:len(ids)])
             assert len(ids) == 0 or np.shares_memory(ids, final)
-            rows = [0] * 60
-            for u, v in (edge_endpoints(idx, 60) for idx in ids.tolist()):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            assert snap.birthed_adj == rows
+            assert snap.birthed_adj == int_rows(60, map(pairs(60).__getitem__, ids.tolist()))
             sample = rng.stream(2, 0, round_=i, purpose=rng.SAMPLE).choice(
                 num_pairs(60), size=size, replace=False)
             traversed = set(ids.tolist())
