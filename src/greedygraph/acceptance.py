@@ -19,7 +19,8 @@ left failing, with the measured values in their details:
     (the sqrt-log form converges like sqrt(ln x + ln(2 sqrt(ln x)))).
   * C10: the +/- 5*window bands are ~1e-9 wide at n=5000 while per-pair
     fluctuations are Theta(n^{-1/2}); the half-open cap i*sqrt(n) is also
-    exceeded by ~2% of pairs at round 1.
+    exceeded at round 1, by 8 of 2000 sampled pairs at seed 0 (max 76
+    against a cap of 70.7).
   * C11: the deviation of the edge-count ratio is not monotone in n
     because floor(n**eps) jumps from 1 to 2 inside the stated n range.
   * C13: the uniform-graph edge budget uses the log-asymptotic form while

@@ -1,11 +1,17 @@
-"""Slow references for the tests: the greedy rule on Python int rows.
+"""What the tests share: slow references and two pieces of harness.
 
-Nothing here calls the kernels in ``greedygraph.graphcore``; a graph's row u
-is an int whose bit v says that {u, v} is an edge.
+The references apply the greedy rule on Python int rows; nothing here calls
+the kernels in ``greedygraph.graphcore``, and a graph's row u is an int
+whose bit v says that {u, v} is an edge.  The harness is ``traced_peak``,
+the one place a test starts ``tracemalloc``, and ``forbid_streams``, which
+makes any keyed stream fail, so that a refusal is seen to come before the
+first draw.
 """
 
 import itertools
+import tracemalloc
 
+from greedygraph import rng
 from greedygraph.graphcore import EvolvingGraph
 
 
@@ -47,3 +53,24 @@ def graph(rows) -> EvolvingGraph:
 def host(n: int, edges) -> EvolvingGraph:
     """The graph on n vertices with these edges, triangles allowed."""
     return graph(int_rows(n, edges))
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` under ``tracemalloc``: (its result, the
+    traced peak in bytes).  Warm any caches the call fills before this."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def forbid_streams(monkeypatch):
+    """Make keying a stream by either route, fresh or re-keyed, fail."""
+    def made(*args, **kwargs):
+        raise AssertionError("made a stream before the memory check")
+
+    monkeypatch.setattr(rng, "stream", made)
+    monkeypatch.setattr(rng.Streams, "rekey", made)

@@ -1,6 +1,4 @@
 import io
-import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedygraph import rng
-from greedygraph.branching import (DEFAULT_GRID, McEstimate, SurvivalCurve,
-                                   SurvivalModel, choose_thinning, exact_curve,
+from greedygraph.branching import (DEFAULT_GRID, SurvivalModel, choose_thinning, exact_curve,
                                    exact_point, finite_recursion, limit_recursion,
                                    simulate_tree, write_curves_csv)
 from greedygraph.numerics import RoundContext
+from reference import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -78,24 +76,14 @@ class TestThinning:
         # past the fallback, only windows of a few grid points are built:
         # 1,000 float64 entries would be 8,000 bytes
         choose_thinning(target)  # warm any lazily built numpy state
-        tracemalloc.start()
-        try:
-            choose_thinning(target)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(choose_thinning, target)
         assert peak < 8_000
 
     def test_model_build_peak(self, ctx):
         # one model used to build four 800,001-entry arrays, a 24 MiB peak
         c = ctx.with_round(4)
         SurvivalModel.make(c, scale=64)
-        tracemalloc.start()
-        try:
-            SurvivalModel.make(c, scale=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(SurvivalModel.make, c, scale=64)
         assert peak < 1 << 20
 
 

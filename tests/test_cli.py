@@ -499,7 +499,11 @@ class TestLambdaCommand:
      "255a0366570da35b4e8119d279bb474e153206f32e8f79739a80651627fb350b"),
     ("branching --n 1000000 --eps 0.1 --k 8 --depth 6 --trials 2000 --seed 2",
      "4e7f1cc55d3fc1401d4f8844bbebc7eecdc51d93df0b64d52b22083767d03618"),
-], ids=["simulate", "simulate-cutoff", "rounds-snapshots", "predict", "compare-gnm", "branching"])
+    ("oracle --n 4", "6ce4ae8a8a8bcffca5d92a1c0df69997eacf258655c8dce884809f1905968273"),
+    ("lambda --n 120 --eps 0.25 --sample-size 40 --seed 3",
+     "e7f410a9a1178be3a0bfeeafca3c39e4077268f904a1d029b068206d2d195a74"),
+], ids=["simulate", "simulate-cutoff", "rounds-snapshots", "predict", "compare-gnm", "branching",
+        "oracle", "lambda"])
 def test_report_digest(argv, digest, capsys):
     # each small-n report pinned byte for byte (its meta carries the version):
     # the snapshots are exported through edges(), the G(n, m) hosts audited
@@ -518,7 +522,12 @@ class TestAcceptCommand:
         assert "[PASS] C09" in out
         payload = json.loads(out_file.read_text())
         assert payload["passed"] == payload["total"] == 2
-        assert "wall_clock_s" in payload
+        # the report pinned byte for byte, once its timings are taken out
+        del payload["wall_clock_s"]
+        for criterion in payload["criteria"]:
+            del criterion["elapsed_s"]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == \
+            "49b123e2497f7b88662ce3f1d7839a3e7d4962ee15a388fbe0fe093708a014b3"
 
     def test_known_failing_criterion_exit_one(self, capsys):
         # criterion 1 asserts an asymptotic band the exact value provably

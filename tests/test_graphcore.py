@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset
                                    bitset_words, decode_edge_ids, edge_index, greedy_insert,
                                    iter_bits, neighbours, num_pairs, pair_rows, reach_rows,
                                    row_bit_counts, unpack_rows)
-from reference import graph, host, int_rows, pairs, replay
+from reference import graph, host, int_rows, pairs, replay, traced_peak
 
 
 class TestEdgeIndex:
@@ -89,12 +88,7 @@ class TestBits:
         n = 5000
         gen = rng.stream(7)
         rows = [int.from_bytes(gen.bytes(n // 8), "little") for _ in range(n)]
-        tracemalloc.start()
-        try:
-            words = bitset_words(rows, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        words, peak = traced_peak(bitset_words, rows, n)
         assert words.flags.writeable
         assert peak <= 1.1 * words.nbytes
         assert list(bitset_ints(words)) == rows
@@ -274,13 +268,7 @@ def _random_rows(n: int, p: float, seed: int) -> list[int]:
     """Int rows of a uniform random graph on n vertices, each pair an edge
     with probability p."""
     gen = np.random.default_rng(seed)
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if gen.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return rows
+    return int_rows(n, [(u, v) for u, v in pairs(n) if gen.random() < p])
 
 
 def _int_row_audit(rows: list[int]) -> bool:
@@ -334,8 +322,7 @@ class TestWordRows:
         # random graphs with and without triangles, and their triangle-free
         # greedy subgraphs, in gathers of 256 KiB and of one row
         rows = _random_rows(n, p, seed)
-        g = EvolvingGraph(n)
-        g.adj = rows
+        g = graph(rows)
         sub = EvolvingGraph(n)
         greedy_insert(sub, [edge_index(u, v, n) for u, v in g.edges()])
         assert _int_row_audit(rows) == free and _int_row_audit(sub.adj)
@@ -347,8 +334,7 @@ class TestWordRows:
     @pytest.mark.parametrize("n", [3, 64, 65, 200])
     def test_edges_match_int_rows(self, n):
         rows = _random_rows(n, 0.05, seed=n)
-        g = EvolvingGraph(n)
-        g.adj = rows
+        g = graph(rows)
         expect = [(u, v) for u in range(n) for v in range(u + 1, n) if (rows[u] >> v) & 1]
         with mock.patch.object(graphcore, "_GATHER", 8):
             assert list(g.edges()) == expect

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from greedygraph import graphcore, patterns, rng
 from greedygraph.graphcore import EvolvingGraph, bitset_ints, edge_index, num_pairs, pair_rows
 from greedygraph.numerics import RoundContext
-from greedygraph.patterns import (CATALOG, MarginReport, PatternGraph,
+from greedygraph.patterns import (CATALOG, PatternGraph,
                                   complete_bipartite, count_copies,
                                   count_embeddings, cycle_graph,
                                   isomorphisms, load_pattern, parse_pattern_text,
                                   path_graph, star_graph, variance_margin)
 from greedygraph.predictor import gnm_edge_target, sample_gnm
 from greedygraph.process import ProcessParams, run_rounds
-from reference import graph, host as make_host, int_rows, pairs, replay
+from reference import graph, host as make_host, int_rows, pairs, replay, traced_peak
 
 K3 = PatternGraph.from_edges([(0, 1), (1, 2), (0, 2)], name="K3")
 
@@ -270,12 +270,7 @@ class TestCountCopies:
                                  (complete_bipartite(2, 4), 500, 2)):
             host = run_rounds(ProcessParams(ctx=RoundContext(n, 0.1), seed=seed)).graph
             needs.clear()
-            tracemalloc.start()
-            try:
-                count_copies(host, pattern)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(count_copies, host, pattern)
             assert peak <= needs[0], (pattern, n, peak, needs[0])
             if pattern.v == 8:
                 assert needs[0] <= 2 * peak
@@ -297,12 +292,7 @@ class TestCountCopies:
         monkeypatch.setattr(patterns, "check_memory",
                             lambda need, what: needs.append(need) or check(need, what))
         monkeypatch.setattr(patterns, "neighbours", traced_build)
-        tracemalloc.start()
-        try:
-            count_copies(host, path_graph(3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(count_copies, host, path_graph(3))
         assert peak == built[-1] <= needs[0] <= 2 * peak
 
 

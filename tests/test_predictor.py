@@ -1,7 +1,6 @@
 import concurrent.futures
 import math
 import os
-import tracemalloc
 from math import comb, sqrt
 
 import pytest
@@ -10,11 +9,11 @@ from greedygraph import graphcore, predictor, rng
 from greedygraph.graphcore import EvolvingGraph, num_pairs
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import CATALOG, PatternGraph
-from greedygraph.predictor import (PredictionReport, compare_with_gnm,
+from greedygraph.predictor import (compare_with_gnm,
                                    gnm_edge_target, predict_copies,
                                    predict_copies_log_form,
                                    map_trials, run_prediction_campaign, sample_gnm)
-from reference import host, pairs
+from reference import forbid_streams, host, pairs, traced_peak
 
 
 class TestPredictCopies:
@@ -119,21 +118,12 @@ class TestGnmHost:
         # stays within twice the peak
         sample_gnm(40, 300, rng.stream(1, purpose=rng.GNM))  # warm the caches first
         gen = rng.stream(1, purpose=rng.GNM)
-        tracemalloc.start()
-        try:
-            sample_gnm(n, m, gen)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sample_gnm, n, m, gen)
         assert peak <= predictor._gnm_bytes(n, m) <= 2 * peak
 
     def test_refused_before_any_draw(self, monkeypatch):
-        def made(*args, **kwargs):
-            raise AssertionError("made a stream before the memory check")
-
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
-        monkeypatch.setattr(rng, "stream", made)
-        monkeypatch.setattr(rng.Streams, "rekey", made)
+        forbid_streams(monkeypatch)
         m = gnm_edge_target(2000, 0.1)
         with pytest.raises(ValueError, match=fr"memory bound: a G\(n, m\) sample at "
                                              fr"n=2000, m={m} needs about 3 MiB"):

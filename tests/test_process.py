@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -15,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 from greedygraph import graphcore, process, rng
 from greedygraph.graphcore import EvolvingGraph, bitset_ints, num_pairs
 from greedygraph.numerics import RoundContext
-from greedygraph.process import (OracleDistribution, ProcessParams, RunTrace,
+from greedygraph.process import (ProcessParams, RunTrace,
                                  _class_name, _final_blocks, aggregate_cutoff,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
-from reference import host, pairs, replay
+from reference import forbid_streams, host, pairs, replay, traced_peak
 
 
 def literal_oracle_n4() -> dict[str, Fraction]:
@@ -115,7 +114,7 @@ class TestRunExact:
 
     @pytest.mark.parametrize("cutoff", [None, 0.3])
     def test_snapshots(self, cutoff):
-        # one round: the empty graph, then the final graph and ledger
+        # one round: the empty graph, then the final graph and its traversed pairs
         params = ProcessParams(ctx=RoundContext(60, 0.2), seed=4, mode="exact", cutoff=cutoff)
         trace = run_exact(replace(params, record_snapshots=True), trial=2)
         empty, final = trace.snapshots
@@ -178,33 +177,11 @@ class TestRunRounds:
         assert run_rounds(p, trial=1).graph.adj == run_rounds(p, trial=1).graph.adj
 
 
-# Pairs the reference draw draws, filters and joins at a time
-_DRAW_CHUNK = 1 << 16
-
-
-def draw_round(gen, m, threshold, seen):
-    """One round of the reference draw, which the aggregate draw
-    (``process._draw``) replaced: a time in [0, 1) for every pair, drawn and
-    filtered ``_DRAW_CHUNK`` pairs at a time (successive draws from a
-    generator reproduce one long draw bit for bit); returns, in stable time
-    order, the pairs not yet in ``seen`` whose time is below ``threshold``,
-    and marks them in ``seen``."""
-    ids, times = [], []
-    for s in range(0, m, _DRAW_CHUNK):
-        t = gen.random(min(_DRAW_CHUNK, m - s))
-        part = seen[s:s + _DRAW_CHUNK]
-        fresh = (t < threshold) & ~part
-        part |= fresh
-        kept = np.nonzero(fresh)[0]
-        ids.append(kept + s)
-        times.append(t[kept])
-    ids, times = np.concatenate(ids), np.concatenate(times)
-    return ids[np.argsort(times, kind="stable")]
-
-
 def one_shot_draw(gen, m, threshold, seen):
-    """The reference for ``draw_round``: every pair's time in one array,
-    filtered with full-length masks."""
+    """One round of the reference draw, which the aggregate draw
+    (``process._draw``) replaced: a time in [0, 1) for every pair, in one
+    array; returns, in stable time order, the pairs not yet in ``seen`` whose
+    time is below ``threshold``, and marks them in ``seen``."""
     t = gen.random(m)
     fresh = (t < threshold) & ~seen
     seen |= fresh
@@ -228,42 +205,13 @@ def reference_draw(streams, params, trial, schedule, cap):
         cells = [(params.seed, trial, i, rng.ROUNDS) for i in range(1, ctx.rounds_total + 1)]
         threshold = ctx.birth_prob
     seen = np.zeros(m, dtype=bool)
-    rounds = [draw_round(streams.rekey(*cell), m, threshold, seen) for cell in cells]
+    rounds = [one_shot_draw(streams.rekey(*cell), m, threshold, seen) for cell in cells]
     return np.concatenate(rounds), np.cumsum([len(r) for r in rounds[:-1]]).tolist()
 
 
-class _TiedStream:
-    """A stream whose times lie on {0, 1/3, 2/3}, drawn from uniform doubles,
-    so successive draws still reproduce one long draw."""
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def random(self, size):
-        return np.floor(self.gen.random(size) * 3) / 3
-
-
 class TestStreamedRound:
-    """A round is drawn, decoded and inserted in fixed-size pieces and must
-    give what one pass over all its pairs gives."""
-
-    @pytest.mark.parametrize("m", [_DRAW_CHUNK - 1, _DRAW_CHUNK,
-                                   3 * _DRAW_CHUNK, 3 * _DRAW_CHUNK + 77])
-    @pytest.mark.parametrize("threshold", [1.0, 0.3, RoundContext(2000, 0.1).birth_prob])
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_chunked_draw_matches_one_shot(self, m, threshold, ties):
-        # the reference route: three rounds over one reused seen mask, as
-        # its round form draws them
-        wrap = _TiedStream if ties else (lambda gen: gen)
-        seen = np.zeros(m, dtype=bool)
-        ref_seen = np.zeros(m, dtype=bool)
-        for i in range(1, 4):
-            got = draw_round(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
-                             m, threshold, seen)
-            want = one_shot_draw(wrap(rng.stream(4, 0, round_=i, purpose=rng.ROUNDS)),
-                                 m, threshold, ref_seen)
-            assert np.array_equal(got, want)
-            assert np.array_equal(seen, ref_seen)
+    """A round is one insertion call, however many pairs it has, and a run
+    holds its traced peak within the memory figure it is charged."""
 
     @pytest.mark.parametrize("mode, n", [("rounds", 100), ("exact", 1025)])
     def test_one_insert_call_per_round(self, monkeypatch, mode, n):
@@ -294,12 +242,7 @@ class TestStreamedRound:
         params = ProcessParams(ctx=RoundContext(n, 0.1), seed=2, mode=mode, cutoff=cutoff,
                                record_snapshots=bool(snapshots))
         run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
-        tracemalloc.start()
-        try:
-            run(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run, params)
         assert peak <= _estimate(params, snapshots)
 
     def test_uncut_run_peaks_within_one_decode_slice(self):
@@ -309,12 +252,7 @@ class TestStreamedRound:
         n = 2000
         params = ProcessParams(ctx=RoundContext(n, 0.1), seed=1, mode="exact")
         run(ProcessParams(ctx=RoundContext(40, 0.1), seed=2))  # warm the caches first
-        tracemalloc.start()
-        try:
-            run(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run, params)
         assert peak < 8 * num_pairs(n) + 2 * 8 * n * ((n + 63) // 64) + 64 * (1 << 16) + (1 << 20)
 
 
@@ -324,15 +262,6 @@ def _estimate(params: ProcessParams, snapshots: int = 0) -> int:
     return process._round_bytes(params.ctx.n, share, snapshots)
 
 
-def _forbid_streams(monkeypatch):
-    """Make keying a stream by either route, fresh or re-keyed, fail."""
-    def made(*args, **kwargs):
-        raise AssertionError("made a stream before the memory check")
-
-    monkeypatch.setattr(rng, "stream", made)
-    monkeypatch.setattr(rng.Streams, "rekey", made)
-
-
 class TestMemoryBound:
     """The traversal and the campaign path estimate their peak bytes from
     C(n,2) and refuse, before any draw, a run past physical memory."""
@@ -340,7 +269,7 @@ class TestMemoryBound:
     @pytest.fixture
     def tiny_memory(self, monkeypatch):
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 20)
-        _forbid_streams(monkeypatch)
+        forbid_streams(monkeypatch)
 
     @pytest.mark.parametrize("mode, n, mib", [pytest.param("exact", 300, 3, id="exact-300"),
                                               pytest.param("rounds", 600, 2, id="rounds-600")])
@@ -374,7 +303,7 @@ class TestMemoryBound:
         assert limit < _estimate(params, params.ctx.rounds_total + 1)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: limit)
         assert run_rounds(params).final_edges > 0
-        _forbid_streams(monkeypatch)
+        forbid_streams(monkeypatch)
         with pytest.raises(ValueError, match="memory bound: a run at n=300"):
             run_rounds(replace(params, record_snapshots=True))
 
@@ -398,12 +327,8 @@ def test_classified_campaign_estimate_bounds_traced_peak(monkeypatch):
     needs = []
     monkeypatch.setattr(process, "check_memory", lambda need, what: needs.append(need))
     final_distribution_sample(ctx, 2, seed=1, mode="rounds", classify=True)  # warm the caches
-    tracemalloc.start()
-    try:
-        _, classes = final_distribution_sample(ctx, 3000, seed=1, mode="rounds", classify=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, classes), peak = traced_peak(final_distribution_sample, ctx, 3000, seed=1,
+                                     mode="rounds", classify=True)
     assert sum(classes.values()) == 3000 and len(classes) > 1
     assert peak <= needs[-1]
 
@@ -606,12 +531,8 @@ def test_campaign_estimate_bounds_traced_peak(monkeypatch, n, trials, mode, cuto
     needs = []
     monkeypatch.setattr(process, "check_memory", lambda need, what: needs.append(need))
     final_distribution_sample(ctx, 2, seed=1, mode=mode, cutoff=cutoff)  # warm the caches
-    tracemalloc.start()
-    try:
-        final_distribution_sample(ctx, trials, seed=1, mode=mode, cutoff=cutoff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(final_distribution_sample, ctx, trials, seed=1, mode=mode,
+                          cutoff=cutoff)
     assert peak <= needs[-1]
 
 
@@ -693,8 +614,9 @@ class TestAggregateDraw:
 
 
 def _golden_digest(case: str) -> str:
-    """sha256 of one pinned output: a trace's graph, ledger, round records
-    and snapshots, or a campaign's edge and class counters."""
+    """sha256 of one pinned output: a trace's graph (its rows and the rows of
+    its traversed pairs), round records and snapshots, or a campaign's edge
+    and class counters."""
     ctx = RoundContext(60, 0.3)  # k = 3, 9 rounds
     if case == "exact":
         return _trace_digest(run_exact(ProcessParams(ctx=ctx, seed=11, mode="exact"), trial=3))
@@ -716,7 +638,7 @@ def _golden_digest(case: str) -> str:
 class TestGolden:
     """Pinned outputs of the reference route: with it in place of the
     aggregate draw, the streams and the traversal must keep reproducing
-    these exact graphs, ledgers, round records and snapshots."""
+    these exact graphs, traversed pairs, round records and snapshots."""
 
     @pytest.fixture(autouse=True)
     def reference_route(self, monkeypatch):

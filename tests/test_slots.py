@@ -2,7 +2,6 @@ import hashlib
 import io
 import itertools
 import json
-import tracemalloc
 
 from unittest import mock
 
@@ -14,9 +13,9 @@ from greedygraph import graphcore, rng, slots
 from greedygraph.graphcore import EvolvingGraph, edge_index, num_pairs, pair_rows
 from greedygraph.numerics import RoundContext
 from greedygraph.process import ProcessParams, run_rounds
-from greedygraph.slots import (SlotCounts, _band_stats, check_trajectories,
+from greedygraph.slots import (_band_stats, check_trajectories,
                                classify_pair, classify_pairs, write_rows_csv)
-from reference import host, int_rows, pairs
+from reference import forbid_streams, host, int_rows, pairs, traced_peak
 
 
 def brute_classify(graph: EvolvingGraph, u: int, v: int) -> tuple[int, int, int, int]:
@@ -282,11 +281,7 @@ class TestCheckTrajectories:
     def test_refused_before_any_draw(self, monkeypatch):
         trace, ctx = self._trace(n=60)
         monkeypatch.setattr(graphcore, "physical_memory", lambda: 1 << 16)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        monkeypatch.setattr(rng.Streams, "rekey", forbidden)
+        forbid_streams(monkeypatch)
         with pytest.raises(ValueError, match="memory bound: the trajectory check at n=60 "
                                              "needs about 1 MiB"):
             check_trajectories(trace, ctx, sample_size=100)
@@ -298,12 +293,7 @@ class TestCheckTrajectories:
         for n, before in ((400, 3_653_072), (2000, 16_529_504)):
             trace, ctx = self._trace(n=n, eps=0.2, seed=3)
             need = slots._check_bytes(trace, 1500, 0)
-            tracemalloc.start()
-            try:
-                check_trajectories(trace, ctx, sample_size=1500, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(check_trajectories, trace, ctx, sample_size=1500, seed=3)
             assert peak <= need < before
 
     def test_csv_rows(self):
