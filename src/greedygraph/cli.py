@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .branching import (SurvivalModel, exact_curve, finite_recursion,
+from .branching import (DEFAULT_GRID, SurvivalModel, exact_curve, finite_recursion,
                         limit_recursion, simulate_tree, write_curves_csv)
 from .numerics import RoundContext
 from .patterns import load_pattern
@@ -95,7 +95,7 @@ OPTIONS = {
     "k": Option(int, "finite scale", {"branching": 8}),
     "zeta": Option(float, "thinning factor override", {"branching": None}),
     "depth": Option(positive_int, "recursion depth", {"branching": 40}),
-    "grid": Option(positive_int, "quadrature grid points", {"branching": None}),
+    "grid": Option(positive_int, "quadrature grid points", {"branching": DEFAULT_GRID}),
     "round": Option(int, "round index (default: middle)", {"branching": None}),
     "csv": Option(str, "also write the per-pair rows (lambda) or the level curves "
                   "(branching) to this CSV file", dict.fromkeys(("lambda", "branching"))),
@@ -111,11 +111,24 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
+def _read(kind: Callable, raw: str, source: str):
+    """``raw`` read as ``kind``; a text it refuses, or a boolean outside
+    ``_BOOLEANS``, is a ValueError that names ``source`` and ``raw``."""
+    if kind is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{source} = {raw!r} is not a boolean")
+        return _BOOLEANS[raw.lower()]
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source} = {raw!r}: {exc}") from None
+
+
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Each option of ``args.command``: the flag, else the --config file's
     value, else ($GREEDYGRAPH_SEED first, for the seed) the command's default.
-    A config key that no command declares, and a boolean option's value
-    outside ``_BOOLEANS``, are ValueErrors."""
+    A config key that no command declares, and a value from the file or the
+    environment that its option refuses, are ValueErrors."""
     config = _load_config(args.config) if args.config else {}
     unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
@@ -127,16 +140,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             continue
         val = getattr(args, name)
         if val is None and name in config:
-            raw = config[name]
-            if opt.type is not bool:
-                val = opt.type(raw)
-            elif raw.lower() in _BOOLEANS:
-                val = _BOOLEANS[raw.lower()]
-            else:
-                raise ValueError(f"{args.config}: {name} = {raw!r} is not a boolean")
+            val = _read(opt.type, config[name], f"{args.config}: {name}")
+        if val is None and name == "seed":
+            env = os.environ.get("GREEDYGRAPH_SEED")
+            val = _read(int, env, "$GREEDYGRAPH_SEED") if env else 0
         if val is None:
-            val = (int(os.environ.get("GREEDYGRAPH_SEED") or 0) if name == "seed"
-                   else opt.defaults[args.command])
+            val = opt.defaults[args.command]
         setattr(resolved, name, val)
     return resolved
 
@@ -239,17 +248,14 @@ def _cmd_branching(o) -> int:
     ctx = RoundContext(o.n, o.eps)
     round_i = ctx.rounds_total // 2 if o.round is None else o.round
     c = ctx.with_round(round_i)
-    kwargs = {"thinning": o.zeta} if o.zeta is not None else {}
-    if o.grid is not None:
-        kwargs["grid"] = o.grid
     depth = o.depth
-    model = SurvivalModel.make(c, scale=o.k, depth=depth, **kwargs)
+    model = SurvivalModel.make(c, scale=o.k, depth=depth, grid=o.grid, thinning=o.zeta)
     exact = exact_curve(c, grid=model.grid)
     levels = limit_recursion(c, depth=depth, grid=model.grid)
     finite = finite_recursion(model)
     est = simulate_tree(model, c.delta, trials=o.trials, seed=o.seed)
     payload = {
-        "meta": _meta(o, grid=model.grid, round=round_i, zeta=model.thinning),
+        "meta": _meta(o, round=round_i, zeta=model.thinning),
         "model": {"scale": model.scale, "thinning": model.thinning,
                   "singles": model.singles, "pairs": model.pairs,
                   "depth": model.depth, "grid": model.grid},

@@ -1,11 +1,11 @@
-"""What the tests share: slow references and two pieces of harness.
+"""What the tests share: slow references and three pieces of harness.
 
 The references apply the greedy rule on Python int rows; nothing here calls
 the kernels in ``greedygraph.graphcore``, and a graph's row u is an int
 whose bit v says that {u, v} is an edge.  The harness is ``traced_peak``,
-the one place a test starts ``tracemalloc``, and ``forbid_streams``, which
+the one place a test starts ``tracemalloc``; ``forbid_streams``, which
 makes any keyed stream fail, so that a refusal is seen to come before the
-first draw.
+first draw; and ``spy``, which records each call of a real function.
 """
 
 import itertools
@@ -74,3 +74,19 @@ def forbid_streams(monkeypatch):
 
     monkeypatch.setattr(rng, "stream", made)
     monkeypatch.setattr(rng.Streams, "rekey", made)
+
+
+def spy(monkeypatch, owner, name, note, log=None) -> list:
+    """Make ``owner.name`` call the real function, then append
+    ``note(result, *args, **kwargs)`` to ``log``: the list returned, a new
+    one unless a list is given, which lets spies share one ordered log."""
+    log = [] if log is None else log
+    real = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        result = real(*args, **kwargs)
+        log.append(note(result, *args, **kwargs))
+        return result
+
+    monkeypatch.setattr(owner, name, spied)
+    return log

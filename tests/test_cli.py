@@ -8,12 +8,34 @@ import sys
 import pytest
 
 from greedygraph.cli import OPTIONS, main
+from reference import spy
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def capped_cli(argv, limit, timeout=120, **env):
+    """Run ``python -m greedygraph *argv`` in a child whose soft address-space
+    limit is ``limit`` bytes, with ``env`` added to its environment."""
+    def lower_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    return subprocess.run([sys.executable, "-m", "greedygraph", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=lower_limit, env={**os.environ, **env})
+
+
+def forbid_trials(monkeypatch):
+    """Make simulating any trial of a prediction fail."""
+    from greedygraph import predictor
+
+    def no_trials(*args):
+        raise AssertionError("trials simulated before the pattern was checked")
+
+    monkeypatch.setattr(predictor, "map_trials", no_trials)
 
 
 class TestOracle:
@@ -72,14 +94,8 @@ class TestRounds:
 
     def test_snapshots_simulate_trial0_once(self, capsys, monkeypatch):
         import greedygraph.cli as cli
-        calls = []
-        real = cli.run_rounds
-
-        def counting(params, trial=0):
-            calls.append((trial, params.record_snapshots))
-            return real(params, trial=trial)
-
-        monkeypatch.setattr(cli, "run_rounds", counting)
+        calls = spy(monkeypatch, cli, "run_rounds",
+                    lambda _, params, trial=0: (trial, params.record_snapshots))
         code, out = run_cli(["rounds", "--n", "30", "--eps", "0.3", "--trials", "3",
                              "--rounds-snapshots", "--seed", "1"], capsys)
         assert code == 0
@@ -100,6 +116,12 @@ class TestSeedResolution:
         _, out = run_cli(["rounds", "--n", "50", "--eps", "0.2", "--seed", "5"],
                          capsys)
         assert json.loads(out)["meta"]["seed"] == 5
+
+    def test_bad_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("GREEDYGRAPH_SEED", "abc")
+        assert main(["simulate"]) == 2
+        assert capsys.readouterr().err == ("error: $GREEDYGRAPH_SEED = 'abc': "
+                                           "invalid literal for int() with base 10: 'abc'\n")
 
 
 class TestConfigFile:
@@ -155,6 +177,16 @@ class TestConfigFile:
         assert code == 2
         assert capsys.readouterr().err == (f"error: {cfg}: rounds_snapshots = 'ture' "
                                            "is not a boolean\n")
+
+    @pytest.mark.parametrize("key, raw, reason", [
+        ("seed", "x1", "invalid literal for int() with base 10: 'x1'"),
+        ("n", "3.5", "invalid literal for int() with base 10: '3.5'"),
+        ("trials", "0", "expected a positive integer, got 0")])
+    def test_bad_value_names_file_and_key(self, capsys, tmp_path, key, raw, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {key} = {raw!r}: {reason}\n"
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -310,12 +342,7 @@ class TestPredictCommands:
                                                    ("compare-gnm", "C5", 4)])
     def test_pattern_larger_than_host_is_usage_error(self, capsys, monkeypatch,
                                                       command, pattern, n):
-        from greedygraph import predictor
-
-        def no_trials(*args):
-            raise AssertionError("trials simulated before the pattern was checked")
-
-        monkeypatch.setattr(predictor, "map_trials", no_trials)
+        forbid_trials(monkeypatch)
         code = main([command, "--pattern", pattern, "--n", str(n), "--trials", "1"])
         assert code == 2
         v = int(pattern[1])
@@ -325,12 +352,7 @@ class TestPredictCommands:
     @pytest.mark.parametrize("command", ["predict", "compare-gnm"])
     def test_triangle_pattern_refused_before_simulating(self, capsys, monkeypatch,
                                                         tmp_path, command):
-        from greedygraph import predictor
-
-        def no_trials(*args):
-            raise AssertionError("trials simulated before the pattern was checked")
-
-        monkeypatch.setattr(predictor, "map_trials", no_trials)
+        forbid_trials(monkeypatch)
         k3 = tmp_path / "k3.txt"
         k3.write_text("0 1\n1 2\n0 2\n")
         code = main([command, "--pattern", str(k3), "--n", "1500", "--trials", "3"])
@@ -369,16 +391,7 @@ class TestMemoryBound:
     def test_simulate_past_address_space_limit_is_usage_error(self):
         # an uncut run at n=20000 needs about 1.6 GiB; the soft limit is
         # lowered in the child process only
-        limit = 1_000_000 * 1024
-
-        def lower_limit():
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "20000", "--trials", "1"],
-                              capture_output=True, text=True, timeout=120,
-                              preexec_fn=lower_limit)
+        proc = capped_cli(["simulate", "--n", "20000", "--trials", "1"], 1_000_000 * 1024)
         assert proc.returncode == 2
         assert "memory bound" in proc.stderr
         assert "address-space limit (RLIMIT_AS)" in proc.stderr
@@ -391,16 +404,7 @@ class TestMemoryBound:
         # n=14600 fails an allocation when the check is off (the last n
         # that completes, with 109 MiB mapped, is 14579), so the check must
         # refuse it before it starts
-        limit = 1_000_000 * 1024
-
-        def lower_limit():
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "14600", "--trials", "1"],
-                              capture_output=True, text=True, timeout=120,
-                              preexec_fn=lower_limit)
+        proc = capped_cli(["simulate", "--n", "14600", "--trials", "1"], 1_000_000 * 1024)
         assert proc.returncode == 2
         assert "memory bound: a run at n=14600 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
@@ -412,17 +416,8 @@ class TestMemoryBound:
         # (about 109 MiB mapped before the run), a run at n=25000 fails an
         # allocation when the check is off (the last n that completes is
         # 24862); the check must refuse it before its draw
-        limit = 1_000_000 * 1024
-
-        def lower_limit():
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        proc = subprocess.run([sys.executable, "-m", "greedygraph", "simulate",
-                               "--n", "25000", "--cutoff", "0.3", "--trials", "1"],
-                              capture_output=True, text=True, timeout=120,
-                              preexec_fn=lower_limit,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        proc = capped_cli(["simulate", "--n", "25000", "--cutoff", "0.3", "--trials", "1"],
+                          1_000_000 * 1024, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 2
         assert "memory bound: a run at n=25000 needs about" in proc.stderr
         assert "an allocation failed" not in proc.stderr
@@ -434,16 +429,7 @@ class TestMemoryBound:
         # took 2.7-3.2 s and peaked at 173 MiB resident.  Under a 1 GiB soft
         # limit it must pass the memory check and finish, which also bounds
         # its resident peak by 1 GiB
-        limit = 1 << 30
-
-        def lower_limit():
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        proc = subprocess.run([sys.executable, "-m", "greedygraph", "rounds",
-                               "--n", "20000", "--trials", "1"],
-                              capture_output=True, text=True, timeout=600,
-                              preexec_fn=lower_limit)
+        proc = capped_cli(["rounds", "--n", "20000", "--trials", "1"], 1 << 30, timeout=600)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["runs"][0]["final_edges"] > 0
 

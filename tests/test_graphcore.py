@@ -10,7 +10,7 @@ from greedygraph.graphcore import (EvolvingGraph, bit_indices, bit_slots, bitset
                                    bitset_words, decode_edge_ids, edge_index, greedy_insert,
                                    iter_bits, neighbours, num_pairs, pair_rows, reach_rows,
                                    row_bit_counts, unpack_rows)
-from reference import graph, host, int_rows, pairs, replay, traced_peak
+from reference import graph, host, int_rows, pairs, replay, spy, traced_peak
 
 
 class TestEdgeIndex:
@@ -457,20 +457,9 @@ def test_uncut_call_sieves_closed_pairs(monkeypatch):
     # the call traverses; the graph equals the int-row replay's
     n = 200
     ids = np.random.default_rng(11).permutation(num_pairs(n))
-    log = []
-    real_reach, real_open = graphcore.reach_rows, graphcore._open
-
-    def reach_spy(words, ends=None):
-        reach = real_reach(words, ends)
-        log.append(("reach", list(bitset_ints(reach))))
-        return reach
-
-    def open_spy(words, pairs):
-        log.append(("open", pairs.tolist()))
-        return real_open(words, pairs)
-
-    monkeypatch.setattr(graphcore, "reach_rows", reach_spy)
-    monkeypatch.setattr(graphcore, "_open", open_spy)
+    log = spy(monkeypatch, graphcore, "reach_rows",
+              lambda reach, *_: ("reach", list(bitset_ints(reach))))
+    spy(monkeypatch, graphcore, "_open", lambda _, words, pairs: ("open", pairs.tolist()), log)
     monkeypatch.setattr(graphcore, "_SLICE", 1000)
     fast = EvolvingGraph(n)
     added = greedy_insert(fast, ids)
@@ -497,12 +486,7 @@ def test_sieve_is_decided_once_a_period(monkeypatch, slice_, chunk):
     # both calls filter the same chunks until they sieve
     n = 200
     ids = np.random.default_rng(0).permutation(num_pairs(n))
-    builds = []
-    real_reach = graphcore.reach_rows
-
-    def reach_spy(words, ends=None):
-        builds.append(1)
-        return real_reach(words, ends)
+    builds = spy(monkeypatch, graphcore, "reach_rows", lambda *_: 1)
 
     def call(slice_, slices):
         monkeypatch.setattr(graphcore, "_SLICE", slice_)
@@ -513,7 +497,6 @@ def test_sieve_is_decided_once_a_period(monkeypatch, slice_, chunk):
         return g, len(builds)
 
     assert graphcore._SLICE % graphcore._CHUNK == 0
-    monkeypatch.setattr(graphcore, "reach_rows", reach_spy)
     monkeypatch.setattr(graphcore, "_CHUNK", chunk)
     fast, count = call(slice_, graphcore._SIEVE_SLICES)
     whole, expect = call(graphcore._SIEVE_SLICES * slice_, 1)
@@ -546,14 +529,7 @@ class TestOpen:
         # n = 200 fits one block of rows; the first edge, (0, 1), closes the
         # triangle 0-1-2, and the other 1,480 edges are bipartite
         edges = [(0, 1), (0, 2), (1, 2)] + [(u, v) for u in range(3, 40) for v in range(100, 140)]
-        calls = []
-        real_open = graphcore._open
-
-        def open_spy(words, pairs):
-            calls.append(len(pairs))
-            return real_open(words, pairs)
-
-        monkeypatch.setattr(graphcore, "_open", open_spy)
+        calls = spy(monkeypatch, graphcore, "_open", lambda _, words, pairs: len(pairs))
         assert not host(200, edges).audit_triangle_free()
         assert calls == [graphcore._CHUNK]
         calls.clear()

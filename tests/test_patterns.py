@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedygraph import graphcore, patterns, rng
+from greedygraph import acceptance, graphcore, patterns, rng
 from greedygraph.graphcore import EvolvingGraph, bitset_ints, edge_index, num_pairs, pair_rows
 from greedygraph.numerics import RoundContext
 from greedygraph.patterns import (CATALOG, PatternGraph,
@@ -19,7 +19,7 @@ from greedygraph.patterns import (CATALOG, PatternGraph,
                                   path_graph, star_graph, variance_margin)
 from greedygraph.predictor import gnm_edge_target, sample_gnm
 from greedygraph.process import ProcessParams, run_rounds
-from reference import graph, host as make_host, int_rows, pairs, replay, traced_peak
+from reference import graph, host as make_host, int_rows, pairs, replay, spy, traced_peak
 
 K3 = PatternGraph.from_edges([(0, 1), (1, 2), (0, 2)], name="K3")
 
@@ -262,10 +262,7 @@ class TestCountCopies:
         # between the traced peak and twice it.  K33 at n=100 and K24 at
         # n=500 are estimated within about 1% of their peaks: any growth in
         # the count's temporaries must show here, not slip past the check
-        needs = []
-        real = patterns.check_memory
-        monkeypatch.setattr(patterns, "check_memory",
-                            lambda need, what: needs.append(need) or real(need, what))
+        needs = spy(monkeypatch, patterns, "check_memory", lambda _, need, what: need)
         for pattern, n, seed in ((cycle_graph(8), 200, 1), (complete_bipartite(3, 3), 100, 2),
                                  (complete_bipartite(2, 4), 500, 2)):
             host = run_rounds(ProcessParams(ctx=RoundContext(n, 0.1), seed=seed)).graph
@@ -281,36 +278,11 @@ class TestCountCopies:
         # transient: the traced peak is reached by the end of the build, and
         # the estimate, which charges no scatter, is within twice of it
         host = random_host(400, 0.5, seed=1)
-        needs, built = [], []
-        check, build = patterns.check_memory, patterns.neighbours
-
-        def traced_build(words):
-            csr = build(words)
-            built.append(tracemalloc.get_traced_memory()[1])
-            return csr
-
-        monkeypatch.setattr(patterns, "check_memory",
-                            lambda need, what: needs.append(need) or check(need, what))
-        monkeypatch.setattr(patterns, "neighbours", traced_build)
+        needs = spy(monkeypatch, patterns, "check_memory", lambda _, need, what: need)
+        built = spy(monkeypatch, patterns, "neighbours",
+                    lambda *_: tracemalloc.get_traced_memory()[1])
         _, peak = traced_peak(count_copies, host, path_graph(3))
         assert peak == built[-1] <= needs[0] <= 2 * peak
-
-
-def margin_oracle(pattern: PatternGraph, eps: float) -> tuple[float, float]:
-    """Literal double enumeration over (vertex subset, edge subset) pairs."""
-    c = 0.5 - eps
-    best = float("inf")
-    dens = 0.0
-    verts = range(pattern.v)
-    for r in range(1, pattern.v + 1):
-        for subset in itertools.combinations(verts, r):
-            sset = set(subset)
-            inside = [e for e in pattern.edges if e[0] in sset and e[1] in sset]
-            for k in range(1, len(inside) + 1):
-                for _ in itertools.combinations(inside, k):
-                    best = min(best, r - c * k)
-                    dens = max(dens, k / r)
-    return best, dens
 
 
 class TestVarianceMargin:
@@ -318,7 +290,7 @@ class TestVarianceMargin:
     def test_matches_double_enumeration(self, name):
         pattern = CATALOG[name]
         got = variance_margin(pattern, 0.01)
-        ref_margin, ref_dens = margin_oracle(pattern, 0.01)
+        ref_margin, ref_dens = acceptance._margin_oracle(pattern, 0.01)
         assert got.margin == pytest.approx(ref_margin, abs=1e-12)
         assert got.max_density == pytest.approx(ref_dens, abs=1e-12)
         assert got.margin > 0

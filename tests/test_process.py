@@ -19,7 +19,7 @@ from greedygraph.process import (ProcessParams, RunTrace,
                                  exhaustive_oracle, final_distribution_sample,
                                  normalize_counter, predicted_final_edges, run,
                                  run_exact, run_rounds, tv_distance)
-from reference import forbid_streams, host, pairs, replay, traced_peak
+from reference import forbid_streams, host, pairs, replay, spy, traced_peak
 
 
 def literal_oracle_n4() -> dict[str, Fraction]:
@@ -218,13 +218,7 @@ class TestStreamedRound:
         # a round is one greedy_insert call, even an uncut birth-order
         # round of more than twice graphcore._SLICE pairs
         params = ProcessParams(ctx=RoundContext(n, 0.2), seed=3, mode=mode)
-        calls = []
-
-        def insert(g, ids):
-            calls.append(len(ids))
-            return graphcore.greedy_insert(g, ids)
-
-        monkeypatch.setattr(process, "greedy_insert", insert)
+        calls = spy(monkeypatch, process, "greedy_insert", lambda _, g, ids: len(ids))
         trace = run(params)
         assert len(calls) == len(trace.per_round) == (
             params.ctx.rounds_total if mode == "rounds" else 1)
@@ -336,15 +330,8 @@ def test_classified_campaign_estimate_bounds_traced_peak(monkeypatch):
 def test_snapshots_keep_their_words(monkeypatch):
     # a snapshot shares the graph's word rows; each later round writes a
     # fresh copy, so every snapshot's bytes stay as they were when it was taken
-    taken = []
-    real_copy = EvolvingGraph.copy
-
-    def spy(self):
-        snap = real_copy(self)
-        taken.append((snap, hashlib.sha256(snap.words.tobytes()).hexdigest()))
-        return snap
-
-    monkeypatch.setattr(EvolvingGraph, "copy", spy)
+    taken = spy(monkeypatch, EvolvingGraph, "copy",
+                lambda snap, g: (snap, hashlib.sha256(snap.words.tobytes()).hexdigest()))
     trace = run_rounds(ProcessParams(ctx=RoundContext(300, 0.3), seed=4, record_snapshots=True))
     assert len(taken) == len(trace.snapshots) == trace.per_round[-1].i + 1
     assert all(snap is kept for (snap, _), kept in zip(taken, trace.snapshots))
@@ -484,16 +471,9 @@ def test_campaign_path_matches_runs_at_the_dtype_boundary(monkeypatch, n, dtype,
     ctx = RoundContext(n, 0.2)
     params = ProcessParams(ctx=ctx, seed=4, mode=mode,
                            cutoff=aggregate_cutoff(ctx) if mode == "exact" else None)
-    dtypes = set()
-    lockstep = process._lockstep
-
-    def spy(n, table, seq):
-        dtypes.add(seq.dtype)
-        return lockstep(n, table, seq)
-
-    monkeypatch.setattr(process, "_lockstep", spy)
+    dtypes = spy(monkeypatch, process, "_lockstep", lambda _, n, table, seq: seq.dtype)
     _check_batch_against_runs(params, 3, process._BLOCK_BYTES)
-    assert dtypes == {np.dtype(dtype)}
+    assert set(dtypes) == {np.dtype(dtype)}
 
 
 def test_campaign_steps_decide_through_open(monkeypatch):
@@ -501,19 +481,8 @@ def test_campaign_steps_decide_through_open(monkeypatch):
     # graphcore._open once, about one pair of every trial of its block
     ctx = RoundContext(40, 0.2)
     expect = final_distribution_sample(ctx, 30, 5, mode="rounds")
-    shapes, calls = [], []
-    real_lockstep, real_open = process._lockstep, graphcore._open
-
-    def lockstep_spy(n, table, seq):
-        shapes.append(seq.shape)
-        return real_lockstep(n, table, seq)
-
-    def open_spy(words, pairs):
-        calls.append(len(pairs))
-        return real_open(words, pairs)
-
-    monkeypatch.setattr(process, "_lockstep", lockstep_spy)
-    monkeypatch.setattr(graphcore, "_open", open_spy)
+    shapes = spy(monkeypatch, process, "_lockstep", lambda _, n, table, seq: seq.shape)
+    calls = spy(monkeypatch, graphcore, "_open", lambda _, words, pairs: len(pairs))
     assert final_distribution_sample(ctx, 30, 5, mode="rounds") == expect
     assert shapes and calls == [cols for steps, cols in shapes for _ in range(steps)]
 

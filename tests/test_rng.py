@@ -5,6 +5,7 @@ from greedygraph import rng
 from greedygraph.branching import SurvivalModel, simulate_tree
 from greedygraph.numerics import RoundContext
 from greedygraph.process import final_distribution_sample
+from reference import spy
 
 
 def test_same_cell_reproduces():
@@ -64,14 +65,7 @@ def test_rekey_matches_fresh_stream(cell, used, odd):
 def test_loops_build_constant_generators(monkeypatch):
     # the per-cell loops re-key one generator: building one per tree or per
     # trial and round would show as constructions growing with the count
-    real = np.random.Philox
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting)
+    built = spy(monkeypatch, np.random, "Philox", lambda *_, **__: 1)
     c = RoundContext(10 ** 6, 0.1).with_round(4)
     model = SurvivalModel.make(c, scale=4, depth=4)
     small = RoundContext(8, 0.4)  # 4 rounds
